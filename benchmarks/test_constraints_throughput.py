@@ -4,7 +4,7 @@ handler.
 Builds synthetic grouped schemas of 10-200 tags with a mixed constraint
 load (frequency, nesting, contiguity, exclusivity, soft max-count,
 proximity, plus assignment/exclusion feedback) and peaked random score
-rows, then times three configurations per size:
+rows, then times two configurations per size:
 
 ``seed``
     A faithful re-implementation of the pre-PR ``find_mapping``: the
@@ -13,21 +13,13 @@ rows, then times three configurations per size:
     at every node and soft costs settled only at leaves.
 ``bnb``
     The incremental engine (push/pop evaluators, soft-cost-aware
-    pruning) at one worker.
-``par4``
-    The incremental engine with the root split across 4 workers.
+    pruning).
 
-``astar`` also runs on the smaller sizes (it is the paper's formulation,
-kept as a baseline; its frontier grows too fast to time on the big
-schemas).
-
-Configurations are interleaved round-robin and each reports its best
-round. The benchmark asserts the incremental engine reaches the same
-minimum cost as the seed handler at every size (assignments may differ
-only on exact cost ties), that 1-worker and 4-worker runs return
-byte-identical mappings, and that the incremental engine beats the seed
-by at least 3x at 100 tags. Writes ``BENCH_constraints.json`` at the
-repo root.
+Each configuration reports its best round. The benchmark asserts the
+incremental engine reaches the same minimum cost as the seed handler at
+every size (assignments may differ only on exact cost ties) and beats
+the seed by at least 3x at 100 tags. Writes ``BENCH_constraints.json``
+at the repo root, with the ``cpu_count`` of the host that produced it.
 
 Environment knobs::
 
@@ -54,7 +46,6 @@ from repro.constraints import (AssignmentConstraint, ConstraintHandler,
                                NestingConstraint, ProximityConstraint)
 from repro.constraints.base import split_constraints
 from repro.core import LabelSpace, Mapping, SourceSchema
-from repro.core.parallel import ParallelExecutor
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_constraints.json"
@@ -62,7 +53,6 @@ SIZES = [int(s) for s in os.environ.get(
     "LSD_BENCH_CONSTRAINTS_SIZES", "10,25,50,100,200").split(",")]
 ROUNDS = int(os.environ.get("LSD_BENCH_CONSTRAINTS_ROUNDS", "3"))
 MIN_SPEEDUP = 3.0
-ASTAR_MAX_SIZE = 50
 MAX_EXPANSIONS = 500_000
 
 
@@ -271,23 +261,13 @@ def test_constraints_throughput():
         scores, space, ctx, constraints, feedback = _make_instance(size)
         handler = ConstraintHandler(constraints,
                                     max_expansions=MAX_EXPANSIONS)
-        par4 = ParallelExecutor(4)
 
         configs = {
             "seed": lambda: _seed_find_mapping(
                 handler, scores, space, ctx, feedback),
             "bnb": lambda: handler.find_mapping(
                 scores, space, ctx, feedback),
-            "par4": lambda: handler.find_mapping(
-                scores, space, ctx, feedback, executor=par4),
         }
-        astar = None
-        if size <= ASTAR_MAX_SIZE:
-            astar = ConstraintHandler(constraints,
-                                      max_expansions=MAX_EXPANSIONS,
-                                      search="astar")
-            configs["astar"] = lambda: astar.find_mapping(
-                scores, space, ctx, feedback)
 
         for run in configs.values():  # warm-up round
             run()
@@ -298,11 +278,10 @@ def test_constraints_throughput():
             best[name], results[name] = _timed(run, ROUNDS)
         stats = dict(handler.last_stats)
         assert stats["nodes_expanded"] < MAX_EXPANSIONS, \
-            "budget exhausted: determinism contract does not apply"
+            "budget exhausted: the optimality check does not apply"
 
         # Optimality: the incremental engine reaches the seed handler's
         # minimum cost (mappings may differ only on exact ties).
-        tags = list(scores)
         costs = {
             name: handler.mapping_cost(results[name], scores, space,
                                        ctx, extra_constraints=feedback)
@@ -312,11 +291,6 @@ def test_constraints_throughput():
             assert costs[name] == pytest.approx(costs["seed"],
                                                 rel=1e-9), \
                 f"{name} missed the optimum at {size} tags"
-
-        # Determinism: 1 worker and 4 workers, byte-identical.
-        assert {t: results["bnb"][t] for t in tags} == \
-            {t: results["par4"][t] for t in tags}, \
-            f"par4 diverged from serial at {size} tags"
 
         entry = {
             "best_ms": {name: round(seconds * 1000.0, 3)
@@ -332,11 +306,7 @@ def test_constraints_throughput():
                 "soft_bound": stats["prune_soft_bound"],
             },
             "cost": round(costs["bnb"], 6),
-            "workers_identical": True,
         }
-        if astar is not None:
-            entry["astar_nodes_expanded"] = \
-                astar.last_stats["nodes_expanded"]
         report_sizes[str(size)] = entry
         if size == 100:
             speedup_at_100 = best["seed"] / best["bnb"]
@@ -350,6 +320,7 @@ def test_constraints_throughput():
                            "assignment/exclusion feedback",
             "max_expansions": MAX_EXPANSIONS,
         },
+        "environment": {"cpu_count": os.cpu_count() or 1},
         "sizes": report_sizes,
         "min_speedup_required_at_100": MIN_SPEEDUP,
     }

@@ -1,7 +1,7 @@
 """Matching-engine throughput: the PR's engine vs the pre-PR pipeline.
 
 Measures end-to-end matching (train once, then match every held-out
-source of Real Estate I in one process) under four configurations:
+source of Real Estate I in one process) under five configurations:
 
 ``seed``
     A faithful re-implementation of the pre-PR pipeline: dense WHIRL
@@ -12,8 +12,6 @@ source of Real Estate I in one process) under four configurations:
     The new engine with memoisation switched off (still sparse scoring).
 ``serial``
     The new engine at ``--workers 1``.
-``par4``
-    The new engine at ``--workers 4`` on the thread backend.
 ``proc4``
     The new engine at ``--workers 4`` on the process backend (a
     persistent worker pool sharing the model through shared memory; the
@@ -21,20 +19,20 @@ source of Real Estate I in one process) under four configurations:
     not pool construction).
 ``ckpt``
     ``serial`` plus an armed checkpoint (``--checkpoint-dir``): every
-    stage snapshot is pickled, fsynced, and renamed into a fresh
-    checkpoint directory each round. Gated to within
+    stage snapshot is serialized and atomically renamed (not fsynced;
+    see ``repro.runtime.checkpoint``) into a fresh checkpoint directory
+    each round. Gated to within
     ``CKPT_TOLERANCE`` of ``serial`` — durability must stay effectively
     free — and byte-identical to it.
 
 Configurations are interleaved round-robin and each reports its best
 round, so machine-load drift hits all of them equally. The benchmark
 asserts that every new-engine configuration produces *byte-identical*
-``tag_scores``, that cache+parallelism beats the seed pipeline by at
-least 3x, that ``par4`` stays at parity with ``serial`` (within
-``PAR_TOLERANCE``), that ``proc4`` beats serial by ``MIN_PROC_SPEEDUP``
-when the host actually has 4 cores (below that the GIL was never the
-bottleneck and ``proc4`` only needs to stay within ``PROC_TOLERANCE``
-of serial), and that seed-relative serial throughput has not regressed
+``tag_scores``, that the cached engine beats the seed pipeline by at
+least 3x, that ``proc4`` beats serial by ``MIN_PROC_SPEEDUP`` when the
+host actually has 4 cores (below that there is no parallelism to win
+and ``proc4`` only needs to stay within ``PROC_TOLERANCE`` of serial),
+and that seed-relative serial throughput has not regressed
 more than 25% against the committed ``BENCH_matching.json``, then
 rewrites that file at the repo root. The report records the backend and
 ``cpu_count`` per configuration so a committed ``proc4`` number is
@@ -80,27 +78,24 @@ LEDGER_PATH = BENCH_PATH.parent / run_ledger.DEFAULT_PATH
 N_LISTINGS = int(os.environ.get("LSD_BENCH_THROUGHPUT_LISTINGS", "100"))
 ROUNDS = int(os.environ.get("LSD_BENCH_THROUGHPUT_ROUNDS", "3"))
 MIN_SPEEDUP = 3.0
-#: ``par4`` may not trail ``serial`` by more than this factor. The hot
-#: kernels hold the GIL (see ``repro.core.parallel``), so threads tie
-#: serial rather than beat it; the committed par4-slower-than-serial
-#: inversion stays within scheduler noise and can never silently grow.
-PAR_TOLERANCE = 1.10
 #: Floor on seed-relative serial throughput vs the committed bench:
 #: comparing the *ratio* (not wall-clock) cancels host-speed drift
 #: between the committing machine and this one.
 REGRESSION_TOLERANCE = 0.75
 #: What ``proc4`` must deliver over serial on a host with >= 4 cores —
-#: the scaling the process backend exists for (ISSUE 7 acceptance).
+#: the scaling the process backend exists for. Unverified: no host with
+#: 4 or more cores has run this benchmark yet; the committed numbers
+#: come from 1- and 2-CPU hosts.
 MIN_PROC_SPEEDUP = 1.5
 #: On hosts with fewer than 4 cores there is no parallelism to win;
 #: ``proc4`` then only has to keep its IPC overhead bounded: no worse
-#: than this factor over serial (best-of-rounds or total-of-rounds,
-#: same dual-metric rule as ``PAR_TOLERANCE``).
+#: than this factor over serial on best-of-rounds or total-of-rounds
+#: (load spikes hit the two differently; a real regression fails both).
 PROC_TOLERANCE = 2.0
 #: Ceiling on checkpointed-vs-serial wall clock: stage snapshots ride
-#: the atomic artifact writer (temp + fsync + rename) and must stay
-#: within a few percent of the uncheckpointed run (ISSUE 10
-#: acceptance). Same dual-metric rule as ``PAR_TOLERANCE``.
+#: the atomic artifact writer (temp + rename, no fsync) and must stay
+#: within a few percent of the uncheckpointed run. Same dual-metric
+#: rule as ``PROC_TOLERANCE``.
 CKPT_TOLERANCE = 1.03
 #: Cores this run actually has; gates which ``proc4`` assertion
 #: applies and is recorded in the report.
@@ -166,7 +161,7 @@ def _build_trained_system():
     return system, targets
 
 
-def _run_engine(system, targets, workers, cached, backend="thread"):
+def _run_engine(system, targets, workers, cached, backend="serial"):
     """One engine run: match every held-out source in one process.
 
     The text memo starts cold (a fresh match process) and stays warm
@@ -187,13 +182,15 @@ def _run_engine(system, targets, workers, cached, backend="thread"):
             return [system.match(schema, listings)
                     for schema, listings in targets]
     finally:
-        system.backend = "thread"
+        # Leave the system on the serial backend, so the other
+        # configurations' workers=1 runs never close the warm pool.
+        system.backend = "serial"
 
 
 def _run_ckpt(system, targets):
     """The ``serial`` run with an armed checkpoint in the CLI's
     background-writer mode: every stage snapshot actually hits disk
-    (serialize + fsync + rename) into a fresh directory, and the
+    (serialize + rename, no fsync) into a fresh directory, and the
     ``close()`` drain is timed too — never a resume."""
     featurize.clear_text_cache()
     system.workers = 1
@@ -246,7 +243,6 @@ def test_matching_throughput():
         "seed": lambda: _run_seed(system, targets),
         "cache_off": lambda: _run_engine(system, targets, 1, False),
         "serial": lambda: _run_engine(system, targets, 1, True),
-        "par4": lambda: _run_engine(system, targets, 4, True),
         "proc4": lambda: _run_engine(system, targets, 4, True,
                                      backend="process"),
         "ckpt": lambda: _run_ckpt(system, targets),
@@ -271,7 +267,7 @@ def test_matching_throughput():
 
     # Determinism: every new-engine configuration is byte-identical.
     reference = results["serial"]
-    for name in ("cache_off", "par4", "proc4", "ckpt"):
+    for name in ("cache_off", "proc4", "ckpt"):
         for ref, res in zip(reference, results[name]):
             assert set(ref.tag_scores) == set(res.tag_scores)
             for tag in ref.tag_scores:
@@ -289,8 +285,6 @@ def test_matching_throughput():
 
     speedups = {
         "serial_vs_seed": best["seed"] / best["serial"],
-        "par4_vs_seed": best["seed"] / best["par4"],
-        "par4_vs_serial": best["serial"] / best["par4"],
         "proc4_vs_seed": best["seed"] / best["proc4"],
         "proc4_vs_serial": best["serial"] / best["proc4"],
         "cache_on_vs_off": best["cache_off"] / best["serial"],
@@ -317,7 +311,6 @@ def test_matching_throughput():
             "seed": {"workers": 1, "backend": "seed-pipeline"},
             "cache_off": {"workers": 1, "backend": "serial"},
             "serial": {"workers": 1, "backend": "serial"},
-            "par4": {"workers": 4, "backend": "thread"},
             "proc4": {"workers": 4, "backend": "process"},
             "ckpt": {"workers": 1, "backend": "serial",
                      "checkpoint": True},
@@ -362,20 +355,8 @@ def test_matching_throughput():
         run_ledger.append_entry(entry, LEDGER_PATH)
 
     assert speedups["serial_vs_seed"] >= MIN_SPEEDUP
-    assert speedups["par4_vs_seed"] >= MIN_SPEEDUP
-    # Parallel mode must stay at parity with serial (threads cannot
-    # beat it — the kernels hold the GIL — but a real inversion like
-    # the committed par4 < serial regression must fail loudly). Load
-    # spikes hit best-of-rounds and total-of-rounds differently, so
-    # parity on either metric passes; a genuine regression fails both.
-    assert (best["par4"] <= best["serial"] * PAR_TOLERANCE
-            or total["par4"] <= total["serial"] * PAR_TOLERANCE), \
-        f"par4 trails serial beyond {PAR_TOLERANCE}x on both " \
-        f"best ({best['par4']*1000:.1f}ms vs " \
-        f"{best['serial']*1000:.1f}ms) and total " \
-        f"({total['par4']*1000:.1f}ms vs {total['serial']*1000:.1f}ms)"
     # Durability must be effectively free: an armed checkpoint adds
-    # fsync'd stage writes but no extra compute, so the checkpointed
+    # rename-atomic stage writes but no extra compute, so the checkpointed
     # serial run has to land within CKPT_TOLERANCE of plain serial on
     # best-of-rounds or total-of-rounds (load spikes hit the two
     # metrics differently; a real regression fails both).

@@ -17,7 +17,7 @@ Edges are classified by how they were resolved:
 * ``init`` — a class constructed, edged to its ``__init__``;
 * ``partial`` — ``functools.partial(f, ...)`` unwrapped one step;
 * ``fanout`` — the callable handed to a ``ParallelExecutor``
-  ``map``/``starmap``/``map_profiled`` call (these targets are also
+  ``map``/``map_profiled`` call (these targets are also
   recorded as :attr:`CallGraph.worker_roots`, alongside every
   ``@task_handler`` function);
 * ``ref`` — a project function referenced by name without being
@@ -55,7 +55,7 @@ from ..engine import SourceFile
 PROJECT_ROOT = "repro"
 
 #: ParallelExecutor entry points whose first argument runs on workers.
-FANOUT_METHODS = ("map", "starmap", "map_profiled")
+FANOUT_METHODS = ("map", "map_profiled")
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 

@@ -3,7 +3,7 @@
 :class:`~repro.core.parallel.ParallelExecutor` promises byte-identical
 results at any worker count; the one way user code breaks that promise
 is by mutating state shared across tasks from inside the mapped
-callable. This rule finds callables passed to ``map`` / ``starmap`` /
+callable. This rule finds callables passed to ``map`` /
 ``map_profiled`` (including one call-hop through module-local helper
 functions, the dominant pattern in this codebase) and flags writes to
 names the callable does not own: assignments through ``global`` /
@@ -36,7 +36,7 @@ from .engine import Rule, SourceFile, register
 from .findings import Finding
 
 #: ParallelExecutor entry points whose first argument is fanned out.
-EXECUTOR_METHODS = ("map", "starmap", "map_profiled")
+EXECUTOR_METHODS = ("map", "map_profiled")
 
 #: Method names that mutate their receiver.
 _MUTATORS = {
@@ -200,7 +200,7 @@ class ExecutorSharedWriteRule(Rule):
     severity = "error"
     description = ("mutation of module-level or closure-captured state "
                    "inside a callable passed to ParallelExecutor.map/"
-                   "starmap/map_profiled")
+                   "map_profiled")
 
     def check_file(self, source: SourceFile) -> Iterable[Finding]:
         assert source.tree is not None

@@ -12,7 +12,8 @@ claimed correct. That claim is dynamic, so it gets a dynamic check:
   equal the single-threaded reference pipeline, on every iteration.
 
 * :func:`diff_determinism` runs the full matching pipeline at
-  ``--workers 1`` and ``--workers N`` over a synthetic domain and diffs
+  ``--workers 1`` (serial) and ``--workers N`` (the worker-process
+  pool) over a synthetic domain and diffs
   what the repo promises is identical: the final mapping, every tag's
   score row, the trace's span-id structure, and the per-column quality
   records.
@@ -23,9 +24,7 @@ claimed correct. That claim is dynamic, so it gets a dynamic check:
   — and asserts the *degraded* mapping, quality records and the
   degradation report itself are still byte-identical at any worker
   count. This is the determinism contract the resilience layer adds on
-  top of the healthy-path one. ``run_all`` replays the same plan once
-  on ``backend="process"``, pinning that the worker-process path keeps
-  it too.
+  top of the healthy-path one.
 
 All return plain-data reports (``ok`` + human-readable ``failures``)
 so the CLI, tests and CI can share one harness.
@@ -212,9 +211,12 @@ def diff_determinism(workers: int = 4, repeats: int = 3,
 
     for repeat in range(repeats):
         system.workers = workers
-        parallel_result, parallel_obs = _run_match(system, domain,
-                                                   n_listings)
-        system.workers = 1
+        try:
+            parallel_result, parallel_obs = _run_match(system, domain,
+                                                       n_listings)
+        finally:
+            system.workers = 1
+            system.close_pool()
         prefix = f"repeat {repeat} (workers {workers} vs 1)"
 
         parallel_mapping = dict(parallel_result.mapping.items())
@@ -290,8 +292,7 @@ def _chaos_policy():
 
 def diff_chaos_determinism(workers: int = 4, repeats: int = 2,
                            domain_name: str = "real_estate_1",
-                           n_listings: int = 20,
-                           backend: str = "thread") -> SanitizerReport:
+                           n_listings: int = 20) -> SanitizerReport:
     """:func:`diff_determinism` under fire: match the same source at
     ``--workers 1`` and ``--workers N`` with the fixed
     :data:`_CHAOS_PLAN` armed, and diff the *degraded* mapping, tag
@@ -301,27 +302,22 @@ def diff_chaos_determinism(workers: int = 4, repeats: int = 2,
     report is empty means a fault site silently stopped firing, which
     would turn this whole check into a vacuous pass.
 
-    ``backend="process"`` replays the same fixed plan on the process
-    execution backend: the ``executor.pool`` fault then exercises the
-    pool-site serial fallback of the worker-process path, and the
-    degraded output must still be byte-identical to ``--workers 1``.
+    At ``--workers N`` the run uses the worker-process pool, so the
+    ``executor.pool`` fault exercises the pool-site serial fallback of
+    the process path.
     """
-    name = ("chaos-determinism" if backend == "thread"
-            else f"chaos-determinism[{backend}]")
-    report = SanitizerReport(name, iterations=repeats)
+    report = SanitizerReport("chaos-determinism", iterations=repeats)
     system, domain = _build_trained_system(domain_name, n_listings,
                                            workers=1)
 
     def run(worker_count: int):
         system.workers = worker_count
-        system.backend = backend
         system.policy = _chaos_policy()
         try:
             result, _ = _run_match(system, domain, n_listings)
         finally:
             system.policy = None
             system.workers = 1
-            system.backend = "thread"
             system.close_pool()
         return result
 
@@ -392,7 +388,6 @@ def diff_chaos_determinism(workers: int = 4, repeats: int = 2,
     report.details["domain"] = domain_name
     report.details["n_listings"] = n_listings
     report.details["workers"] = workers
-    report.details["backend"] = backend
     report.details["quarantined"] = degradation.quarantined_learners \
         if degradation is not None else []
     report.details["fired_faults"] = len(serial_degradation.get(
@@ -408,6 +403,4 @@ def run_all(shake_iterations: int = 50, workers: int = 4,
         diff_determinism(workers=workers, repeats=repeats),
         diff_chaos_determinism(workers=workers,
                                repeats=min(repeats, 2)),
-        diff_chaos_determinism(workers=workers, repeats=1,
-                               backend="process"),
     ]

@@ -15,18 +15,14 @@ Five subcommands::
 
     python -m repro match --model model.lsd --schema s.dtd \\
         --listings l.xml [--feedback tag=LABEL ...] [--out mapping.txt] \\
-        [--workers N] [--backend thread|process|serial] \\
-        [--search bnb|astar] [--profile] \\
+        [--workers N] [--profile] \\
         [--trace-out trace.jsonl] [--report-out report.json]
         Propose 1-1 mappings for a new source; feedback constraints pin
-        or re-run exactly as in §4.3. ``--workers`` fans learner
-        prediction and the constraint search's root-split out over N
-        workers (identical results at any count); ``--backend process``
-        runs the prediction fan-out on a persistent worker-process pool
-        sharing the model zero-copy — the backend that actually beats
-        serial on CPU-bound matching; ``--search`` picks the
-        constraint strategy (incremental branch-and-bound by default);
-        ``--profile`` prints the per-stage timing table; ``--trace-out``
+        or re-run exactly as in §4.3. ``--workers N`` with N > 1 runs
+        learner prediction on a persistent pool of N worker processes
+        sharing the model zero-copy (1, the default, is serial;
+        identical results at any count); ``--profile`` prints the
+        per-stage timing table; ``--trace-out``
         and ``--report-out`` turn on the observability layer and write
         the span trace (JSONL) and the run report (JSON).
 
@@ -152,10 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="where to save the trained model")
     train.add_argument("--max-instances", type=int, default=100,
                        help="instance cap per tag (default 100)")
-    train.add_argument("--workers", type=int, default=1,
-                       help="worker threads for cross-validation fan-out "
-                            "(default 1 = serial; results are identical "
-                            "at any worker count)")
     train.add_argument("--trace-out", type=Path,
                        help="write the training trace (JSONL, one span "
                             "per line) to this file")
@@ -176,24 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
     match.add_argument("--out", type=Path,
                        help="write the mapping to this file")
     match.add_argument("--workers", type=int, default=1,
-                       help="workers for learner prediction (default 1 "
-                            "= serial; results are identical at any "
-                            "worker count)")
-    match.add_argument("--backend", choices=["serial", "thread",
-                                             "process"],
-                       default="thread",
-                       help="execution backend for the prediction "
-                            "fan-out: 'thread' (default; bounded "
-                            "overhead but GIL-limited), 'process' "
-                            "(persistent worker processes sharing the "
-                            "model zero-copy — the one that beats "
-                            "serial on CPU-bound matching), or "
-                            "'serial'. Outputs are byte-identical "
-                            "across backends")
-    match.add_argument("--search", choices=["bnb", "astar"],
-                       default="bnb",
-                       help="constraint-handler strategy: incremental "
-                            "branch-and-bound (default) or best-first A*")
+                       help="worker processes for learner prediction "
+                            "(default 1 = serial, no pool; results are "
+                            "identical at any worker count)")
     match.add_argument("--profile", action="store_true",
                        help="print the per-stage timing/counter table "
                             "after matching")
@@ -510,7 +487,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         system = LSDSystem(mediated, default_learners(),
                            constraints=constraints,
                            max_instances_per_tag=args.max_instances,
-                           workers=args.workers,
                            policy=policy)
         for source_dir in args.train:
             schema, listings, mapping = _read_source_dir(source_dir,
@@ -605,8 +581,7 @@ def _open_checkpoint(args: argparse.Namespace,
         return None
     from .runtime import Checkpointer, run_key
 
-    key = run_key(fingerprint, search=args.search,
-                  feedback=args.feedback,
+    key = run_key(fingerprint, feedback=args.feedback,
                   settings={"input_mode": args.input_mode})
     checkpoint = Checkpointer(args.checkpoint_dir, key,
                               plan=policy.fault_plan,
@@ -630,10 +605,7 @@ def _run_match(args: argparse.Namespace,
         with obs.trace.span("load_model"):
             system = _load_model(args.model)
         system.workers = args.workers
-        system.backend = args.backend
         system.policy = policy
-        if system.handler is not None:
-            system.handler.search = args.search
         with obs.trace.span("parse_inputs"):
             schema = SourceSchema(_read_dtd(args.schema))
             listings = _read_listings(args.listings, policy)
@@ -730,14 +702,10 @@ def _run_match(args: argparse.Namespace,
                   "schema": str(args.schema),
                   "listings": str(args.listings),
                   "workers": args.workers,
-                  "search": args.search,
                   "top": args.top,
                   "feedback": len(feedback)}
-        # Non-default settings only: a plain strict thread-backend
-        # run's report stays byte-identical to builds without these
-        # flags.
-        if args.backend != "thread":
-            config["backend"] = args.backend
+        # Non-default settings only: a plain strict run's report stays
+        # byte-identical to builds without these flags.
         if args.input_mode != "strict":
             config["input_mode"] = args.input_mode
         if args.fault_plan:
@@ -768,14 +736,13 @@ def _run_match(args: argparse.Namespace,
     if args.ledger_out:
         from .observability import ledger as run_ledger
 
+        backend = "process" if args.workers > 1 else "serial"
         entry = run_ledger.build_entry(
             label=args.ledger_label,
             fingerprint=fingerprint,
             created=time.time(),  # lsd: ignore[wallclock]
-            config={"workers": args.workers,
-                    "backend": args.backend,
-                    "search": args.search},
-            host=run_ledger.host_info(backend=args.backend,
+            config={"workers": args.workers, "backend": backend},
+            host=run_ledger.host_info(backend=backend,
                                       workers=args.workers),
             timings={**result.timings, "total": total_seconds},
             metrics={"instances": obs.metrics.counter(

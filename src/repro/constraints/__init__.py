@@ -1,7 +1,6 @@
 """Domain constraints and the constraint handler (§4 of the paper).
 
-The handler searches with incremental branch-and-bound by default; A*
-remains selectable via ``ConstraintHandler(search="astar")``.
+The handler searches with serial incremental branch-and-bound.
 """
 
 from .base import (Constraint, HardConstraint, HardEvaluator, MatchContext,
@@ -10,13 +9,11 @@ from .base import (Constraint, HardConstraint, HardEvaluator, MatchContext,
 from .column_constraints import (FunctionalDependencyConstraint,
                                  KeyConstraint)
 from .feedback import AssignmentConstraint, ExclusionConstraint
-from .handler import (DEFAULT_SOFT_WEIGHTS, SEARCH_STRATEGIES,
-                      ConstraintHandler)
+from .handler import DEFAULT_SOFT_WEIGHTS, ConstraintHandler
 from .parser import ConstraintSyntaxError, parse_constraints
 from .schema_constraints import (ContiguityConstraint,
                                  ExclusivityConstraint, FrequencyConstraint,
                                  NestingConstraint)
-from .search import SearchResult, astar
 from .soft import (BinarySoftConstraint, MaxCountSoftConstraint,
                    NumericSoftConstraint, ProximityConstraint)
 
@@ -27,7 +24,6 @@ __all__ = [
     "FrequencyConstraint", "FunctionalDependencyConstraint",
     "HardConstraint", "HardEvaluator", "KeyConstraint", "MatchContext",
     "MaxCountSoftConstraint", "NestingConstraint", "NumericSoftConstraint",
-    "ProximityConstraint", "SEARCH_STRATEGIES", "SearchResult",
-    "SoftConstraint", "SoftEvaluator", "astar", "parse_constraints",
-    "split_constraints", "tags_with_label",
+    "ProximityConstraint", "SoftConstraint", "SoftEvaluator",
+    "parse_constraints", "split_constraints", "tags_with_label",
 ]

@@ -28,34 +28,27 @@ Engine (the incremental rebuild):
   lower bounds that fold into the branch-and-bound heuristic, so
   subtrees whose soft violations alone exceed the incumbent are cut
   mid-descent instead of surviving to the leaves;
-* **parallel root-split** — the first-level candidate labels are
-  partitioned round-robin across :class:`~repro.core.parallel.
-  ParallelExecutor` workers sharing one incumbent bound. The incumbent
-  orders complete assignments by ``(cost, path)`` where ``path`` is the
-  per-level candidate-index tuple, and pruning spares equal-cost
-  subtrees that could still win that tie-break, so the returned mapping
-  is the *lexicographically first minimum-cost* assignment — byte-
-  identical for any worker count (provided the expansion budget is not
-  exhausted; with threads racing a shared budget the anytime cut-off
-  point is scheduling-dependent);
+* **deterministic tie-break** — the incumbent orders complete
+  assignments by ``(cost, path)`` where ``path`` is the per-level
+  candidate-index tuple, and pruning spares equal-cost subtrees that
+  could still win that tie-break, so the returned mapping is the
+  *lexicographically first minimum-cost* assignment; a checkpointed
+  incumbent pre-offered on resume therefore changes nothing;
 * **instrumentation** — nodes expanded and prunes by reason (score
   bound / hard violation / soft bound) accumulate into
   ``handler.last_stats`` and, when a profile is passed, into
   ``constraint_*`` counters shown by ``--profile``.
 
-Two strategies are selectable via ``ConstraintHandler(search=...)``:
-``"bnb"`` (default) is the depth-first branch-and-bound above, seeded
-with a constrained-greedy upper bound so the search is anytime;
-``"astar"`` drives :func:`repro.constraints.search.astar` over the same
-space with the same admissible heuristic — memory-hungrier (the paper
-reports handler runtimes "up to 20 minutes" for its A* formulation) but
-kept as a selectable baseline; the benchmark compares both.
+The search is a serial depth-first branch-and-bound, seeded with a
+constrained-greedy upper bound so it is anytime. The paper formulates
+the handler as A* search (§4.2, §6.3); best-first search over the same
+space and heuristic measured slower at every benchmarked size, so this
+reproduction keeps branch-and-bound only.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,7 +56,6 @@ import numpy as np
 
 from ..core.labels import OTHER, LabelSpace
 from ..core.mapping import Mapping
-from ..core.parallel import ParallelExecutor, resolve, split_round_robin
 from ..observability import Observer, StageProfile, resolve_observer
 from ..observability.metrics import (M_CONSTRAINT_LEAF_REJECTS,
                                      M_CONSTRAINT_NODES,
@@ -74,14 +66,10 @@ from .base import (Constraint, HardConstraint, HardEvaluator, MatchContext,
                    SoftConstraint, SoftEvaluator, split_constraints)
 from .feedback import AssignmentConstraint, ExclusionConstraint
 from .schema_constraints import FrequencyConstraint
-from .search import astar
 
 #: Default trade-off coefficients per soft-constraint kind (the paper's
 #: alpha_i scaling coefficients).
 DEFAULT_SOFT_WEIGHTS = {"binary": 1.0, "numeric": 0.5}
-
-#: Selectable search strategies.
-SEARCH_STRATEGIES = ("bnb", "astar")
 
 _STAT_NAMES = ("nodes_expanded", "prune_bound", "prune_hard",
                "prune_soft_bound", "leaf_hard_rejects")
@@ -102,7 +90,7 @@ def _zero_stats() -> dict:
 
 @dataclass
 class _Problem:
-    """Read-only search description, shared by every worker."""
+    """Read-only search description."""
 
     tags: list[str]
     cands: dict[str, list[str]]          # cheapest-first per tag
@@ -115,37 +103,33 @@ class _Problem:
 
 
 class _Incumbent:
-    """The best complete assignment so far, shared across workers.
+    """The best complete assignment so far.
 
     Assignments are ordered by ``(cost, path)``: equal-cost solutions
     are tie-broken by the candidate-index path, which makes the final
     winner independent of exploration order — the determinism contract.
-    ``best`` is swapped as one tuple so readers get a consistent
-    snapshot without taking the lock.
+    ``best`` is swapped as one tuple, so the checkpoint snapshot always
+    reads a consistent triple.
     """
 
-    __slots__ = ("best", "_lock")
+    __slots__ = ("best",)
 
     def __init__(self) -> None:
         self.best: tuple[float, tuple[int, ...], dict[str, str] | None] = \
             (math.inf, (), None)
-        self._lock = threading.Lock()
 
     def offer(self, cost: float, path: tuple[int, ...],
               assignment: dict[str, str]) -> None:
-        with self._lock:
-            held_cost, held_path, _ = self.best
-            if (cost, path) < (held_cost, held_path):
-                self.best = (cost, path, dict(assignment))
+        held_cost, held_path, _ = self.best
+        if (cost, path) < (held_cost, held_path):
+            self.best = (cost, path, dict(assignment))
 
 
 class _Budget:
-    """Shared expansion budget, optionally deadline-capped.
+    """Expansion budget, optionally deadline-capped.
 
-    Increments race benignly across worker threads (a lock per node
-    would cost more than the occasional lost count); at one worker the
-    count is exact. The deadline is polled amortized — every 256
-    expansions — so the hot path normally pays two attribute reads.
+    The deadline is polled amortized — every 256 expansions — so the
+    hot path normally pays two attribute reads.
     ``stopped`` latches once any expansion is refused, which is
     exactly the "search was cut short, result is best-so-far" signal
     the anytime flag reports.
@@ -185,10 +169,10 @@ _SNAPSHOT_MASK = 0xFFF
 
 
 class _DfsEngine:
-    """One worker's incremental depth-first branch-and-bound.
+    """The incremental depth-first branch-and-bound.
 
     Owns private evaluator instances (constraints themselves stay
-    immutable and shared), a mutable assignment dict, and the candidate
+    immutable), a mutable assignment dict, and the candidate
     index path. Hard evaluators are indexed by ``relevant_labels`` so a
     push touches only the constraints the new label can trip.
     """
@@ -302,10 +286,9 @@ class _DfsEngine:
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def run(self, root_indices: Sequence[int]) -> None:
-        """Search the subtrees under the given first-level candidate
-        indices (ascending, so the sorted-cost break stays valid)."""
-        self._expand(0, 0.0, 0.0, root_indices)
+    def run(self) -> None:
+        """Search the whole tree."""
+        self._expand(0, 0.0, 0.0, self._ranges[0])
         self._flush_counters()
 
     def greedy_seed(self) -> None:
@@ -356,7 +339,7 @@ class _DfsEngine:
         snap = budget.snapshot
         if snap is not None and not (budget.spent & _SNAPSHOT_MASK):
             # The checkpoint snapshot callback; it only reads the
-            # incumbent (under its lock) and writes through the atomic
+            # incumbent and writes through the atomic
             # artifact layer, so it cannot perturb the search.
             snap()  # lsd: ignore[flow-unresolved-hot-call]
         self._nodes += 1
@@ -431,8 +414,7 @@ class ConstraintHandler:
                  soft_weights: dict[str, float] | None = None,
                  candidates_per_tag: int = 8,
                  max_expansions: int = 100_000,
-                 epsilon: float = 1e-6,
-                 search: str = "bnb") -> None:
+                 epsilon: float = 1e-6) -> None:
         """
         Parameters
         ----------
@@ -450,15 +432,7 @@ class ConstraintHandler:
             so far (or a greedy completion) is returned.
         epsilon:
             Floor under confidence scores before taking logs.
-        search:
-            ``"bnb"`` (incremental branch-and-bound, the default) or
-            ``"astar"`` (best-first via :func:`~repro.constraints.
-            search.astar`, same cost model and heuristic).
         """
-        if search not in SEARCH_STRATEGIES:
-            raise ValueError(
-                f"unknown search strategy {search!r}; "
-                f"choose from {SEARCH_STRATEGIES}")
         self.constraints = list(constraints)
         self.prob_weight = prob_weight
         self.soft_weights = dict(DEFAULT_SOFT_WEIGHTS)
@@ -467,9 +441,8 @@ class ConstraintHandler:
         self.candidates_per_tag = candidates_per_tag
         self.max_expansions = max_expansions
         self.epsilon = epsilon
-        self.search = search
         #: Counters from the most recent :meth:`find_mapping` call
-        #: (nodes expanded, prunes by reason, strategy, best cost).
+        #: (nodes expanded, prunes by reason, best cost).
         self.last_stats: dict = {}
 
     # ------------------------------------------------------------------
@@ -478,7 +451,6 @@ class ConstraintHandler:
     def find_mapping(self, scores: dict[str, np.ndarray],
                      space: LabelSpace, ctx: MatchContext,
                      extra_constraints: Sequence[Constraint] = (),
-                     executor: ParallelExecutor | None = None,
                      profile: StageProfile | None = None,
                      observer: Observer | None = None,
                      deadline=None, report=None, warm_start=None,
@@ -487,11 +459,14 @@ class ConstraintHandler:
 
         ``scores[tag]`` is the prediction converter's normalised score
         vector for that tag. ``extra_constraints`` carries user feedback
-        for the current source only (§4.3). ``executor`` fans the
-        branch-and-bound root subtrees out across worker threads (the
-        mapping is byte-identical at any worker count); ``profile``
-        receives ``constraint_*`` counters when given; ``observer``
-        records a ``search`` span and the ``constraint.*`` metrics.
+        for the current source only (§4.3). ``profile`` receives
+        ``constraint_*`` counters when given; ``observer`` records a
+        ``search`` span and the ``constraint.*`` metrics.
+
+        When no complete assignment satisfies the hard constraints
+        within budget, the result falls back to the per-tag argmax —
+        except that the user's feedback still holds: asserted labels
+        stay pinned and excluded labels are skipped.
 
         ``deadline`` (a :class:`repro.resilience.Deadline`) caps the
         search by wall clock on top of the expansion budget; when either
@@ -510,11 +485,10 @@ class ConstraintHandler:
         the end of the search) — the crash-safe persistence hook.
         """
         obs = resolve_observer(observer)
-        with obs.trace.span("search", strategy=self.search) as span:
+        with obs.trace.span("search") as span:
             mapping = self._find_mapping(scores, space, ctx,
-                                         extra_constraints, executor,
-                                         profile, deadline, warm_start,
-                                         snapshot)
+                                         extra_constraints, profile,
+                                         deadline, warm_start, snapshot)
             span.set_attribute(
                 "nodes_expanded", self.last_stats["nodes_expanded"])
         for stat, metric in _STAT_METRICS.items():
@@ -526,7 +500,6 @@ class ConstraintHandler:
     def _find_mapping(self, scores: dict[str, np.ndarray],
                       space: LabelSpace, ctx: MatchContext,
                       extra_constraints: Sequence[Constraint],
-                      executor: ParallelExecutor | None,
                       profile: StageProfile | None,
                       deadline=None, warm_start=None,
                       snapshot=None) -> Mapping:
@@ -534,7 +507,7 @@ class ConstraintHandler:
             [*self.constraints, *extra_constraints])
         tags = self._tag_order(list(scores), ctx)
         if not tags:
-            self.last_stats = {**_zero_stats(), "strategy": self.search}
+            self.last_stats = _zero_stats()
             return Mapping({})
 
         candidate_labels = self._candidates(tags, scores, space, hard)
@@ -561,22 +534,8 @@ class ConstraintHandler:
             tags, ordered_candidates, log_cost, suffix_best, hard, soft,
             [self.soft_weights.get(c.kind, 1.0) for c in soft], ctx)
 
-        if self.search == "astar":
-            best, stats = self._astar_search(problem, deadline)
-            if warm_start is not None and stats.get("anytime"):
-                # Best-first search has no shared incumbent to seed, so
-                # the checkpointed leaf competes with the result here:
-                # on a cut-short search the cheaper of the two wins
-                # (ties keep the fresh result).
-                warm_cost, _, warm_assignment = warm_start
-                if best is None or warm_cost < stats["best_cost"]:
-                    best = dict(warm_assignment)
-                    stats["best_cost"] = float(warm_cost)
-        else:
-            best, stats = self._branch_and_bound(problem, executor,
-                                                 deadline, warm_start,
-                                                 snapshot)
-        stats["strategy"] = self.search
+        best, stats = self._branch_and_bound(problem, deadline,
+                                             warm_start, snapshot)
         self.last_stats = stats
         if profile is not None:
             for name in _STAT_NAMES:
@@ -586,18 +545,13 @@ class ConstraintHandler:
             return Mapping(best)
         # No complete assignment satisfies the hard constraints within
         # budget (possibly they are jointly unsatisfiable on this source):
-        # fall back to the unconstrained greedy mapping.
-        return self.greedy_mapping(scores, space)
+        # fall back to the argmax mapping, still honouring the user.
+        return self._feedback_argmax(scores, space, extra_constraints)
 
-    # ------------------------------------------------------------------
-    # strategies
-    # ------------------------------------------------------------------
-    def _branch_and_bound(self, problem: _Problem,
-                          executor: ParallelExecutor | None,
-                          deadline=None, warm_start=None, snapshot=None
+    def _branch_and_bound(self, problem: _Problem, deadline=None,
+                          warm_start=None, snapshot=None
                           ) -> tuple[dict[str, str] | None, dict]:
-        """Incremental DFS branch-and-bound with a parallel root-split."""
-        executor = resolve(executor)
+        """Incremental DFS branch-and-bound from a greedy seed."""
         incumbent = _Incumbent()
         budget = _Budget(self.max_expansions, deadline)
         if warm_start is not None:
@@ -611,24 +565,10 @@ class ConstraintHandler:
                     snapshot(cost, path, assignment)
             budget.snapshot = snap
 
-        seed_engine = _DfsEngine(problem, incumbent, budget)
-        seed_engine.greedy_seed()
-
-        root_count = len(problem.cands[problem.tags[0]])
-        partitions = split_round_robin(range(root_count),
-                                       executor.workers)
-
-        def run_partition(indices: list[int]) -> dict:
-            engine = _DfsEngine(problem, incumbent, budget)
-            engine.run(indices)
-            return engine.stats
-
-        worker_stats = executor.map(run_partition, partitions)
-        stats = _zero_stats()
-        for part in (seed_engine.stats, *worker_stats):
-            for name in _STAT_NAMES:
-                stats[name] += part[name]
-        stats["root_partitions"] = len(partitions)
+        engine = _DfsEngine(problem, incumbent, budget)
+        engine.greedy_seed()
+        engine.run()
+        stats = engine.stats
         stats["anytime"] = int(budget.stopped)
 
         if budget.snapshot is not None:
@@ -636,84 +576,6 @@ class ConstraintHandler:
         cost, _, assignment = incumbent.best
         stats["best_cost"] = cost
         return assignment, stats
-
-    def _astar_search(self, problem: _Problem, deadline=None
-                      ) -> tuple[dict[str, str] | None, dict]:
-        """Best-first search over the same space and cost model.
-
-        States are tuples of candidate indices, one per assigned tag; a
-        final closing transition adds the exact soft cost (and checks
-        hard completeness), so the goal's ``g`` equals the paper's
-        ``cost(m)`` exactly as branch-and-bound computes it. An armed
-        ``deadline`` is polled every 256 expansions; on expiry the
-        expander yields nothing more, the frontier drains, and the best
-        goal seen so far is returned (flagged anytime).
-        """
-        p = problem
-        clock = _Budget(self.max_expansions, deadline)
-        n = len(p.tags)
-        cand_lists = [p.cands[tag] for tag in p.tags]
-        cost_lists = [[p.log_cost[tag][label] for label in p.cands[tag]]
-                      for tag in p.tags]
-
-        by_label: dict[str, list[HardConstraint]] = {}
-        always: list[HardConstraint] = []
-        for constraint in p.hard:
-            labels = constraint.relevant_labels()
-            if labels is None:
-                always.append(constraint)
-            else:
-                for label in labels:
-                    by_label.setdefault(label, []).append(constraint)
-
-        def assignment_of(state: tuple[int, ...]) -> dict[str, str]:
-            return {p.tags[i]: cand_lists[i][ci]
-                    for i, ci in enumerate(state)}
-
-        def expand(state: tuple[int, ...]):
-            level = len(state)
-            if level > n:
-                return
-            if clock.exhausted():
-                # Deadline hit: yield nothing so the frontier drains and
-                # astar returns the best goal recorded so far.
-                return
-            clock.spent += 1
-            assignment = assignment_of(state)
-            if level == n:
-                if any(c.check_complete(assignment, p.ctx)
-                       for c in p.hard):
-                    return
-                soft_cost = sum(
-                    weight * c.cost(assignment, p.ctx)
-                    for weight, c in zip(p.soft_weights, p.soft))
-                yield state + (-1,), soft_cost
-                return
-            tag = p.tags[level]
-            for i, label in enumerate(cand_lists[level]):
-                assignment[tag] = label
-                ok = not any(
-                    c.check_partial(assignment, p.ctx)
-                    for c in by_label.get(label, ()))
-                ok = ok and not any(
-                    c.check_partial(assignment, p.ctx) for c in always)
-                if ok:
-                    yield state + (i,), cost_lists[level][i]
-            del assignment[tag]
-
-        def heuristic(state: tuple[int, ...]) -> float:
-            return p.suffix_best[min(len(state), n)]
-
-        result = astar((), expand, lambda s: len(s) == n + 1, heuristic,
-                       max_expansions=self.max_expansions)
-        stats = _zero_stats()
-        stats["nodes_expanded"] = result.expanded
-        stats["best_cost"] = result.cost
-        stats["exhausted_budget"] = int(result.exhausted_budget)
-        stats["anytime"] = int(result.exhausted_budget or clock.stopped)
-        if result.state is None:
-            return None, stats
-        return assignment_of(result.state[:-1]), stats
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -726,6 +588,28 @@ class ConstraintHandler:
             tag: space.label_at(int(np.argmax(row)))
             for tag, row in scores.items()
         })
+
+    def _feedback_argmax(self, scores: dict[str, np.ndarray],
+                         space: LabelSpace,
+                         feedback: Sequence[Constraint]) -> Mapping:
+        """Per-tag argmax under the user's feedback only: a tag with an
+        asserted label keeps it, and a tag's excluded labels are
+        skipped (OTHER when every label is excluded)."""
+        pinned, excluded = _feedback_labels(feedback)
+        mapping: dict[str, str] = {}
+        for tag, row in scores.items():
+            if tag in pinned:
+                mapping[tag] = pinned[tag]
+                continue
+            banned = excluded.get(tag)
+            if banned is None:
+                mapping[tag] = space.label_at(int(np.argmax(row)))
+                continue
+            mapping[tag] = next(
+                (label for label in (space.label_at(int(i)) for i in
+                                     np.argsort(-row, kind="stable"))
+                 if label not in banned), OTHER)
+        return Mapping(mapping)
 
     def violations(self, mapping: Mapping, ctx: MatchContext,
                    extra_constraints: Sequence[Constraint] = ()
@@ -780,13 +664,7 @@ class ConstraintHandler:
         required = {
             c.label for c in hard
             if isinstance(c, FrequencyConstraint) and c.min_count > 0}
-        pinned = {
-            c.tag: c.label for c in hard
-            if isinstance(c, AssignmentConstraint)}
-        excluded: dict[str, set[str]] = {}
-        for c in hard:
-            if isinstance(c, ExclusionConstraint):
-                excluded.setdefault(c.tag, set()).add(c.label)
+        pinned, excluded = _feedback_labels(hard)
         candidates: dict[str, list[str]] = {}
         for tag in tags:
             if tag in pinned:
@@ -865,3 +743,16 @@ class ConstraintHandler:
         return sum(
             self.soft_weights.get(c.kind, 1.0) * c.cost(assignment, ctx)
             for c in soft)
+
+
+def _feedback_labels(constraints: Sequence[Constraint]
+                     ) -> tuple[dict[str, str], dict[str, set[str]]]:
+    """``(tag -> asserted label, tag -> excluded labels)`` from the
+    feedback constraints among ``constraints``."""
+    pinned = {c.tag: c.label for c in constraints
+              if isinstance(c, AssignmentConstraint)}
+    excluded: dict[str, set[str]] = {}
+    for c in constraints:
+        if isinstance(c, ExclusionConstraint):
+            excluded.setdefault(c.tag, set()).add(c.label)
+    return pinned, excluded

@@ -246,7 +246,7 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
             else:
                 mapping = handler.find_mapping(
                     tag_scores, space, ctx, extra_constraints,
-                    executor=executor, profile=profile, observer=obs,
+                    profile=profile, observer=obs,
                     deadline=deadline,
                     report=policy.report if policy is not None
                     else None,
@@ -353,7 +353,7 @@ def _emit_degradation_metrics(degradation: DegradationReport,
 # exception — every healthy learner still returns its scores, and
 # quarantines are recorded by the main thread in learner-submission
 # order. TaskFailure (repro.core.procpool) carries only the two strings
-# the quarantine record needs, so thread-side and process-side failures
+# the quarantine record needs, so serial and process-side failures
 # produce byte-identical degradation reports.
 
 
@@ -382,11 +382,11 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     whole-batch call at any worker count.
 
     Worker-side stage timings record into per-task profiles and merge
-    back (``map_profiled``); trace spans opened on worker threads name
-    the predict span as their explicit parent, and shard spans carry
-    their shard index in the name (single-shard batches keep the legacy
-    ``learner.<name>`` span), so the trace tree is the same at any
-    worker count. Each (learner, shard) task contributes ``len(batch)``
+    back (``map_profiled``); trace spans measured in worker processes
+    replay under the predict span as their explicit parent, and shard
+    spans carry their shard index in the name (single-shard batches
+    keep the legacy ``learner.<name>`` span), so the trace tree is the
+    same at any worker count. Each (learner, shard) task contributes ``len(batch)``
     observations of its mean per-instance latency to the
     prediction-latency histogram — O(learners × shards) timer reads,
     not O(instances).
@@ -478,7 +478,7 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
         """The (learner × shard) grid as :class:`ProcessTask`
         descriptors for the process backend — same shape, same span
         names, same fault gates as the closure grid below; each task's
-        ``fallback`` is exactly the thread-path call, which is what
+        ``fallback`` is exactly the serial-path call, which is what
         keeps serial reruns and pool-death recovery byte-identical."""
         tasks = []
         for learner, bounds in zip(group, plans):
@@ -594,9 +594,8 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
 
     # Pre-fill the shared text cache on the orchestrating thread: every
     # learner's distinct-key grouping reads the subtree text, so the
-    # pure-Python tree walks happen exactly once per instance instead
-    # of racing to fill the same slots from several worker threads.
-    # Pure warming — outputs are unchanged.
+    # pure-Python tree walks happen exactly once per instance, up
+    # front. Pure warming — outputs are unchanged.
     if featurize.is_enabled():
         with profile.stage("predict.featurize_warm"):
             featurize.warm_texts(flat)

@@ -1,39 +1,30 @@
 """Deterministic fan-out for learner prediction and cross-validation.
 
-:class:`ParallelExecutor` is the one concurrency primitive the pipelines
-use: an order-preserving ``map`` with a serial fallback when
-``workers <= 1`` (or when there is nothing to fan out). Results always
-come back in submission order, so a pipeline wired through an executor
-produces byte-identical output at any worker count *and any backend* —
-the determinism tests pin this.
+:class:`ParallelExecutor` is the one concurrency seam the pipelines
+use: an order-preserving ``map``. Results always come back in
+submission order, so a pipeline wired through an executor produces
+byte-identical output at any worker count *and either backend* — the
+determinism tests pin this.
 
-Three backends behind one seam:
+Two backends:
 
 * ``serial`` — in-process, in-order; the reference semantics.
-* ``thread`` (default) — a per-map ``ThreadPoolExecutor``. Measured on
-  this workload the hot kernels (scipy sparse products,
-  ``np.partition``) do **not** release the GIL, so threads top out at
-  ~0.9x serial on CPU-bound matching; their value is bounded overhead,
-  shared feature caches, and the deadline/quarantine machinery. Thread
-  tasks are plain closures — nothing needs to be picklable — which is
-  why cross-validation folds and constraint root-splits stay here.
-* ``process`` — a persistent :class:`~repro.core.procpool.WorkerPool`
-  whose workers hold the trained model reconstructed once around a
-  shared-memory segment (:mod:`repro.core.shared_arrays`), the only
-  backend the GIL cannot serialise. It accepts
-  :class:`~repro.core.procpool.ProcessTask` descriptors through
-  :meth:`ParallelExecutor.map_profiled`; any other map on a
-  process-backend executor (generic closures, ``map``/``starmap``)
-  transparently rides the thread path, and so does every map once the
-  pool has died. Each descriptor carries a local ``fallback`` closure
-  running the identical computation, which is how one code path serves
-  serial execution, pool-death recovery, and the thread backend.
+* ``process`` (default) — a persistent :class:`~repro.core.procpool.
+  WorkerPool` whose workers hold the trained model reconstructed once
+  around a shared-memory segment (:mod:`repro.core.shared_arrays`). The
+  hot score kernels (scipy sparse products, ``np.partition``) hold the
+  GIL, so worker processes are the only way to run them side by side.
+  Only :class:`~repro.core.procpool.ProcessTask` descriptors handed to
+  :meth:`ParallelExecutor.map_profiled` reach the pool; every other map
+  (generic closures such as cross-validation folds) runs serially on
+  the orchestrating thread, and so does every map once the pool has
+  died. Each descriptor carries a local ``fallback`` closure running
+  the identical computation, which is how one code path serves serial
+  execution and pool-death recovery.
 
-Thread pools are created per ``map`` call: the workloads are chunky
-(one task trains or predicts a whole learner shard), so pool start-up
-is noise and no idle threads linger between phases. The process pool is
-the opposite trade — expensive to build, cheap to keep — so it lives on
-the system (see ``LSDSystem.close_pool``) and is merely borrowed here.
+``workers <= 1`` never builds a pool. The pool is expensive to build
+and cheap to keep, so it lives on the system (see
+``LSDSystem.close_pool``) and is merely borrowed here.
 
 Resilience: an executor built with a :class:`~repro.resilience.policy.
 ResiliencePolicy` retries failing tasks with seeded exponential backoff,
@@ -49,11 +40,9 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from ..observability import StageProfile
-from ..observability.metrics import M_POOL_QUEUE_WAIT
 from ..resilience.faults import FaultInjected
 from ..resilience.sites import SITE_EXECUTOR_POOL, SITE_EXECUTOR_TASK
 from .procpool import ProcessTask, run_process_map
@@ -65,14 +54,14 @@ R = TypeVar("R")
 _MAX_BACKOFF = 5.0
 
 #: The legal ``backend=`` values.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 class ParallelExecutor:
-    """Order-preserving parallel ``map`` with a serial fallback."""
+    """Order-preserving ``map`` over a worker-process pool or serially."""
 
     def __init__(self, workers: int = 1, policy=None,
-                 backend: str = "thread", pool=None) -> None:
+                 backend: str = "process", pool=None) -> None:
         """``workers <= 1`` selects the deterministic serial path.
 
         ``policy`` (a :class:`repro.resilience.ResiliencePolicy`) arms
@@ -80,8 +69,8 @@ class ParallelExecutor:
         the executor inert. ``backend`` picks the execution substrate
         (see the module docstring); ``backend="process"`` additionally
         needs a live :class:`~repro.core.procpool.WorkerPool` passed as
-        ``pool`` — without one (or once it breaks) process-backend maps
-        degrade to the thread path.
+        ``pool`` — without one (or once it breaks) every map runs
+        serially.
         """
         if backend not in BACKENDS:
             raise ValueError(
@@ -101,38 +90,24 @@ class ParallelExecutor:
         """True when a map should be expressed as
         :class:`~repro.core.procpool.ProcessTask` descriptors — the
         process backend is selected and its pool is usable."""
-        return (self.backend == "process" and self.is_parallel
-                and self.pool is not None and self.pool.alive)
+        return (self.is_parallel and self.pool is not None
+                and self.pool.alive)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T],
             label: str = "map") -> list[R]:
-        """Apply ``fn`` to every item; results in submission order.
+        """Apply ``fn`` to every item, serially, in submission order.
 
-        Exceptions propagate exactly as in the serial path: the first
-        failing item (in submission order) raises — after the policy's
-        retry budget (if any) is exhausted for that item.
+        Generic closures never cross the process boundary (they capture
+        live object graphs), so this is the serial path at any worker
+        count — with the policy's fault sites and retries around each
+        item. The first failing item raises once its retry budget (if
+        any) is exhausted.
         """
-        items = list(items)
-        task = self._task_runner(lambda index, item: fn(item), label)
-        if self._force_serial(label) or not self.is_parallel \
-                or len(items) <= 1:
-            return [task(index, item)
-                    for index, item in enumerate(items)]
-        submitted = self._submit(task, items, label)
-        if submitted is None:
-            return [task(index, item)
-                    for index, item in enumerate(items)]
-        pool, futures = submitted
-        try:
-            return [future.result() for future in futures]
-        finally:
-            pool.shutdown(wait=True)
-
-    def starmap(self, fn: Callable[..., R],
-                argument_tuples: Iterable[Sequence],
-                label: str = "map") -> list[R]:
-        """``map`` over argument tuples (``fn(*args)`` per item)."""
-        return self.map(lambda args: fn(*args), argument_tuples, label)
+        # Already serial; fired anyway so the pool site's hit count is
+        # the same whether or not a process map would have run.
+        self._force_serial(label)
+        return [self._run_task(fn, item, index, label)
+                for index, item in enumerate(items)]
 
     def map_profiled(self, fn: Callable[[T, StageProfile], R],
                      items: Iterable[T],
@@ -140,88 +115,26 @@ class ParallelExecutor:
                      label: str = "map", observer=None) -> list[R]:
         """``map`` where each call records stage timings.
 
-        ``fn(item, profile)`` receives the shared ``profile`` directly
-        on the serial path; on the parallel path each task writes into
-        a private :class:`StageProfile` and the worker profiles are
-        merged into ``profile`` in submission order once every task has
-        finished — so worker-side timings are never dropped and the
-        aggregate is a deterministic function of the per-task numbers.
-
+        ``fn(item, profile)`` receives the shared ``profile`` directly.
         When the process backend is live and every item is a
         :class:`~repro.core.procpool.ProcessTask`, the map runs on the
         worker pool instead (``fn`` is bypassed; each task's payload is
-        dispatched and its ``fallback`` serves any serial rerun).
+        dispatched and its ``fallback`` serves any serial rerun), and
+        the workers' profiles merge back in submission order.
         ``observer`` carries the run's trace collector so worker-side
-        spans replay into the same tree; thread and serial paths open
-        their spans inline and ignore it.
+        spans replay into the same tree; the serial path opens its
+        spans inline and ignores it.
         """
         items = list(items)
         if self.wants_process_tasks and len(items) > 1 and all(
                 isinstance(item, ProcessTask) for item in items):
             return run_process_map(self, items, profile, label,
                                    observer)
-        if self._force_serial(label) or not self.is_parallel \
-                or len(items) <= 1:
-            task = self._task_runner(
-                lambda index, item: fn(item, profile), label)
-            return [task(index, item)
-                    for index, item in enumerate(items)]
-        partials = [StageProfile() for _ in items]
-        task = self._task_runner(
-            lambda index, item: fn(item, partials[index]), label)
-        metrics = (observer.metrics
-                   if observer is not None
-                   and observer.metrics.enabled else None)
-        if metrics is not None:
-            # Same queue-wait telemetry the process backend records:
-            # time between submission and a worker picking the task up.
-            inner, enqueued = task, \
-                time.perf_counter()  # lsd: ignore[wallclock]
-
-            def task(index, item, _inner=inner, _t0=enqueued):
-                metrics.histogram(M_POOL_QUEUE_WAIT).observe(
-                    time.perf_counter() - _t0)  # lsd: ignore[wallclock]
-                return _inner(index, item)
-        submitted = self._submit(task, items, label)
-        if submitted is None:
-            serial_task = self._task_runner(
-                lambda index, item: fn(item, profile), label)
-            return [serial_task(index, item)
-                    for index, item in enumerate(items)]
-        pool, futures = submitted
-        try:
-            results = [future.result() for future in futures]
-        finally:
-            pool.shutdown(wait=True)
-        for partial in partials:
-            profile.merge(partial)
-        return results
+        return self.map(lambda item: fn(item, profile), items, label)
 
     # ------------------------------------------------------------------
     # resilience plumbing
     # ------------------------------------------------------------------
-    def _submit(self, task, items: list, label: str):
-        """Start a pool and submit every task.
-
-        Returns ``(pool, futures)``, or ``None`` when the pool itself
-        fails — submission-time ``RuntimeError`` means the pool (not a
-        task) is broken, so the caller reruns the whole map serially.
-        Task-level exceptions surface later through ``future.result()``
-        and are never mistaken for pool death.
-        """
-        pool = None
-        try:
-            pool = ThreadPoolExecutor(
-                max_workers=min(self.workers, len(items)))
-            futures = [pool.submit(task, index, item)
-                       for index, item in enumerate(items)]
-        except RuntimeError:
-            if pool is not None:
-                pool.shutdown(wait=False)
-            self._note_pool_failure(label)
-            return None
-        return pool, futures
-
     def _force_serial(self, label: str) -> bool:
         """Hit the pool fault site; True = run this call serially.
 
@@ -243,37 +156,30 @@ class ParallelExecutor:
         if self.policy is not None:
             self.policy.report.pool_failed(label)
 
-    def _task_runner(self, call, label: str):
-        """Wrap ``call(index, item)`` with fault-site hits and retries."""
+    def _run_task(self, fn: Callable[[T], R], item: T, index: int,
+                  label: str) -> R:
+        """``fn(item)`` behind the ``executor.task`` fault site, retried
+        up to the policy's budget with seeded backoff."""
         policy = self.policy
-        if policy is None:
-            return call
-        plan = policy.fault_plan
-        retries = policy.retries
-        if plan is None and retries == 0:
-            return call
-
-        def task(index: int, item):
-            for attempt in range(retries + 1):
-                try:
-                    if plan is not None:
-                        plan.fire(SITE_EXECUTOR_TASK, str(index))
-                    result = call(index, item)
-                except Exception:
-                    if attempt >= retries:
-                        if retries:
-                            policy.report.retried(
-                                label, index, attempt + 1, False)
-                        raise
-                    self._backoff(label, index, attempt)
-                    continue
-                if attempt:
-                    policy.report.retried(label, index, attempt + 1,
-                                          True)
-                return result
-            raise AssertionError("unreachable")  # pragma: no cover
-
-        return task
+        plan = policy.fault_plan if policy is not None else None
+        retries = policy.retries if policy is not None else 0
+        for attempt in range(retries + 1):
+            try:
+                if plan is not None:
+                    plan.fire(SITE_EXECUTOR_TASK, str(index))
+                result = fn(item)
+            except Exception:
+                if attempt >= retries:
+                    if retries:
+                        policy.report.retried(
+                            label, index, attempt + 1, False)
+                    raise
+                self._backoff(label, index, attempt)
+                continue
+            if attempt:
+                policy.report.retried(label, index, attempt + 1, True)
+            return result
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def _backoff(self, label: str, index: int, attempt: int) -> None:
         """Sleep before a retry: seeded exponential backoff with jitter."""
@@ -375,21 +281,6 @@ def shard_bounds(n: int, target: int = SHARD_TARGET_ROWS,
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def split_round_robin(items: Iterable[T], parts: int) -> list[list[T]]:
-    """Deal ``items`` round-robin into at most ``parts`` lists.
-
-    Every list preserves the original relative order (so a cost-sorted
-    input stays cost-sorted within each part), empty lists are dropped,
-    and the result is a function of ``(items, parts)`` only — the
-    constraint handler's root-split leans on both properties for its
-    byte-identical-at-any-worker-count contract.
-    """
-    items = list(items)
-    parts = max(1, min(int(parts), len(items)))
-    dealt = [items[start::parts] for start in range(parts)]
-    return [part for part in dealt if part]
 
 
 #: The shared serial executor — the default everywhere an executor is

@@ -1,10 +1,9 @@
 """Process execution backend: persistent workers over a shared model.
 
-PR 6 measured the honest thread ceiling: the hot score kernels (scipy
-sparse products, ``np.partition``) hold the GIL, so thread fan-out can
-only tie serial. This module is the fix ROADMAP item 2 names — worker
-*processes*, which the GIL cannot serialise — built so the rest of the
-pipeline does not notice the boundary:
+The hot score kernels (scipy sparse products, ``np.partition``) hold
+the GIL, so thread fan-out can only tie serial. This module runs them
+in worker *processes*, which the GIL cannot serialise, built so the
+rest of the pipeline does not notice the boundary:
 
 * a :class:`WorkerPool` spawns its workers **once** and keeps them for
   the system's lifetime; each worker reconstructs the trained learners
@@ -18,7 +17,7 @@ pipeline does not notice the boundary:
   sub-dominant no matter how many (learner × shard) tasks a map holds;
 * :func:`run_process_map` — the engine behind
   ``ParallelExecutor(backend="process")`` — preserves every contract
-  the thread path established: results in submission order, worker
+  of the serial path: results in submission order, worker
   :class:`~repro.observability.StageProfile` timings merged back in
   submission order, worker-measured spans replayed through
   :meth:`~repro.observability.trace.TraceCollector.emit` so the trace
@@ -34,11 +33,11 @@ combination (one einsum) and the prediction converter (one grouped
 reduceat) stay parent-side: they are cheap, and keeping them out of the
 workers means quarantine renormalization and score conversion behave
 identically across backends. Generic closures handed to
-``ParallelExecutor.map`` (cross-validation folds, constraint
-root-splits) likewise stay on threads — they capture live object
-graphs that have no business being pickled per call.
+``ParallelExecutor.map`` (cross-validation folds) run serially on the
+orchestrating thread — they capture live object graphs that have no
+business being pickled per call.
 
-Worker-side failure semantics mirror the thread path exactly: with an
+Worker-side failure semantics mirror the serial path exactly: with an
 armed policy a learner exception becomes a :class:`TaskFailure` carried
 back as a *value* (quarantine, not crash); without one the original
 exception object is shipped home when picklable (re-raised verbatim)
@@ -48,8 +47,8 @@ Chaos: the ``worker.process`` fault site hard-kills one worker
 (``os._exit``, skipping every ``finally``) before a map dispatches —
 the genuine crash path. The pool marks itself broken, the interrupted
 map falls back to serial, the owner releases the shared segment, and
-subsequent maps ride the thread path until the system rebuilds the
-pool on its next access.
+subsequent maps run serially until the system rebuilds the pool on its
+next access.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ class RemoteTaskError(RuntimeError):
 class TaskFailure:
     """A caught learner failure carried back through the map as a value.
 
-    The process-boundary twin of the thread path's caught-exception
+    The process-boundary twin of the serial path's caught-exception
     sentinel: only the two strings the quarantine record needs cross
     the pipe, so the parent writes byte-identical
     :class:`~repro.resilience.policy.QuarantineEvent` entries no matter
@@ -141,8 +140,8 @@ class ProcessTask:
     plus the parent-side context the executor needs around it.
 
     ``fallback(profile)`` runs the identical computation locally — the
-    serial path, the pool-death path, and the thread backend all use
-    it, which is what keeps every backend byte-identical.
+    serial path and the pool-death path both use it, which is what
+    keeps both backends byte-identical.
     """
 
     #: Picklable message for the worker's task-handler registry; must
@@ -159,7 +158,7 @@ class ProcessTask:
     #: Rows this task scores (the span's ``instances`` attribute).
     rows: int = 0
     #: Optional ``(site, key)`` fault gate fired parent-side before
-    #: dispatch — the process twin of the thread path's in-task fire.
+    #: dispatch — the process twin of the serial path's in-task fire.
     fire: tuple[str, str] | None = None
     #: Called in submission order with ``(elapsed, rows)`` after a
     #: successful task — the latency-histogram hook.
@@ -183,7 +182,7 @@ def task_handler(kind: str):
     ``("value", result)`` or — under an armed policy — ``("failure",
     error_type, message)`` for a caught learner exception, and
     ``hot_elapsed`` is the measured hot-call time feeding the latency
-    histogram (0.0 on failure, which the thread path never observes
+    histogram (0.0 on failure, which the serial path never observes
     either).
     """
     def decorate(fn: Callable) -> Callable:
@@ -206,7 +205,7 @@ def _predict_task(state: _WorkerState, task: dict,
                   profile: StageProfile):
     """Score one ``[start, stop)`` shard with one learner.
 
-    Mirrors the thread path's ``predict_with`` body: the profiled stage
+    Mirrors the serial path's ``predict_with`` body: the profiled stage
     wraps the call, an armed policy (``task["catch"]``) turns any
     exception into a failure outcome, and the hot-call timer covers
     exactly the prediction.
@@ -215,7 +214,7 @@ def _predict_task(state: _WorkerState, task: dict,
     learner = state.learners[task["learner"]]
     with profile.stage(f"predict.learner.{learner.name}"):
         # Latency telemetry, never pipeline output (same contract as
-        # the thread path's timer).
+        # the serial path's timer).
         start = time.perf_counter()  # lsd: ignore[wallclock]
         if not task.get("catch"):
             scores = learner.predict_scores(batch)
@@ -225,7 +224,7 @@ def _predict_task(state: _WorkerState, task: dict,
                     learner.predict_scores, (batch,),
                     task.get("timeout"))
             except Exception as exc:  # lsd: ignore[blind-except]
-                # Quarantine boundary — identical to the thread path:
+                # Quarantine boundary — identical to the serial path:
                 # the failure travels as a value, never an exception.
                 return (("failure", type(exc).__name__, str(exc)), 0.0)
         elapsed = time.perf_counter() - start  # lsd: ignore[wallclock]
@@ -631,7 +630,7 @@ def run_process_map(executor, tasks: list[ProcessTask],
     """Order-preserving map of :class:`ProcessTask` items over a pool.
 
     Called by ``ParallelExecutor.map_profiled`` when the process
-    backend is live. Replicates the thread path's observable behaviour
+    backend is live. Replicates the serial path's observable behaviour
     point for point — see the module docstring for the full contract —
     and self-schedules: each worker gets one task up front and the next
     one the moment it answers, so an expensive learner cannot strand
@@ -647,17 +646,17 @@ def run_process_map(executor, tasks: list[ProcessTask],
                else None)
 
     def run_serial(skip_done=None) -> list:
-        """The local path: same task runner the thread backend uses,
-        writing into the shared profile, opening spans inline."""
-        runner = executor._task_runner(
-            lambda index, item: item.fallback(profile), label)
+        """The local path: the executor's own task runner, writing
+        into the shared profile, opening spans inline."""
         out = skip_done if skip_done is not None else [None] * len(tasks)
         for index, item in enumerate(tasks):
             if skip_done is None or not finished[index]:
-                out[index] = runner(index, item)
+                out[index] = executor._run_task(
+                    lambda task: task.fallback(profile), item, index,
+                    label)
         return out
 
-    # Fired first, exactly like the thread path, so the pool site's
+    # Fired first, exactly like the serial path, so the pool site's
     # logical hit count is identical across backends and worker counts.
     if executor._force_serial(label):
         finished = [False] * len(tasks)
@@ -706,7 +705,7 @@ def run_process_map(executor, tasks: list[ProcessTask],
                                   True)
 
     def gate(index: int) -> bool:
-        """Parent-side fault gates for one attempt, in the thread
+        """Parent-side fault gates for one attempt, in the serial
         path's order: the task site first (retryable), then the task's
         own fire (a caught failure value). True = dispatch."""
         while True:
@@ -845,15 +844,14 @@ def run_process_map(executor, tasks: list[ProcessTask],
     except PoolBrokenError:
         # A genuine crash: release the segment immediately, record the
         # degradation, finish every unfinished task locally. Maps after
-        # this one see a dead pool and ride the thread path.
+        # this one see a dead pool and run serially.
         pool.retire()
         executor._note_pool_failure(label)
         run_serial(skip_done=results)
 
     # Deterministic observability replay, in submission order. Spans
-    # always replay (worker threads record theirs regardless of later
-    # failures); profiles merge only on a clean map, mirroring
-    # map_profiled, which merges after the futures resolved.
+    # always replay (workers record theirs regardless of later
+    # failures); profiles merge only on a clean map.
     if trace is not None:
         for index, _seq, timing, error_type in sorted(
                 span_events, key=lambda event: event[:2]):

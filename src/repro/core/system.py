@@ -30,6 +30,11 @@ from .training import (TrainingSource, build_training_set,
                        train_base_learners, train_meta_learner)
 
 
+#: Per-run execution settings: never pickled with the model, and
+#: ignored when an older model file carries them.
+_RUN_SETTINGS = ("workers", "backend")
+
+
 class LSDSystem:
     """End-to-end LSD: add training sources, train, match new sources."""
 
@@ -44,7 +49,7 @@ class LSDSystem:
                  max_instances_per_tag: int | None = None,
                  prune_types: bool = False,
                  workers: int = 1,
-                 backend: str = "thread",
+                 backend: str = "process",
                  policy: ResiliencePolicy | None = None) -> None:
         """
         Parameters
@@ -73,17 +78,18 @@ class LSDSystem:
             grossly incompatible with a column are zeroed before the
             constraint handler runs.
         workers:
-            Worker count for learner prediction and cross-validation
-            fan-out (1 = serial). Any value produces byte-identical
+            Worker count for the learner-prediction fan-out (1 =
+            serial, no pool). Any value produces byte-identical
             results; more workers only change wall-clock time. Mutable
-            after construction (``system.workers = 4``).
+            after construction (``system.workers = 4``); runtime
+            state, never pickled with the model.
         backend:
-            Execution backend for the fan-out: ``"thread"`` (default),
-            ``"process"`` (a persistent worker-process pool sharing the
-            trained model zero-copy — the only backend the GIL cannot
-            serialise; see :mod:`repro.core.procpool`), or ``"serial"``.
-            Byte-identical outputs across all three. Mutable after
-            construction; runtime state, never pickled with the model.
+            Execution backend for the fan-out: ``"process"`` (default;
+            a persistent worker-process pool sharing the trained model
+            zero-copy, see :mod:`repro.core.procpool`) or ``"serial"``.
+            Byte-identical outputs across both. Mutable after
+            construction; runtime state, never pickled with the
+            model.
         policy:
             A :class:`repro.resilience.ResiliencePolicy` arming fault
             tolerance for this system's runs: learners whose fit or
@@ -132,23 +138,20 @@ class LSDSystem:
     def executor(self) -> ParallelExecutor:
         """The executor for the configured worker count and backend.
 
-        Built on access (it wraps an int, the backend name, the policy,
-        and — for the process backend — the lazily built worker pool)
-        so models pickled before these options existed load and run
-        serially.
+        Built on access: it wraps an int, the backend name, the policy,
+        and — for the process backend — the lazily built worker pool.
         """
-        backend = getattr(self, "backend", "thread")
-        pool = self._ensure_pool() if backend == "process" else None
-        return ParallelExecutor(getattr(self, "workers", 1),
+        pool = self._ensure_pool() if self.backend == "process" else None
+        return ParallelExecutor(self.workers,
                                 getattr(self, "policy", None),
-                                backend=backend, pool=pool)
+                                backend=self.backend, pool=pool)
 
     def _ensure_pool(self):
         """The live worker-process pool, building (or rebuilding) it if
         needed. ``None`` when a pool makes no sense: untrained system,
         ``workers <= 1``. A pool broken by a worker crash is replaced on
         the next access — self-healing across runs, while the run that
-        saw the crash keeps its thread fallback.
+        saw the crash finishes serially.
 
         The pool is sized ``min(workers, cpu_count)``: worker processes
         beyond the host's cores only add scheduling contention and
@@ -157,7 +160,7 @@ class LSDSystem:
         are functions of the batch and ``workers``, never of how many
         processes drained the queue — so ``--workers 4`` stays
         byte-identical on any host."""
-        workers = getattr(self, "workers", 1)
+        workers = self.workers
         if workers <= 1 or self.meta is None:
             self.close_pool()
             return None
@@ -187,11 +190,23 @@ class LSDSystem:
     def __getstate__(self) -> dict:
         # The policy holds run state (locks, fault counters) and is a
         # per-process concern: models persist without one. Same for the
-        # worker pool — live processes and shared memory do not pickle.
-        state = dict(self.__dict__)
+        # worker pool — live processes and shared memory do not pickle —
+        # and for the execution settings, which belong to each run.
+        state = {key: value for key, value in self.__dict__.items()
+                 if key not in _RUN_SETTINGS}
         state["policy"] = None
         state["_procpool"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Model files written before the execution settings were
+        # dropped carry them (``backend="thread"`` among them); a
+        # loaded model always starts serial on the default backend.
+        self.__dict__.update(
+            {key: value for key, value in state.items()
+             if key not in _RUN_SETTINGS})
+        self.workers = 1
+        self.backend = "process"
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -145,12 +145,10 @@ def train_meta_learner(learners: list[BaseLearner],
     weights. ``uniform=True`` skips stacking (the meta-learner ablation)
     and averages learners instead.
 
-    Cross-validation fans out across ``executor`` at (learner × fold)
-    granularity — with k learners and d folds the pool sees k*d tasks,
-    not k, so workers stay busy even when one learner dominates — and
-    results gather deterministically into learner order. ``profile``
-    and ``observer`` flow into :func:`~repro.learners.meta.
-    cross_validate_many`, so per-fold timings survive the fan-out.
+    Cross-validation runs the (learner × fold) tasks through
+    ``executor`` for its resilience policy, serially, and gathers the
+    results into learner order. ``profile`` and ``observer`` flow into
+    :func:`~repro.learners.meta.cross_validate_many`.
     """
     obs = resolve_observer(observer)
     meta = StackingMetaLearner(folds=folds, seed=seed)

@@ -59,8 +59,8 @@ def cross_validate_many(learners: Sequence[BaseLearner],
                         profile: StageProfile | None = None,
                         observer: Observer | None = None
                         ) -> list[np.ndarray]:
-    """Out-of-fold predictions for every learner, fanned out at
-    (learner × fold) granularity.
+    """Out-of-fold predictions for every learner, one task per
+    (learner, fold).
 
     The examples are shuffled into ``folds`` equal parts; each part is
     predicted by a clone trained on the remaining parts, preventing the
@@ -75,18 +75,15 @@ def cross_validate_many(learners: Sequence[BaseLearner],
     back to uniform out-of-fold scores instead of crashing the whole
     training phase.
 
-    The (learner, fold) task grid fans out across ``executor`` (serial
-    by default) — with k learners and d folds that is k*d independent
-    tasks, so a handful of workers stays busy even when one learner
-    dominates the runtime. Results are gathered positionally into
-    per-learner matrices whose fold blocks are disjoint rows, so any
-    worker count is byte-identical to serial.
+    The k*d (learner, fold) tasks run through ``executor``, which
+    applies its resilience policy (fault sites, retries) to each task.
+    Fold tasks are closures over live learners, so they run serially
+    at any worker count; results are gathered positionally into
+    per-learner matrices whose fold blocks are disjoint rows.
 
     ``profile`` accumulates per-learner fold timings
-    (``cv.learner.<name>``) — worker-side timings merge back via
-    :meth:`~repro.core.parallel.ParallelExecutor.map_profiled`, so they
-    are no longer dropped on the parallel path. ``observer`` records a
-    ``cv`` span with one child per (learner, fold) task.
+    (``cv.learner.<name>``); ``observer`` records a ``cv`` span with
+    one child per (learner, fold) task.
     """
     obs = resolve_observer(observer)
     n = len(instances)
@@ -141,8 +138,7 @@ def cross_validate(learner: BaseLearner,
                    profile: StageProfile | None = None,
                    observer: Observer | None = None) -> np.ndarray:
     """Out-of-fold predictions of one learner — see
-    :func:`cross_validate_many`, whose single-learner case this is.
-    ``executor`` fans the folds out."""
+    :func:`cross_validate_many`, whose single-learner case this is."""
     return cross_validate_many(
         [learner], instances, labels, space,
         folds=folds, seed=seed, executor=executor, profile=profile,

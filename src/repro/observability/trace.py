@@ -146,7 +146,7 @@ class TraceCollector:
         processes and replays them here (in submission order), so the
         id allocation runs through exactly the same occurrence counters
         as :meth:`span` — a process-backend trace is structurally
-        byte-identical to the thread/serial one. ``parent`` is never
+        byte-identical to the serial one. ``parent`` is never
         implicit: a replayed span belongs to the fan-out's parent, not
         to whatever the replaying thread happens to have open.
         """

@@ -43,10 +43,10 @@ SITE_SEARCH_ROOT = "constraints.search"
 #: stage label. A fired fault hard-kills a live worker process
 #: (``os._exit``) before any task of that map is dispatched, breaking
 #: the pool and exercising the genuine crash-recovery path: serial
-#: fallback for the map, segment cleanup, thread fallback afterwards.
+#: fallback for the map, segment cleanup, serial maps afterwards.
 #: Fires only when a process pool is actually in use — at
-#: ``--workers 1`` (or ``--backend thread``) there is no process to
-#: kill, so plans targeting it leave such runs untouched.
+#: ``--workers 1`` there is no process to kill, so plans targeting it
+#: leave such runs untouched.
 SITE_WORKER_PROCESS = "worker.process"
 
 #: One run-artifact write (report, trace, events, ledger); key = the
@@ -75,7 +75,7 @@ SITE_CATALOGUE: dict[str, str] = {
         "The executor's worker pool; a fault here simulates pool death "
         "and forces the serial fallback (key: stage label).",
     SITE_SEARCH_ROOT:
-        "Constraint-search root split; used to exercise the anytime "
+        "Constraint-search root; used to exercise the anytime "
         "best-so-far path (key: search label).",
     SITE_WORKER_PROCESS:
         "One process-backend worker; a fault here hard-kills the "

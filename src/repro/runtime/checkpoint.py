@@ -22,7 +22,7 @@ boundaries, each one an atomic artifact under
     One flat per-learner score matrix each, persisted as each
     learner's shard gather completes — gather happens on the
     orchestrating thread for every backend, so the persisted bytes are
-    identical for serial, thread and process execution (stage
+    identical for serial and process execution (stage
     ``predict``). The format is one JSON header line (learner name,
     shape, dtype) followed by the raw C-order array bytes: the shard
     is self-describing, so resume recovers shards by directory scan
@@ -39,8 +39,8 @@ boundaries, each one an atomic artifact under
     The final mapping (stage ``constrain``).
 
 The *run key* fingerprints everything that determines pipeline output:
-the dataset fingerprint, the search strategy, feedback constraints,
-and the output-affecting settings. Resuming under a different key
+the dataset fingerprint, feedback constraints, and the
+output-affecting settings. Resuming under a different key
 starts fresh instead of serving stale state — worker counts and
 backends are deliberately *not* part of the key, because the pipeline
 is byte-identical across them.
@@ -129,21 +129,18 @@ REGISTERED_MUTABLE_STATE = {
 }
 
 
-def run_key(fingerprint: str, *, search: str = "bnb",
-            feedback: tuple | list = (),
+def run_key(fingerprint: str, *, feedback: tuple | list = (),
             settings: dict | None = None) -> str:
     """The checkpoint cache key for one logical run.
 
     Hashes the dataset fingerprint with every knob that can change
-    pipeline *output* (search strategy, feedback constraints, handler
-    and extraction settings). Worker count and backend are excluded:
+    pipeline *output* (feedback constraints, handler and extraction
+    settings). Worker count and backend are excluded:
     output is byte-identical across them, so a run may resume under a
     different parallelism than it started with.
     """
     digest = hashlib.sha256()
     digest.update(fingerprint.encode())
-    digest.update(b"\x00")
-    digest.update(search.encode())
     for item in sorted(str(f) for f in feedback):
         digest.update(b"\x01")
         digest.update(item.encode())
@@ -166,9 +163,9 @@ class Checkpointer:
     :class:`~repro.resilience.DegradationReport`) receives absorbed
     write failures. Both default to inert.
 
-    Thread safety: :meth:`save_incumbent` is called from search worker
-    threads and serialises on an internal lock; the stage saves happen
-    on the orchestrating thread only.
+    Thread safety: every save is called on the orchestrating thread;
+    :meth:`save_incumbent` still serialises on an internal lock so its
+    dedup state and queue order stay consistent with the writer.
 
     ``background=True`` moves serialization, fsync and stage commits
     onto a dedicated writer thread (ordered queue, one writer). The
@@ -427,8 +424,8 @@ class Checkpointer:
     # ------------------------------------------------------------------
     def save_incumbent(self, cost: float, path: tuple,
                        assignment: dict | None) -> None:
-        """Snapshot the search's best-so-far leaf (worker-thread safe,
-        deduplicated, never fatal). JSON floats round-trip exactly
+        """Snapshot the search's best-so-far leaf (deduplicated, never
+        fatal). JSON floats round-trip exactly
         (repr grammar), so a warm start re-offers the identical cost."""
         if assignment is None:
             return

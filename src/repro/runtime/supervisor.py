@@ -15,8 +15,8 @@ A :class:`Supervisor` is one daemon thread with two signals:
   pipeline goes silent past the deadline the supervisor records a
   stall and trips the policy deadline, forcing the constraint search
   onto its anytime best-so-far exit instead of hanging forever. This
-  is the only lever that works on the serial and thread backends,
-  where there is no separate process to kill.
+  is the only lever that works on a serial run, where there is no
+  separate process to kill.
 
 Every escalation lands in the run's
 :class:`~repro.resilience.policy.DegradationReport` — a supervised run

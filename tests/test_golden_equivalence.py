@@ -260,10 +260,6 @@ class TestProcessBackendEquivalence:
         from .test_core_system import trained_system
         return trained_system()
 
-    @pytest.fixture(scope="class")
-    def serial_run(self, system):
-        return self._run(system, workers=1, backend="serial")
-
     @staticmethod
     def _run(system, workers, backend):
         from repro.observability import Observer
@@ -277,7 +273,7 @@ class TestProcessBackendEquivalence:
                                   observer=observer)
         finally:
             system.workers = 1
-            system.backend = "thread"
+            system.backend = "process"
             system.close_pool()
         return result, observer
 
@@ -298,10 +294,27 @@ class TestProcessBackendEquivalence:
             [(span.span_id, span.parent_id)
              for span in ref_observer.trace.spans]
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_process_matches_serial(self, system, serial_run, workers):
-        run = self._run(system, workers=workers, backend="process")
-        self._assert_identical(run, serial_run)
+    @pytest.mark.parametrize(
+        "workers,max_expansions",
+        [(1, 100_000), (4, 100_000), (4, 3)],
+        ids=["1", "4", "4-budget3"])
+    def test_process_matches_serial(self, system, workers,
+                                    max_expansions):
+        """Also with a node budget so small that the constraint search
+        stops early and returns its best-so-far mapping: the search is
+        serial on either backend, so it stops at the same node."""
+        from repro.constraints import ConstraintHandler
+        handler = system.handler
+        system.handler = ConstraintHandler(handler.constraints,
+                                           max_expansions=max_expansions)
+        try:
+            reference = self._run(system, workers=1, backend="serial")
+            run = self._run(system, workers=workers, backend="process")
+            assert system.handler.last_stats["anytime"] == \
+                (max_expansions == 3)
+        finally:
+            system.handler = handler
+        self._assert_identical(run, reference)
 
     def test_process_multi_shard_matches_serial(self, system, monkeypatch):
         """A forced multi-shard plan on the process backend — every

@@ -38,7 +38,7 @@ def _exposition(system, workers: int, backend: str) -> str:
                      observer=observer)
     finally:
         system.close_pool()
-        system.workers, system.backend = 1, "thread"
+        system.workers, system.backend = 1, "process"
     full = render_openmetrics(observer.metrics,
                               labels={"command": "match"})
     deterministic = {
@@ -52,8 +52,7 @@ class TestExpositionDeterminism:
     def test_byte_identical_across_worker_counts_and_backends(self,
                                                               system):
         full_serial, baseline = _exposition(system, 1, "serial")
-        for workers, backend in ((4, "thread"), (4, "serial"),
-                                 (2, "process")):
+        for workers, backend in ((4, "serial"), (2, "process")):
             _, lines = _exposition(system, workers, backend)
             assert lines == baseline, (workers, backend)
         assert baseline  # the filter actually selected families
@@ -71,7 +70,7 @@ class TestProcessPoolResources:
                          observer=observer)
         finally:
             system.close_pool()
-            system.workers, system.backend = 1, "thread"
+            system.workers, system.backend = 1, "process"
         summary = observer.metrics.summary()
         rss = summary["histograms"][M_POOL_WORKER_RSS]
         cpu = summary["histograms"][M_POOL_WORKER_CPU]
@@ -83,17 +82,6 @@ class TestProcessPoolResources:
         tasks = summary["counters"][M_POOL_TASKS]
         assert tasks >= 1
         assert wait["count"] == tasks  # every dispatch measured a wait
-
-    def test_thread_backend_measures_queue_wait_too(self, system):
-        system.workers = 4
-        observer = Observer.full()
-        try:
-            system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
-                         observer=observer)
-        finally:
-            system.workers = 1
-        summary = observer.metrics.summary()
-        assert summary["histograms"][M_POOL_QUEUE_WAIT]["count"] >= 1
 
     def test_serial_run_has_no_pool_families(self, system):
         observer = Observer.full()

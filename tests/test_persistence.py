@@ -2,8 +2,10 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.core import LSDSystem
 from repro.core.persistence import (FORMAT_VERSION, ModelFormatError,
                                     load_system, save_system)
 from repro.datasets import load_domain
@@ -59,6 +61,48 @@ class TestRoundTrip:
         save_system(system, path)
         loaded = load_system(path)
         assert loaded.weight_table() == system.weight_table()
+
+
+class TestRunSettings:
+    """``workers`` and ``backend`` belong to each run, never to the
+    model file."""
+
+    def test_saved_state_drops_run_settings(self, trained):
+        _, system = trained
+        state = system.__getstate__()
+        assert "workers" not in state
+        assert "backend" not in state
+
+    def test_legacy_thread_backend_model_loads_and_matches_serial(
+            self, trained, tmp_path, monkeypatch):
+        """Model files written before the settings were dropped carry
+        ``backend="thread"`` — a backend that no longer exists — and
+        their worker count. Loading ignores both, and the loaded model
+        matches byte-identically to the serial original."""
+        domain, system = trained
+
+        def legacy_getstate(self):
+            state = dict(self.__dict__)
+            state.update(policy=None, _procpool=None, backend="thread",
+                         workers=4)
+            return state
+
+        path = tmp_path / "legacy.lsd"
+        with monkeypatch.context() as patch:
+            patch.setattr(LSDSystem, "__getstate__", legacy_getstate)
+            save_system(system, path)
+        loaded = load_system(path)
+        assert (loaded.workers, loaded.backend) == (1, "process")
+
+        test = domain.sources[4]
+        listings = test.listings(20)
+        reference = system.match(test.schema, listings)
+        result = loaded.match(test.schema, listings)
+        assert dict(result.mapping.items()) == \
+            dict(reference.mapping.items())
+        assert set(result.tag_scores) == set(reference.tag_scores)
+        for tag, scores in reference.tag_scores.items():
+            assert np.array_equal(result.tag_scores[tag], scores), tag
 
 
 class TestArrayStore:

@@ -28,9 +28,9 @@ from repro.runtime.checkpoint import (STAGE_CONSTRAIN, STAGE_EXTRACT,
 
 class TestRunKey:
     def test_deterministic_and_short(self):
-        key = run_key("fp", search="bnb", feedback=["a=B"],
+        key = run_key("fp", feedback=["a=B"],
                       settings={"input_mode": "strict"})
-        assert key == run_key("fp", search="bnb", feedback=["a=B"],
+        assert key == run_key("fp", feedback=["a=B"],
                               settings={"input_mode": "strict"})
         assert len(key) == 16
         int(key, 16)  # hex
@@ -38,7 +38,6 @@ class TestRunKey:
     def test_output_affecting_knobs_change_the_key(self):
         base = run_key("fp")
         assert run_key("other") != base
-        assert run_key("fp", search="astar") != base
         assert run_key("fp", feedback=["price=PRICE"]) != base
         assert run_key("fp", settings={"max_instances": 5}) != base
 
