@@ -76,7 +76,7 @@ from .datasets import DOMAIN_NAMES, load_domain
 from .learners import default_learners
 from .observability import (EventStream, Observer, ResourceSampler,
                             TelemetryServer, build_match_report,
-                            dataset_fingerprint, resolve_observer,
+                            dataset_fingerprint, with_trace,
                             write_report)
 from .observability.events import (EV_CHECKPOINT, EV_RUN_END,
                                    EV_RUN_START)
@@ -475,11 +475,10 @@ def _write_domain_constraints(domain, path: Path) -> None:
 def _cmd_train(args: argparse.Namespace) -> int:
     observer, events, server, sampler = _start_telemetry(
         args, "train", wants_observer=bool(args.trace_out))
-    obs = resolve_observer(observer)
+    obs = with_trace(observer)
     policy = _build_policy(args)
-    started = time.perf_counter()  # lsd: ignore[wallclock]
     obs.events.emit(EV_RUN_START, command="train")
-    with obs.trace.span("run", command="train"):
+    with obs.trace.span("run", command="train") as run_span:
         mediated = MediatedSchema(_read_dtd(args.mediated))
         constraints = []
         if args.constraints:
@@ -494,10 +493,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
             system.add_training_source(schema, listings, mapping)
             print(f"added training source {source_dir} "
                   f"({len(listings)} listings)")
-        system.train(observer=observer)
+        system.train(observer=obs)
         _save_model(system, args.model)
-    obs.events.emit(EV_RUN_END, ok=True,
-                    elapsed_seconds=time.perf_counter() - started)  # lsd: ignore[wallclock]
+    obs.events.emit(EV_RUN_END, ok=True, elapsed_seconds=run_span.span.elapsed)
     if args.trace_out:
         if _emit_artifact(
                 "trace", args.trace_out, policy.report,
@@ -596,12 +594,12 @@ def _run_match(args: argparse.Namespace,
     observer, events, server, sampler = _start_telemetry(
         args, "match",
         wants_observer=bool(args.trace_out or args.report_out))
-    obs = resolve_observer(observer)
-    started = time.perf_counter()  # lsd: ignore[wallclock]
+    obs = with_trace(observer)
     obs.events.emit(EV_RUN_START, command="match")
     # The root span covers the whole run — model load and input parsing
-    # included — so trace consumers can attribute all wall time.
-    with obs.trace.span("run", command="match"):
+    # included — so trace consumers can attribute all wall time; its
+    # elapsed is the run's total.
+    with obs.trace.span("run", command="match") as run_span:
         with obs.trace.span("load_model"):
             system = _load_model(args.model)
         system.workers = args.workers
@@ -656,7 +654,7 @@ def _run_match(args: argparse.Namespace,
         try:
             result = system.match(schema, listings,
                                   extra_constraints=feedback,
-                                  observer=observer,
+                                  observer=obs,
                                   checkpoint=checkpoint)
         finally:
             # Process-backend hygiene: workers and the shared-memory
@@ -672,7 +670,7 @@ def _run_match(args: argparse.Namespace,
             if monitor is not None:
                 monitor.stop()
             system.close_pool()
-    total_seconds = time.perf_counter() - started  # lsd: ignore[wallclock]
+    total_seconds = run_span.span.elapsed
     obs.events.emit(EV_RUN_END, ok=True, elapsed_seconds=total_seconds)
 
     degradation = result.degradation

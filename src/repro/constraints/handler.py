@@ -36,8 +36,9 @@ Engine (the incremental rebuild):
   incumbent pre-offered on resume therefore changes nothing;
 * **instrumentation** — nodes expanded and prunes by reason (score
   bound / hard violation / soft bound) accumulate into
-  ``handler.last_stats`` and, when a profile is passed, into
-  ``constraint_*`` counters shown by ``--profile``.
+  ``handler.last_stats``; every entry is also an attribute of the
+  ``search`` span, which the ``constraint_*`` counters shown by
+  ``--profile`` are derived from.
 
 The search is a serial depth-first branch-and-bound, seeded with a
 constrained-greedy upper bound so it is anytime. The paper formulates
@@ -56,7 +57,7 @@ import numpy as np
 
 from ..core.labels import OTHER, LabelSpace
 from ..core.mapping import Mapping
-from ..observability import Observer, StageProfile, resolve_observer
+from ..observability import Observer, resolve_observer
 from ..observability.metrics import (M_CONSTRAINT_LEAF_REJECTS,
                                      M_CONSTRAINT_NODES,
                                      M_CONSTRAINT_PRUNE_BOUND,
@@ -451,7 +452,6 @@ class ConstraintHandler:
     def find_mapping(self, scores: dict[str, np.ndarray],
                      space: LabelSpace, ctx: MatchContext,
                      extra_constraints: Sequence[Constraint] = (),
-                     profile: StageProfile | None = None,
                      observer: Observer | None = None,
                      deadline=None, report=None, warm_start=None,
                      snapshot=None) -> Mapping:
@@ -459,9 +459,9 @@ class ConstraintHandler:
 
         ``scores[tag]`` is the prediction converter's normalised score
         vector for that tag. ``extra_constraints`` carries user feedback
-        for the current source only (§4.3). ``profile`` receives
-        ``constraint_*`` counters when given; ``observer`` records a
-        ``search`` span and the ``constraint.*`` metrics.
+        for the current source only (§4.3). ``observer`` records a
+        ``search`` span carrying every :attr:`last_stats` entry as an
+        attribute, and the ``constraint.*`` metrics.
 
         When no complete assignment satisfies the hard constraints
         within budget, the result falls back to the per-tag argmax —
@@ -487,10 +487,10 @@ class ConstraintHandler:
         obs = resolve_observer(observer)
         with obs.trace.span("search") as span:
             mapping = self._find_mapping(scores, space, ctx,
-                                         extra_constraints, profile,
-                                         deadline, warm_start, snapshot)
-            span.set_attribute(
-                "nodes_expanded", self.last_stats["nodes_expanded"])
+                                         extra_constraints, deadline,
+                                         warm_start, snapshot)
+            for stat, value in self.last_stats.items():
+                span.set_attribute(stat, value)
         for stat, metric in _STAT_METRICS.items():
             obs.metrics.counter(metric).inc(self.last_stats[stat])
         if report is not None and self.last_stats.get("anytime"):
@@ -500,7 +500,6 @@ class ConstraintHandler:
     def _find_mapping(self, scores: dict[str, np.ndarray],
                       space: LabelSpace, ctx: MatchContext,
                       extra_constraints: Sequence[Constraint],
-                      profile: StageProfile | None,
                       deadline=None, warm_start=None,
                       snapshot=None) -> Mapping:
         hard, soft = split_constraints(
@@ -537,9 +536,6 @@ class ConstraintHandler:
         best, stats = self._branch_and_bound(problem, deadline,
                                              warm_start, snapshot)
         self.last_stats = stats
-        if profile is not None:
-            for name in _STAT_NAMES:
-                profile.count(f"constraint_{name}", stats[name])
 
         if best is not None:
             return Mapping(best)

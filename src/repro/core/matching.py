@@ -23,15 +23,13 @@ Throughput engineering (the high-traffic ROADMAP goal):
   that changes nothing is skipped entirely (fixed point). This relies on
   the :class:`~repro.learners.base.BaseLearner` contract that
   ``predict_scores`` rows depend only on their own instance;
-* every stage reports into a :class:`StageProfile`
-  (``MatchResult.profile``), with per-learner timings and cache/instance
-  counters; ``MatchResult.timings`` keeps the flat
-  extract/predict/constraints view for backward compatibility.
+* every stage is a span of the run's (always recorded) trace;
+  ``MatchResult.profile``, ``MatchResult.timings`` and the stage
+  events' durations are all derived from that one span tree.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,7 +40,7 @@ from ..constraints.handler import ConstraintHandler
 from ..learners.base import BaseLearner
 from ..learners.meta import StackingMetaLearner
 from ..observability import (Observer, QualityRecord, StageProfile,
-                             build_quality_records, resolve_observer)
+                             build_quality_records, with_trace)
 from ..observability.events import (EV_CHECKPOINT, EV_DEGRADATION,
                                     EV_RESUME, EV_SHARD_COMPLETE,
                                     EV_STAGE_END, EV_STAGE_START)
@@ -84,10 +82,8 @@ class MatchResult:
     space: LabelSpace
     columns: dict[str, InstanceColumn]
     context: MatchContext
-    timings: dict[str, float] = field(default_factory=dict)
-    #: Per-stage instrumentation: nested timers (dotted paths) plus
-    #: instance and cache-hit counters. ``timings`` above is the flat
-    #: legacy view of the same run.
+    #: Per-stage timings (dotted paths) plus instance and cache-hit
+    #: counters, derived from the run's ``match`` span subtree.
     profile: StageProfile = field(default_factory=StageProfile)
     #: Per-column quality telemetry (one record per source tag), filled
     #: only when the run's observer collects quality — see
@@ -100,6 +96,13 @@ class MatchResult:
     #: True when the constraint search hit its deadline and returned
     #: the best mapping found so far rather than a proven optimum.
     anytime: bool = False
+
+    @property
+    def timings(self) -> dict[str, float]:
+        """The flat extract/predict/constraints view of :attr:`profile`."""
+        return {"extract": self.profile.seconds("extract"),
+                "predict": self.profile.seconds("predict"),
+                "constraints": self.profile.seconds("constrain")}
 
     def prediction_for(self, tag: str) -> Prediction:
         """The converter's prediction for one source tag."""
@@ -141,10 +144,11 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
     pass to re-predict all instances — the pre-cache behaviour, kept so
     the benchmark harness can measure the baseline.
 
-    ``observer`` receives trace spans, metrics, and (when enabled)
-    per-column quality records; the disabled default costs nothing.
-    The span tree, metric counts, and quality records are a function of
-    the inputs only — identical at any worker count.
+    ``observer`` receives trace spans (recorded privately when it keeps
+    no trace: ``MatchResult.profile`` is derived from them), metrics,
+    and (when enabled) per-column quality records. The span tree,
+    metric counts, and quality records are a function of the inputs
+    only — identical at any worker count.
 
     ``policy`` arms fault tolerance: a base learner whose prediction
     raises (or times out) is quarantined instead of crashing the run,
@@ -165,27 +169,27 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
     matrices). ``None`` — the default — costs nothing.
     """
     executor = resolve(executor)
-    obs = resolve_observer(observer)
-    profile = StageProfile()
+    obs = with_trace(observer)
+    trace = obs.trace
     cache_before = featurize.stats.snapshot()
     deadline = policy.start_deadline() if policy is not None else None
 
     events = obs.events
-    with obs.trace.span("match") as match_span:
+    with trace.span("match") as match_span:
         events.emit(EV_STAGE_START, stage="extract")
         # Extraction always runs — the extract checkpoint persists
         # provenance, not payload, because columns re-derive from the
         # durable inputs faster than a serialized form loads (see
         # repro.runtime.checkpoint). A resumed attempt skips only the
         # marker re-commit.
-        with profile.stage("extract"), obs.trace.span("extract"):
+        with trace.span("extract") as extract_span:
             columns = extract_columns(schema, list(listings),
                                       max_instances_per_tag)
         if checkpoint is not None and checkpoint.save_columns(columns):
             obs.metrics.counter(M_CKPT_WRITES).inc()
             events.emit(EV_CHECKPOINT, stage="extract")
         events.emit(EV_STAGE_END, stage="extract",
-                    elapsed_seconds=profile.seconds("extract"))
+                    elapsed_seconds=extract_span.span.elapsed)
 
         # Flatten instances so each learner predicts one batch.
         tags = list(columns)
@@ -197,27 +201,22 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
             flat.extend(columns[tag].instances)
             slices[tag] = slice(begin, len(flat))
             column_sizes.observe(len(columns[tag].instances))
-        profile.count("instances", len(flat))
-        profile.count("tags", len(tags))
         obs.metrics.counter(M_INSTANCES).inc(len(flat))
         obs.metrics.counter(M_TAGS).inc(len(tags))
         match_span.set_attribute("tags", len(tags))
         match_span.set_attribute("instances", len(flat))
 
         events.emit(EV_STAGE_START, stage="predict")
-        with profile.stage("predict"), obs.trace.span("predict") \
-                as predict_span:
+        with trace.span("predict") as predict_span:
             scores_by_learner, tag_scores = _predict_tags(
                 flat, slices, columns, learners, meta, converter, space,
-                structure_passes, executor, profile,
-                incremental_structure, obs, predict_span.span_id,
-                policy, checkpoint)
+                structure_passes, executor, incremental_structure, obs,
+                predict_span.span_id, policy, checkpoint)
             converted_scores = tag_scores
             if score_filter is not None:
-                with profile.stage("predict.score_filter"), \
-                        obs.trace.span("score_filter"):
+                with trace.span("score_filter"):
                     tag_scores = score_filter(tag_scores, columns)
-        predict_elapsed = profile.seconds("predict")
+        predict_elapsed = predict_span.span.elapsed
         events.emit(EV_STAGE_END, stage="predict",
                     elapsed_seconds=predict_elapsed, items=len(flat),
                     items_per_second=(len(flat) / predict_elapsed
@@ -232,7 +231,7 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
                 # search onto its anytime best-so-far path.
                 deadline = Deadline(0.0)
         events.emit(EV_STAGE_START, stage="constrain")
-        with profile.stage("constrain"), obs.trace.span("constrain"):
+        with trace.span("constrain") as constrain_span:
             saved_mapping = checkpoint.load_mapping() \
                 if checkpoint is not None else None
             if saved_mapping is not None:
@@ -246,7 +245,7 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
             else:
                 mapping = handler.find_mapping(
                     tag_scores, space, ctx, extra_constraints,
-                    profile=profile, observer=obs,
+                    observer=obs,
                     deadline=deadline,
                     report=policy.report if policy is not None
                     else None,
@@ -260,30 +259,26 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
                 obs.metrics.counter(M_CKPT_WRITES).inc()
                 events.emit(EV_CHECKPOINT, stage="constrain")
         events.emit(EV_STAGE_END, stage="constrain",
-                    elapsed_seconds=profile.seconds("constrain"),
+                    elapsed_seconds=constrain_span.span.elapsed,
                     items=len(tags))
 
         quality: list[QualityRecord] = []
         if obs.collect_quality:
-            with obs.trace.span("quality"):
+            with trace.span("quality"):
                 quality = build_quality_records(
                     tags, slices, scores_by_learner, converter, meta,
                     space, converted_scores, mapping)
 
-    hits, misses = featurize.stats.snapshot()
-    hits -= cache_before[0]
-    misses -= cache_before[1]
-    profile.count("cache_hits", hits)
-    profile.count("cache_misses", misses)
+        hits, misses = featurize.stats.snapshot()
+        hits -= cache_before[0]
+        misses -= cache_before[1]
+        match_span.set_attribute("cache_hits", hits)
+        match_span.set_attribute("cache_misses", misses)
     obs.metrics.counter(M_CACHE_HITS).inc(hits)
     obs.metrics.counter(M_CACHE_MISSES).inc(misses)
     if hits + misses:
         obs.metrics.gauge(M_CACHE_HIT_RATIO).set(hits / (hits + misses))
-    timings = {
-        "extract": profile.seconds("extract"),
-        "predict": profile.seconds("predict"),
-        "constraints": profile.seconds("constrain"),
-    }
+    profile = StageProfile.from_spans(trace.spans, match_span.span_id)
     degradation = policy.finalize() if policy is not None else None
     if degradation is not None and degradation.degraded:
         # Emitted only when non-zero, so a clean run's metric set (and
@@ -291,7 +286,7 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
         _emit_degradation_metrics(degradation, obs)
         events.emit(EV_DEGRADATION,
                     reason=_degradation_reason(degradation))
-    return MatchResult(mapping, tag_scores, space, columns, ctx, timings,
+    return MatchResult(mapping, tag_scores, space, columns, ctx,
                        profile, quality,
                        degradation=degradation,
                        anytime=degradation.anytime
@@ -362,8 +357,7 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                   learners: list[BaseLearner], meta: StackingMetaLearner,
                   converter: PredictionConverter, space: LabelSpace,
                   structure_passes: int, executor: ParallelExecutor,
-                  profile: StageProfile, incremental: bool,
-                  obs: Observer, predict_span_id: str | None,
+                  incremental: bool, obs: Observer, predict_span_id: str,
                   policy: ResiliencePolicy | None = None,
                   checkpoint=None
                   ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
@@ -381,14 +375,13 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     concatenating per-shard score blocks is byte-identical to one
     whole-batch call at any worker count.
 
-    Worker-side stage timings record into per-task profiles and merge
-    back (``map_profiled``); trace spans measured in worker processes
-    replay under the predict span as their explicit parent, and shard
+    Learner spans open under the predict span as their explicit parent
+    (spans measured in worker processes replay there too), and shard
     spans carry their shard index in the name (single-shard batches
     keep the legacy ``learner.<name>`` span), so the trace tree is the
     same at any worker count. Each (learner, shard) task contributes ``len(batch)``
-    observations of its mean per-instance latency to the
-    prediction-latency histogram — O(learners × shards) timer reads,
+    observations of its span's mean per-instance time to the
+    prediction-latency histogram — O(learners × shards) observations,
     not O(instances).
 
     With an active ``policy``, a learner whose prediction raises or
@@ -410,16 +403,10 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     latency = obs.metrics.histogram(M_PREDICT_LATENCY)
 
     def predict_with(learner: BaseLearner,
-                     batch: list[ElementInstance],
-                     prof: StageProfile, shard: int, n_shards: int):
-        span_name = (f"learner.{learner.name}" if n_shards == 1
-                     else f"learner.{learner.name}.s{shard}")
-        with prof.stage(f"predict.learner.{learner.name}"), \
-                obs.trace.span(span_name, parent=predict_span_id,
-                               instances=len(batch)):
-            # Observability instrumentation: the timer feeds the
-            # prediction-latency histogram, never pipeline output.
-            start = time.perf_counter()  # lsd: ignore[wallclock]
+                     batch: list[ElementInstance], shard: int,
+                     span_name: str):
+        with obs.trace.span(span_name, parent=predict_span_id,
+                            instances=len(batch)) as span:
             if policy is None:
                 scores = learner.predict_scores(batch)
             else:
@@ -434,9 +421,9 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                     # a sentinel the main thread records in submission
                     # order — degradation, not a crash.
                     return TaskFailure.from_exception(exc)
-            elapsed = time.perf_counter() - start  # lsd: ignore[wallclock]
         if batch:
-            latency.observe(elapsed / len(batch), count=len(batch))
+            latency.observe(span.span.elapsed / len(batch),
+                            count=len(batch))
         return scores
 
     def duplicate_order(batch: list[ElementInstance]) -> np.ndarray \
@@ -469,48 +456,33 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
             return None
         return np.argsort(groups, kind="stable")
 
-    def observe_latency(elapsed: float, n_rows: int) -> None:
-        latency.observe(elapsed / n_rows, count=n_rows)
-
     def build_process_tasks(shard_batch: list[ElementInstance],
-                            group: list[BaseLearner],
-                            plans: list[list[tuple[int, int]]]) -> list:
+                            grid: list[tuple]) -> list[ProcessTask]:
         """The (learner × shard) grid as :class:`ProcessTask`
         descriptors for the process backend — same shape, same span
-        names, same fault gates as the closure grid below; each task's
+        names, same fault gates as the serial closure; each task's
         ``fallback`` is exactly the serial-path call, which is what
         keeps serial reruns and pool-death recovery byte-identical."""
-        tasks = []
-        for learner, bounds in zip(group, plans):
-            n_shards = len(bounds)
-            for shard, (start, stop) in enumerate(bounds):
-                span_name = (f"learner.{learner.name}" if n_shards == 1
-                             else f"learner.{learner.name}.s{shard}")
-                tasks.append(ProcessTask(
-                    payload={
-                        "kind": "predict",
-                        "learner": learner.name,
-                        "start": start, "stop": stop,
-                        "catch": policy is not None,
-                        "timeout": policy.learner_timeout
-                        if policy is not None else None,
-                    },
-                    batch=shard_batch,
-                    fallback=(lambda prof, learner=learner,
-                              start=start, stop=stop, shard=shard,
-                              n_shards=n_shards:
-                              predict_with(learner,
-                                           shard_batch[start:stop],
-                                           prof, shard, n_shards)),
-                    span_name=span_name,
-                    span_parent=predict_span_id,
-                    rows=stop - start,
-                    fire=((SITE_LEARNER_PREDICT, learner.name)
-                          if policy is not None and shard == 0
-                          else None),
-                    on_done=observe_latency if stop > start else None,
-                ))
-        return tasks
+        return [ProcessTask(
+            payload={
+                "kind": "predict",
+                "learner": learner.name,
+                "start": start, "stop": stop,
+                "catch": policy is not None,
+                "timeout": policy.learner_timeout
+                if policy is not None else None,
+            },
+            batch=shard_batch,
+            fallback=(lambda learner=learner, start=start, stop=stop,
+                      shard=shard, span_name=span_name:
+                      predict_with(learner, shard_batch[start:stop],
+                                   shard, span_name)),
+            span_name=span_name,
+            span_parent=predict_span_id,
+            rows=stop - start,
+            fire=((SITE_LEARNER_PREDICT, learner.name)
+                  if policy is not None and shard == 0 else None),
+        ) for learner, shard, start, stop, span_name in grid]
 
     def fan_out(batch: list[ElementInstance],
                 group: list[BaseLearner], label: str) -> list:
@@ -543,32 +515,29 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
             shard_batch = [batch[i] for i in order]
             inverse = np.empty(len(batch), dtype=np.intp)
             inverse[order] = np.arange(len(batch))
+        grid = [(learner, shard, start, stop,
+                 f"learner.{learner.name}" if len(bounds) == 1
+                 else f"learner.{learner.name}.s{shard}")
+                for learner, bounds in zip(group, plans)
+                for shard, (start, stop) in enumerate(bounds)]
         if executor.wants_process_tasks:
-            tasks = build_process_tasks(shard_batch, group, plans)
             pieces = executor.map_profiled(
-                lambda task, prof: task.fallback(prof),
-                tasks, profile, label=label, observer=obs)
-            grid = [(task.span_name, task.rows) for task in tasks]
+                lambda task: task.fallback(),
+                build_process_tasks(shard_batch, grid), label=label,
+                observer=obs)
         else:
-            tasks = [(learner, shard, start, stop, len(bounds))
-                     for learner, bounds in zip(group, plans)
-                     for shard, (start, stop) in enumerate(bounds)]
             pieces = executor.map_profiled(
-                lambda task, prof: predict_with(
-                    task[0], shard_batch[task[2]:task[3]], prof,
-                    task[1], task[4]),
-                tasks, profile, label=label, observer=obs)
-            grid = [(f"learner.{learner.name}" if n_shards == 1
-                     else f"learner.{learner.name}.s{shard}",
-                     stop - start)
-                    for learner, shard, start, stop, n_shards in tasks]
+                lambda task: predict_with(
+                    task[0], shard_batch[task[2]:task[3]], task[1],
+                    task[4]),
+                grid, label=label, observer=obs)
         if obs.events.enabled:
             # Heartbeats in submission order — a deterministic function
             # of the task grid, identical at any worker count.
-            for index, (name, n_rows) in enumerate(grid):
+            for index, (_, _, start, stop, span_name) in enumerate(grid):
                 obs.events.emit(EV_SHARD_COMPLETE, stage=label,
-                                label=name, index=index,
-                                shards=len(grid), rows=n_rows)
+                                label=span_name, index=index,
+                                shards=len(grid), rows=stop - start)
         gathered: list = []
         offset = 0
         for bounds in plans:
@@ -597,7 +566,7 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     # pure-Python tree walks happen exactly once per instance, up
     # front. Pure warming — outputs are unchanged.
     if featurize.is_enabled():
-        with profile.stage("predict.featurize_warm"):
+        with obs.trace.span("featurize_warm"):
             featurize.warm_texts(flat)
     preloaded: dict[str, np.ndarray] = {}
     if checkpoint is not None:
@@ -634,7 +603,7 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
             checkpoint.commit_predict()
             obs.events.emit(EV_CHECKPOINT, stage="predict")
     tag_scores = _convert(scores_by_learner, slices, meta, converter,
-                          space, profile, obs, len(flat))
+                          space, obs, len(flat))
 
     applied: dict[str, str] | None = None  # labels last written into
     # the instances' child_labels; None = nothing applied yet.
@@ -651,9 +620,8 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
             for tag, row in tag_scores.items()}
         if preliminary == applied:
             break  # fixed point: re-filling would change no feature
-        with profile.stage("predict.structure_pass"), \
-                obs.trace.span("structure_pass",
-                               parent=predict_span_id) as pass_span:
+        with obs.trace.span("structure_pass",
+                            parent=predict_span_id) as pass_span:
             previous_labels = [dict(inst.child_labels) for inst in flat]
             fill_child_labels(columns, preliminary)
             applied = preliminary
@@ -664,8 +632,6 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                 changed = list(range(len(flat)))
             if not changed:
                 break  # no instance saw a new child label
-            profile.count("structure_passes")
-            profile.count("structure_repredicted", len(changed))
             obs.metrics.counter(M_STRUCTURE_PASSES).inc()
             obs.metrics.counter(M_STRUCTURE_REPREDICTED).inc(
                 len(changed))
@@ -680,16 +646,16 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                 # scattering a subset equals re-predicting the batch.
                 scores_by_learner[learner.name][changed] = new_rows
         tag_scores = _convert(scores_by_learner, slices, meta, converter,
-                              space, profile, obs, len(flat))
+                              space, obs, len(flat))
     return scores_by_learner, tag_scores
 
 
 def _convert(scores_by_learner: dict[str, np.ndarray],
              slices: dict[str, slice], meta: StackingMetaLearner,
              converter: PredictionConverter, space: LabelSpace,
-             profile: StageProfile, obs: Observer, n_rows: int = 0
+             obs: Observer, n_rows: int = 0
              ) -> dict[str, np.ndarray]:
-    with profile.stage("predict.combine"), obs.trace.span("combine"):
+    with obs.trace.span("combine"):
         if scores_by_learner:
             combined = meta.combine(scores_by_learner, missing_ok=True)
         elif n_rows:
@@ -699,7 +665,7 @@ def _convert(scores_by_learner: dict[str, np.ndarray],
             combined = np.full((n_rows, len(space)), 1.0 / len(space))
         else:
             combined = np.zeros((0, len(space)))
-    with profile.stage("predict.convert"), obs.trace.span("convert"):
+    with obs.trace.span("convert"):
         # One grouped reduction over every column slice; bitwise equal
         # to per-tag ``converter.convert(combined[piece])`` calls.
         return converter.convert_slices(combined, slices)

@@ -20,7 +20,8 @@ Two backends:
   the orchestrating thread, and so does every map once the pool has
   died. Each descriptor carries a local ``fallback`` closure running
   the identical computation, which is how one code path serves serial
-  execution and pool-death recovery.
+  execution and pool-death recovery. A task's span (opened inline or
+  replayed from the worker) is its only timing record.
 
 ``workers <= 1`` never builds a pool. The pool is expensive to build
 and cheap to keep, so it lives on the system (see
@@ -42,7 +43,6 @@ import threading
 import time
 from typing import Callable, Iterable, TypeVar
 
-from ..observability import StageProfile
 from ..resilience.faults import FaultInjected
 from ..resilience.sites import SITE_EXECUTOR_POOL, SITE_EXECUTOR_TASK
 from .procpool import ProcessTask, run_process_map
@@ -109,28 +109,23 @@ class ParallelExecutor:
         return [self._run_task(fn, item, index, label)
                 for index, item in enumerate(items)]
 
-    def map_profiled(self, fn: Callable[[T, StageProfile], R],
-                     items: Iterable[T],
-                     profile: StageProfile,
+    def map_profiled(self, fn: Callable[[T], R], items: Iterable[T],
                      label: str = "map", observer=None) -> list[R]:
-        """``map`` where each call records stage timings.
+        """``map`` that may run on the worker pool.
 
-        ``fn(item, profile)`` receives the shared ``profile`` directly.
         When the process backend is live and every item is a
         :class:`~repro.core.procpool.ProcessTask`, the map runs on the
-        worker pool instead (``fn`` is bypassed; each task's payload is
-        dispatched and its ``fallback`` serves any serial rerun), and
-        the workers' profiles merge back in submission order.
-        ``observer`` carries the run's trace collector so worker-side
-        spans replay into the same tree; the serial path opens its
-        spans inline and ignores it.
+        pool (``fn`` is bypassed; each task's payload is dispatched and
+        its ``fallback`` serves any serial rerun). ``observer`` carries
+        the run's trace collector so worker-measured spans replay into
+        the same tree; the serial path opens its spans inline and
+        ignores it.
         """
         items = list(items)
         if self.wants_process_tasks and len(items) > 1 and all(
                 isinstance(item, ProcessTask) for item in items):
-            return run_process_map(self, items, profile, label,
-                                   observer)
-        return self.map(lambda item: fn(item, profile), items, label)
+            return run_process_map(self, items, label, observer)
+        return self.map(fn, items, label)
 
     # ------------------------------------------------------------------
     # resilience plumbing
@@ -198,8 +193,8 @@ class ParallelExecutor:
 
 
 #: Default target rows per prediction shard; see :func:`shard_bounds`.
-#: Sized so small batches stay single-shard — per-shard spans/profiles
-#: and the split's dedup bookkeeping only amortize on genuinely large
+#: Sized so small batches stay single-shard — per-shard spans and the
+#: split's dedup bookkeeping only amortize on genuinely large
 #: columns. Learners whose prediction cost is per-row (no per-call
 #: amortized work) override
 #: :attr:`repro.learners.base.BaseLearner.shard_rows` with a finer

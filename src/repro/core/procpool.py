@@ -1,9 +1,9 @@
 """Process execution backend: persistent workers over a shared model.
 
 The hot score kernels (scipy sparse products, ``np.partition``) hold
-the GIL, so thread fan-out can only tie serial. This module runs them
-in worker *processes*, which the GIL cannot serialise, built so the
-rest of the pipeline does not notice the boundary:
+the GIL, so only worker *processes* can run them side by side. This
+module runs them there, built so the rest of the pipeline does not
+notice the boundary:
 
 * a :class:`WorkerPool` spawns its workers **once** and keeps them for
   the system's lifetime; each worker reconstructs the trained learners
@@ -17,11 +17,11 @@ rest of the pipeline does not notice the boundary:
   sub-dominant no matter how many (learner × shard) tasks a map holds;
 * :func:`run_process_map` — the engine behind
   ``ParallelExecutor(backend="process")`` — preserves every contract
-  of the serial path: results in submission order, worker
-  :class:`~repro.observability.StageProfile` timings merged back in
-  submission order, worker-measured spans replayed through
+  of the serial path: results in submission order, worker-measured
+  spans replayed in submission order through
   :meth:`~repro.observability.trace.TraceCollector.emit` so the trace
-  tree is structurally byte-identical at any worker count, the
+  tree (and every timing derived from it) is structurally
+  byte-identical at any worker count, the
   ``executor.task`` / ``executor.pool`` / ``learner.predict`` fault
   sites fired with the same logical hit counts (parent-side, where the
   plan lives), per-task retries with the same seeded backoff, and a
@@ -66,7 +66,6 @@ from multiprocessing import connection
 from typing import Callable
 import weakref
 
-from ..observability import StageProfile
 from ..observability.metrics import (BYTE_BUCKETS, CPU_BUCKETS,
                                      M_POOL_QUEUE_DEPTH,
                                      M_POOL_QUEUE_WAIT,
@@ -74,7 +73,7 @@ from ..observability.metrics import (BYTE_BUCKETS, CPU_BUCKETS,
                                      M_POOL_SHM_BYTES,
                                      M_POOL_WORKER_CPU,
                                      M_POOL_WORKER_RSS,
-                                     M_POOL_WORKERS)
+                                     M_POOL_WORKERS, M_PREDICT_LATENCY)
 from ..observability.resources import ProcSample, read_proc_self
 from ..resilience.faults import FaultInjected
 from ..resilience.policy import call_with_timeout
@@ -139,9 +138,9 @@ class ProcessTask:
     """One unit of a process-backend map: a picklable task descriptor
     plus the parent-side context the executor needs around it.
 
-    ``fallback(profile)`` runs the identical computation locally — the
-    serial path and the pool-death path both use it, which is what
-    keeps both backends byte-identical.
+    ``fallback()`` runs the identical computation locally — the serial
+    path and the pool-death path both use it, which is what keeps both
+    backends byte-identical.
     """
 
     #: Picklable message for the worker's task-handler registry; must
@@ -150,8 +149,8 @@ class ProcessTask:
     #: The shard batch this task slices; shipped to workers once per
     #: map (shared by identity across the map's tasks).
     batch: list
-    #: Local re-execution under the caller's profile (serial fallback).
-    fallback: Callable[[StageProfile], object]
+    #: Local re-execution (serial fallback); opens its span inline.
+    fallback: Callable[[], object]
     #: Replayed trace span for the worker-side execution.
     span_name: str = ""
     span_parent: str | None = None
@@ -160,16 +159,13 @@ class ProcessTask:
     #: Optional ``(site, key)`` fault gate fired parent-side before
     #: dispatch — the process twin of the serial path's in-task fire.
     fire: tuple[str, str] | None = None
-    #: Called in submission order with ``(elapsed, rows)`` after a
-    #: successful task — the latency-histogram hook.
-    on_done: Callable[[float, int], None] | None = None
 
 
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
 
-#: ``kind -> handler(state, task, profile)``. Handlers run inside
+#: ``kind -> handler(state, task)``. Handlers run inside
 #: worker processes: module-level writes there never reach the parent,
 #: which the ``process-unsafe-state`` lint rule enforces statically.
 _TASK_HANDLERS: dict[str, Callable] = {}
@@ -178,12 +174,9 @@ _TASK_HANDLERS: dict[str, Callable] = {}
 def task_handler(kind: str):
     """Register a worker-side handler for one task ``kind``.
 
-    A handler returns ``(outcome, hot_elapsed)`` where ``outcome`` is
-    ``("value", result)`` or — under an armed policy — ``("failure",
-    error_type, message)`` for a caught learner exception, and
-    ``hot_elapsed`` is the measured hot-call time feeding the latency
-    histogram (0.0 on failure, which the serial path never observes
-    either).
+    A handler returns ``("value", result)`` or — under an armed
+    policy — ``("failure", error_type, message)`` for a caught learner
+    exception.
     """
     def decorate(fn: Callable) -> Callable:
         _TASK_HANDLERS[kind] = fn
@@ -201,85 +194,73 @@ class _WorkerState:
 
 
 @task_handler("predict")
-def _predict_task(state: _WorkerState, task: dict,
-                  profile: StageProfile):
+def _predict_task(state: _WorkerState, task: dict):
     """Score one ``[start, stop)`` shard with one learner.
 
-    Mirrors the serial path's ``predict_with`` body: the profiled stage
-    wraps the call, an armed policy (``task["catch"]``) turns any
-    exception into a failure outcome, and the hot-call timer covers
-    exactly the prediction.
+    Mirrors the serial path's ``predict_with`` body: an armed policy
+    (``task["catch"]``) turns any exception into a failure outcome.
     """
     batch = state.batches[task["batch"]][task["start"]:task["stop"]]
     learner = state.learners[task["learner"]]
-    with profile.stage(f"predict.learner.{learner.name}"):
-        # Latency telemetry, never pipeline output (same contract as
-        # the serial path's timer).
-        start = time.perf_counter()  # lsd: ignore[wallclock]
-        if not task.get("catch"):
-            scores = learner.predict_scores(batch)
-        else:
-            try:
-                scores = call_with_timeout(
-                    learner.predict_scores, (batch,),
-                    task.get("timeout"))
-            except Exception as exc:  # lsd: ignore[blind-except]
-                # Quarantine boundary — identical to the serial path:
-                # the failure travels as a value, never an exception.
-                return (("failure", type(exc).__name__, str(exc)), 0.0)
-        elapsed = time.perf_counter() - start  # lsd: ignore[wallclock]
-    return (("value", scores), elapsed)
+    if not task.get("catch"):
+        return ("value", learner.predict_scores(batch))
+    try:
+        return ("value", call_with_timeout(
+            learner.predict_scores, (batch,), task.get("timeout")))
+    except Exception as exc:  # lsd: ignore[blind-except]
+        # Quarantine boundary — identical to the serial path: the
+        # failure travels as a value, never an exception.
+        return ("failure", type(exc).__name__, str(exc))
 
 
 def _run_task(state: _WorkerState, task_id: int, task: dict) -> tuple:
     """Execute one task message; always answers, never raises.
 
-    Replies (all carrying the task's private profile and a
-    ``(start, elapsed, hot_elapsed)`` timing triple for span replay):
+    Replies (all carrying a ``(start, elapsed)`` timing pair for span
+    replay):
 
-    * ``("ok", id, value, profile, timing)``
-    * ``("failure", id, error_type, message, profile, timing)`` —
-      caught learner failure under an armed policy;
-    * ``("error", id, exc_or_None, error_type, message, profile,
-      timing)`` — anything uncaught; the original exception object
-      rides along when picklable so the parent re-raises it verbatim.
+    * ``("ok", id, value, timing)``
+    * ``("failure", id, error_type, message, timing)`` — caught learner
+      failure under an armed policy;
+    * ``("error", id, exc_or_None, error_type, message, timing)`` —
+      anything uncaught; the original exception object rides along
+      when picklable so the parent re-raises it verbatim.
 
     When the task carries ``"sample": True`` a ``/proc/self`` resource
     snapshot dict is appended as one extra trailing element on every
     reply shape — consumers that unpack positionally keep working, and
     the parent surfaces the snapshots as ``pool.*`` metrics.
     """
-    profile = StageProfile()
     start = time.time()  # lsd: ignore[wallclock]
     t0 = time.perf_counter()  # lsd: ignore[wallclock]
     try:
         handler = _TASK_HANDLERS[task["kind"]]
-        outcome, hot_elapsed = handler(state, task, profile)
+        outcome = handler(state, task)
     except Exception as exc:  # lsd: ignore[blind-except]
         # The catch-all that keeps the worker loop alive: the parent
         # decides (retry budget, submission-order raise) — a worker
         # only reports.
-        timing = (start, time.perf_counter() - t0, 0.0)  # lsd: ignore[wallclock]
+        timing = (start, time.perf_counter() - t0)  # lsd: ignore[wallclock]
         try:
             pickle.dumps(exc)
             shipped: BaseException | None = exc
         except Exception:  # lsd: ignore[blind-except]
             shipped = None
         reply = ("error", task_id, shipped, type(exc).__name__,
-                 str(exc), profile, timing)
+                 str(exc), timing)
         return reply + ((read_proc_self().as_dict(),)
                         if task.get("sample") else ())
-    timing = (start, time.perf_counter() - t0, hot_elapsed)  # lsd: ignore[wallclock]
+    timing = (start, time.perf_counter() - t0)  # lsd: ignore[wallclock]
     if outcome[0] == "failure":
-        reply = ("failure", task_id, outcome[1], outcome[2], profile,
-                 timing)
+        reply = ("failure", task_id, outcome[1], outcome[2], timing)
     else:
-        reply = ("ok", task_id, outcome[1], profile, timing)
+        reply = ("ok", task_id, outcome[1], timing)
     return reply + ((read_proc_self().as_dict(),)
                     if task.get("sample") else ())
 
 
-def _worker_main(conn, store_handle: tuple, payload: bytes) -> None:
+def _worker_main(conn, store_handle: tuple, payload: bytes,
+                 inherited: tuple = ()) -> None:
     """One worker process: attach, reconstruct, serve until told to stop.
 
     The expensive part happens exactly once — attaching the shared
@@ -287,8 +268,14 @@ def _worker_main(conn, store_handle: tuple, payload: bytes) -> None:
     After that the loop is: receive a broadcast batch or a task, answer
     on the same pipe. ``die`` hard-exits without cleanup (the chaos
     crash path); a vanished parent (EOF on the pipe) ends the loop too,
-    so orphaned workers never linger.
+    so orphaned workers never linger — which needs every copy of the
+    parent's pipe end closed: a forked worker closes the ones it
+    ``inherited``, and drops the parent's SIGTERM/SIGINT handlers.
     """
+    for parent_end in inherited:
+        parent_end.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     store = SharedArrayStore.attach(store_handle)
     try:
         learners = restore(payload, store.views())
@@ -402,11 +389,18 @@ class WorkerPool:
         try:
             ctx = multiprocessing.get_context(
                 start_method or default_start_method())
+            forked = ctx.get_start_method() == "fork"
             for worker_id in range(self.size):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
+                # A forked child inherits the parent ends opened so far
+                # (a spawned one none; pickling would duplicate them).
+                inherited = (
+                    (*(handle.conn for handle in self._workers.values()),
+                     parent_conn) if forked else ())
                 process = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, self._store.handle, payload),
+                    args=(child_conn, self._store.handle, payload,
+                          inherited),
                     name=f"lsd-worker-{worker_id}", daemon=True)
                 process.start()
                 child_conn.close()
@@ -624,8 +618,7 @@ class WorkerPool:
 # parent side: the map engine
 # ---------------------------------------------------------------------------
 
-def run_process_map(executor, tasks: list[ProcessTask],
-                    profile: StageProfile, label: str,
+def run_process_map(executor, tasks: list[ProcessTask], label: str,
                     observer=None) -> list:
     """Order-preserving map of :class:`ProcessTask` items over a pool.
 
@@ -646,14 +639,13 @@ def run_process_map(executor, tasks: list[ProcessTask],
                else None)
 
     def run_serial(skip_done=None) -> list:
-        """The local path: the executor's own task runner, writing
-        into the shared profile, opening spans inline."""
+        """The local path: the executor's own task runner, opening
+        spans inline."""
         out = skip_done if skip_done is not None else [None] * len(tasks)
         for index, item in enumerate(tasks):
             if skip_done is None or not finished[index]:
                 out[index] = executor._run_task(
-                    lambda task: task.fallback(profile), item, index,
-                    label)
+                    lambda task: task.fallback(), item, index, label)
         return out
 
     # Fired first, exactly like the serial path, so the pool site's
@@ -676,9 +668,8 @@ def run_process_map(executor, tasks: list[ProcessTask],
     results: list = [None] * n
     failures = [0] * n
     errors: dict[int, BaseException] = {}
-    item_profiles: dict[int, StageProfile] = {}
     span_events: list[tuple] = []   # (index, attempt_seq, timing, err)
-    latencies: dict[int, tuple[float, int]] = {}
+    latencies: dict[int, float] = {}   # index -> successful elapsed
 
     if not pool.alive:
         executor._note_pool_failure(label)
@@ -721,8 +712,10 @@ def run_process_map(executor, tasks: list[ProcessTask],
                 try:
                     plan.fire(*task.fire)
                 except FaultInjected as exc:
+                    # Gated before dispatch: an empty span, stamped now.
+                    stamp = time.time()  # lsd: ignore[wallclock]
                     span_events.append(
-                        (index, failures[index], None, None))
+                        (index, failures[index], (stamp, 0.0), None))
                     complete(index, TaskFailure.from_exception(exc))
                     return False
             return True
@@ -730,8 +723,8 @@ def run_process_map(executor, tasks: list[ProcessTask],
     # Dispatch wide tasks first (stable on ties): a whole-batch learner
     # handed out last would run alone after every narrow shard drained,
     # stretching the makespan. Scheduling order is free to vary —
-    # results, span replay and profile merges are all keyed by
-    # submission index, never by completion order.
+    # results and span replay are both keyed by submission index,
+    # never by completion order.
     pending = deque(sorted(range(n), key=lambda i: -tasks[i].rows))
     outstanding: dict[int, int] = {}
     # Telemetry only, never pipeline output: enqueue stamps feed the
@@ -756,15 +749,6 @@ def run_process_map(executor, tasks: list[ProcessTask],
             pool.submit(worker_id, index, payload)
             outstanding[worker_id] = index
             return
-
-    def absorb(index: int, shipped_profile, timing, error_type) -> None:
-        if shipped_profile is not None:
-            held = item_profiles.get(index)
-            if held is None:
-                item_profiles[index] = shipped_profile
-            else:
-                held.merge(shipped_profile)
-        span_events.append((index, failures[index], timing, error_type))
 
     try:
         # One pickle per distinct batch, broadcast before any dispatch.
@@ -820,20 +804,21 @@ def run_process_map(executor, tasks: list[ProcessTask],
                     reply = reply[:-1]
                 kind = reply[0]
                 if kind == "ok":
-                    _, _tid, value, prof, timing = reply
-                    absorb(index, prof, timing, None)
+                    _, _tid, value, timing = reply
+                    span_events.append((index, failures[index], timing,
+                                        None))
                     if tasks[index].rows:
-                        latencies[index] = (timing[2],
-                                            tasks[index].rows)
+                        latencies[index] = timing[1]
                     complete(index, value)
                 elif kind == "failure":
-                    _, _tid, error_type, message, prof, timing = reply
-                    absorb(index, prof, timing, None)
+                    _, _tid, error_type, message, timing = reply
+                    span_events.append((index, failures[index], timing,
+                                        None))
                     complete(index, TaskFailure(error_type, message))
                 else:  # "error": uncaught worker-side exception
-                    (_, _tid, shipped, error_type, message, prof,
-                     timing) = reply
-                    absorb(index, prof, timing, error_type)
+                    _, _tid, shipped, error_type, message, timing = reply
+                    span_events.append((index, failures[index], timing,
+                                        error_type))
                     error = shipped if shipped is not None else \
                         RemoteTaskError(error_type, message)
                     if note_failure(index, error):
@@ -851,7 +836,7 @@ def run_process_map(executor, tasks: list[ProcessTask],
 
     # Deterministic observability replay, in submission order. Spans
     # always replay (workers record theirs regardless of later
-    # failures); profiles merge only on a clean map.
+    # failures).
     if trace is not None:
         for index, _seq, timing, error_type in sorted(
                 span_events, key=lambda event: event[:2]):
@@ -859,10 +844,7 @@ def run_process_map(executor, tasks: list[ProcessTask],
             attributes = {"instances": task.rows}
             if error_type is not None:
                 attributes["error"] = error_type
-            if timing is None:
-                start, elapsed = time.time(), 0.0  # lsd: ignore[wallclock]
-            else:
-                start, elapsed = timing[0], timing[1]
+            start, elapsed = timing
             trace.emit(task.span_name, parent=task.span_parent,
                        start=start, elapsed=elapsed,
                        attributes=attributes)
@@ -877,15 +859,12 @@ def run_process_map(executor, tasks: list[ProcessTask],
             sample = ProcSample.from_dict(worker_resources[worker_id])
             rss_hist.observe(float(sample.rss_bytes))
             cpu_hist.observe(sample.cpu_seconds)
-    for index in sorted(latencies):
-        hook = tasks[index].on_done
-        if hook is not None:
-            hook(*latencies[index])
-    if not errors:
-        for index in range(n):
-            shipped_profile = item_profiles.get(index)
-            if shipped_profile is not None:
-                profile.merge(shipped_profile)
+        # Per-instance prediction latency, read off the replayed spans
+        # exactly as the serial path reads its own.
+        latency = metrics.histogram(M_PREDICT_LATENCY)
+        for index in sorted(latencies):
+            rows = tasks[index].rows
+            latency.observe(latencies[index] / rows, count=rows)
     for index in range(n):
         if index in errors:
             raise errors[index]

@@ -15,7 +15,7 @@ from ..constraints.handler import ConstraintHandler
 from ..learners import default_learners
 from ..learners.base import BaseLearner
 from ..learners.meta import StackingMetaLearner
-from ..observability import Observer, StageProfile, resolve_observer
+from ..observability import Observer, with_trace
 from ..observability.events import EV_STAGE_END, EV_STAGE_START
 from ..resilience.policy import ResiliencePolicy
 from ..xmlio import Element
@@ -33,6 +33,8 @@ from .training import (TrainingSource, build_training_set,
 #: Per-run execution settings: never pickled with the model, and
 #: ignored when an older model file carries them.
 _RUN_SETTINGS = ("workers", "backend")
+#: State older model files carry that no longer exists.
+_RETIRED_STATE = ("train_profile",)
 
 
 class LSDSystem:
@@ -131,8 +133,6 @@ class LSDSystem:
         #: (== ``self.learners`` unless a policy quarantined some).
         self.active_learners: list[BaseLearner] | None = None
         self.pruner = TypePruner() if prune_types else None
-        #: Per-stage timings of the most recent :meth:`train` call.
-        self.train_profile: StageProfile | None = None
 
     @property
     def executor(self) -> ParallelExecutor:
@@ -204,7 +204,7 @@ class LSDSystem:
         # loaded model always starts serial on the default backend.
         self.__dict__.update(
             {key: value for key, value in state.items()
-             if key not in _RUN_SETTINGS})
+             if key not in _RUN_SETTINGS + _RETIRED_STATE})
         self.workers = 1
         self.backend = "process"
 
@@ -240,54 +240,51 @@ class LSDSystem:
     def train(self, observer: Observer | None = None) -> None:
         """Run the full training phase (§3.1 steps 2-5).
 
-        ``observer`` records ``train`` spans and training metrics; the
-        per-stage timings of the most recent training run are kept on
-        ``self.train_profile`` either way.
+        ``observer`` records the ``train`` span tree (stages ``build``,
+        ``fit``, ``cv``; recorded privately when it keeps no trace, as
+        the stage events read their durations from it) and training
+        metrics.
         """
         if not self.training_sources:
             raise RuntimeError("no training sources added")
-        obs = resolve_observer(observer)
+        obs = with_trace(observer)
         events = obs.events
-        profile = StageProfile()
-        with obs.trace.span("train",
-                            sources=len(self.training_sources)):
+        trace = obs.trace
+        with trace.span("train", sources=len(self.training_sources)):
             events.emit(EV_STAGE_START, stage="build")
-            with profile.stage("build"), obs.trace.span("build"):
+            with trace.span("build") as stage_span:
                 instances, labels = build_training_set(
                     self.training_sources, self.space,
                     self.max_instances_per_tag)
             events.emit(EV_STAGE_END, stage="build",
-                        elapsed_seconds=profile.seconds("build"),
+                        elapsed_seconds=stage_span.span.elapsed,
                         items=len(instances))
             if not instances:
                 raise RuntimeError(
                     "training sources produced no instances")
             events.emit(EV_STAGE_START, stage="fit")
-            with profile.stage("fit"):
+            with trace.span("fit") as stage_span:
                 survivors = train_base_learners(
                     self.learners, instances, labels, self.space,
-                    profile=profile, observer=obs,
-                    policy=getattr(self, "policy", None))
+                    observer=obs, policy=getattr(self, "policy", None))
                 if not survivors:
                     raise RuntimeError(
                         "every base learner failed to train")
                 if self.pruner is not None:
                     self.pruner.fit(instances, labels, self.space)
             events.emit(EV_STAGE_END, stage="fit",
-                        elapsed_seconds=profile.seconds("fit"),
+                        elapsed_seconds=stage_span.span.elapsed,
                         items=len(survivors))
             events.emit(EV_STAGE_START, stage="cv")
-            with profile.stage("cv"):
+            with trace.span("cv") as stage_span:
                 self.meta = train_meta_learner(
                     survivors, instances, labels, self.space,
                     folds=self.folds, seed=self.seed,
                     uniform=not self.use_meta_learner,
-                    executor=self.executor, profile=profile,
-                    observer=obs)
+                    executor=self.executor, observer=obs)
             events.emit(EV_STAGE_END, stage="cv",
-                        elapsed_seconds=profile.seconds("cv"))
+                        elapsed_seconds=stage_span.span.elapsed)
         self.active_learners = survivors
-        self.train_profile = profile
         # Any live worker pool holds the pre-retrain model; drop it so
         # the next process-backend match rebuilds on the fresh one.
         self.close_pool()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ..learners.base import BaseLearner
 from ..learners.meta import StackingMetaLearner, cross_validate_many
-from ..observability import Observer, StageProfile, resolve_observer
+from ..observability import Observer, resolve_observer
 from ..observability.metrics import M_TRAIN_INSTANCES
 from ..resilience.policy import call_with_timeout
 from ..resilience.sites import SITE_LEARNER_FIT
@@ -84,7 +84,6 @@ def build_training_set(sources: list[TrainingSource],
 def train_base_learners(learners: list[BaseLearner],
                         instances: list[ElementInstance],
                         labels: list[str], space: LabelSpace,
-                        profile: StageProfile | None = None,
                         observer: Observer | None = None,
                         policy=None) -> list[BaseLearner]:
     """§3.1 step 4: fit every base learner on the training stream.
@@ -97,20 +96,17 @@ def train_base_learners(learners: list[BaseLearner],
     in the policy's degradation report, so one broken learner cannot
     take down the training run.
 
-    ``profile``/``observer`` record one ``fit.<learner>`` timing and
-    span per base learner.
+    ``observer`` records one ``fit.<learner>`` span per base learner.
     """
     obs = resolve_observer(observer)
     names = [learner.name for learner in learners]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate learner names: {names}")
-    profile = profile if profile is not None else StageProfile()
     obs.metrics.counter(M_TRAIN_INSTANCES).inc(len(instances))
     survivors: list[BaseLearner] = []
     for learner in learners:
-        with profile.stage(f"fit.{learner.name}"), \
-                obs.trace.span(f"fit.{learner.name}",
-                               instances=len(instances)):
+        with obs.trace.span(f"fit.{learner.name}",
+                            instances=len(instances)):
             if policy is None:
                 learner.fit(instances, labels, space)
                 survivors.append(learner)
@@ -138,7 +134,6 @@ def train_meta_learner(learners: list[BaseLearner],
                        folds: int = 5, seed: int = 0,
                        uniform: bool = False,
                        executor: ParallelExecutor | None = None,
-                       profile: StageProfile | None = None,
                        observer: Observer | None = None
                        ) -> StackingMetaLearner:
     """§3.1 step 5: cross-validate the base learners and fit the stacking
@@ -147,7 +142,7 @@ def train_meta_learner(learners: list[BaseLearner],
 
     Cross-validation runs the (learner × fold) tasks through
     ``executor`` for its resilience policy, serially, and gathers the
-    results into learner order. ``profile`` and ``observer`` flow into
+    results into learner order. ``observer`` flows into
     :func:`~repro.learners.meta.cross_validate_many`.
     """
     obs = resolve_observer(observer)
@@ -158,7 +153,7 @@ def train_meta_learner(learners: list[BaseLearner],
     per_learner = cross_validate_many(learners, instances, labels, space,
                                       folds=folds, seed=seed,
                                       executor=resolve(executor),
-                                      profile=profile, observer=obs)
+                                      observer=obs)
     cv_scores = {
         learner.name: scores
         for learner, scores in zip(learners, per_learner)

@@ -23,7 +23,7 @@ from ..core.instance import ElementInstance
 from ..core.labels import LabelSpace
 from ..core.parallel import ParallelExecutor, resolve
 from ..core.prediction import normalize_matrix
-from ..observability import Observer, StageProfile, resolve_observer
+from ..observability import Observer, resolve_observer
 from ..observability.metrics import M_CV_TASKS
 from .base import BaseLearner
 
@@ -56,7 +56,6 @@ def cross_validate_many(learners: Sequence[BaseLearner],
                         labels: Sequence[str], space: LabelSpace,
                         folds: int = 5, seed: int = 0,
                         executor: ParallelExecutor | None = None,
-                        profile: StageProfile | None = None,
                         observer: Observer | None = None
                         ) -> list[np.ndarray]:
     """Out-of-fold predictions for every learner, one task per
@@ -81,9 +80,8 @@ def cross_validate_many(learners: Sequence[BaseLearner],
     at any worker count; results are gathered positionally into
     per-learner matrices whose fold blocks are disjoint rows.
 
-    ``profile`` accumulates per-learner fold timings
-    (``cv.learner.<name>``); ``observer`` records a ``cv`` span with
-    one child per (learner, fold) task.
+    ``observer`` records a ``folds`` span with one
+    ``fold.<learner>.<k>`` child per (learner, fold) task.
     """
     obs = resolve_observer(observer)
     n = len(instances)
@@ -103,24 +101,18 @@ def cross_validate_many(learners: Sequence[BaseLearner],
              for fold, (train_idx, held_out)
              in enumerate(zip(train_sets, boundaries))]
     obs.metrics.counter(M_CV_TASKS).inc(len(tasks))
-    with obs.trace.span("cv", folds=folds,
-                        learners=len(learners)) as cv_span:
+    with obs.trace.span("folds", folds=folds,
+                        learners=len(learners)) as folds_span:
 
-        def run_task(task, prof: StageProfile) -> np.ndarray:
+        def run_task(task) -> np.ndarray:
             learner, fold, train_idx, held_out = task
-            with prof.stage(f"cv.learner.{learner.name}"), \
-                    obs.trace.span(f"fold.{learner.name}.{fold}",
-                                   parent=cv_span.span_id,
-                                   held_out=len(held_out)):
+            with obs.trace.span(f"fold.{learner.name}.{fold}",
+                                parent=folds_span.span_id,
+                                held_out=len(held_out)):
                 return _run_fold(learner, instances, labels, space,
                                  train_idx, held_out)
 
-        pool = resolve(executor)
-        if profile is not None:
-            blocks = pool.map_profiled(run_task, tasks, profile)
-        else:
-            blocks = pool.map(
-                lambda task: run_task(task, StageProfile()), tasks)
+        blocks = resolve(executor).map(run_task, tasks)
     matrices: list[np.ndarray] = []
     for learner_index in range(len(learners)):
         scores = np.zeros((n, n_labels))
@@ -135,14 +127,12 @@ def cross_validate(learner: BaseLearner,
                    labels: Sequence[str], space: LabelSpace,
                    folds: int = 5, seed: int = 0,
                    executor: ParallelExecutor | None = None,
-                   profile: StageProfile | None = None,
                    observer: Observer | None = None) -> np.ndarray:
     """Out-of-fold predictions of one learner — see
     :func:`cross_validate_many`, whose single-learner case this is."""
     return cross_validate_many(
         [learner], instances, labels, space,
-        folds=folds, seed=seed, executor=executor, profile=profile,
-        observer=observer)[0]
+        folds=folds, seed=seed, executor=executor, observer=observer)[0]
 
 
 class StackingMetaLearner:

@@ -1,15 +1,17 @@
 """Observability: tracing, metrics, quality telemetry, and run reports.
 
-The matching phase is the hot path of the system; the ROADMAP's
-production goal means its cost structure — and the *reasons* behind
-each proposed mapping — must stay visible as the code grows. Four
-primitives cover it:
+The matching phase is the hot path of the system; its cost structure
+— and the *reasons* behind each proposed mapping — must stay visible as
+the code grows. The primitives:
 
-* :class:`StageProfile` (``timers``) — nested wall-clock timings plus
-  monotonic counters; the compatibility facade behind ``--profile``;
 * :class:`TraceCollector` (``trace``) — hierarchical spans with
-  deterministic ids, merged across worker threads, exported as JSONL
-  via ``--trace-out``;
+  deterministic ids, including the spans replayed from worker
+  processes, exported as JSONL via ``--trace-out``. It is the one
+  timing record: matching and training always keep one;
+* :class:`StageProfile` (``timers``) — a read-only view derived from
+  one ``match`` span subtree: per-stage timings and run counters,
+  behind ``--profile``, ``MatchResult.timings`` and the report's
+  ``stages`` section;
 * :class:`MetricsRegistry` (``metrics``) — named counters, gauges and
   fixed-bucket histograms with p50/p90/p99 summaries and worker-side
   ``merge()``;
@@ -18,7 +20,8 @@ primitives cover it:
   ``--report-out``.
 
 :class:`Observer` bundles the sinks into the single optional handle the
-pipelines accept; the disabled default (:data:`NO_OP`) costs nothing.
+pipelines accept; its disabled default (:data:`NO_OP`) records spans
+only, into a private per-call collector (:func:`with_trace`).
 """
 
 from .artifacts import atomic_append_jsonl, atomic_write_text
@@ -33,6 +36,7 @@ from .metrics import (BYTE_BUCKETS, CATALOGUE, CPU_BUCKETS,
                       refresh_derived_gauges)
 from .observer import NO_OP, Observer
 from .observer import resolve as resolve_observer
+from .observer import with_trace
 from .quality import QualityRecord, build_quality_records
 from .report import (build_match_report, dataset_fingerprint,
                      load_report, load_schema, render_text,
@@ -57,5 +61,5 @@ __all__ = [
     "read_jsonl", "read_proc_self", "refresh_derived_gauges",
     "registry_from_summary", "render_openmetrics", "render_text",
     "resolve_observer", "validate_events", "validate_file",
-    "validate_report", "write_report",
+    "validate_report", "with_trace", "write_report",
 ]

@@ -2,10 +2,11 @@
 
 Pipelines take a single optional ``observer`` argument instead of
 separate tracer/metrics/quality parameters. A disabled observer (the
-default, :data:`NO_OP`) carries the null tracer and null registry, so
-instrumentation hooks compile down to no-op calls — the microbenchmark
-in ``benchmarks/test_observability_overhead.py`` pins that overhead
-below 3% of a matching run.
+default, :data:`NO_OP`) makes metric hooks no-op calls. Spans are
+always recorded by matching and training (:func:`with_trace`), since
+every stage timing is derived from them;
+``benchmarks/test_observability_overhead.py`` pins that cost below 3%
+of the fastest matching run.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ class Observer:
         return cls(TraceCollector(), MetricsRegistry(),
                    collect_quality=True, events=events)
 
-    @property
-    def enabled(self) -> bool:
-        return (self.trace.enabled or self.metrics.enabled
-                or self.collect_quality or self.events.enabled)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [
             "trace" if self.trace.enabled else "",
@@ -70,3 +66,14 @@ NO_OP = Observer()
 def resolve(observer: Observer | None) -> Observer:
     """``observer`` or the disabled default."""
     return observer if observer is not None else NO_OP
+
+
+def with_trace(observer: Observer | None) -> Observer:
+    """``observer`` (or the disabled default) with a live trace: the
+    caller's collector when it keeps one, else a private collector for
+    this call, sharing every other sink."""
+    obs = resolve(observer)
+    if obs.trace.enabled:
+        return obs
+    return Observer(TraceCollector(), obs.metrics, obs.collect_quality,
+                    obs.events)

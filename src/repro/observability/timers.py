@@ -1,90 +1,72 @@
-"""Per-stage wall-clock timers and counters for the pipelines.
+"""Per-stage timings and counters, derived from one span subtree.
 
-A :class:`StageProfile` accumulates named timings and counters for one
-pipeline run. Stage names are dotted paths — ``predict.learner.whirl``
-nests under ``predict`` — so nesting is explicit in the name rather than
-kept on an implicit stack. That keeps the profile correct when stages
-run concurrently on worker threads: each ``stage()`` context manager
-only touches its own path, and all writes go through one lock.
-
-Timings for the same path accumulate (a stage entered five times reports
-the total), which is what a per-learner breakdown across structure
-passes wants.
+The span tree (:mod:`.trace`) is the one timing record of a run; a
+:class:`StageProfile` is the read-only view of one ``match`` subtree
+behind ``--profile``, ``MatchResult.timings`` and the report's
+``stages``. Timings sum each descendant span's ``elapsed`` under its
+dotted path below the root, with repeat (``#n``) and shard (``.s<k>``)
+suffixes folded: ``match/predict/learner.whirl.s1#2`` counts under
+``predict.learner.whirl``. Counters sum the span attributes listed in
+:data:`COUNTERS`.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-import time
-from contextlib import contextmanager
-from typing import Iterator
+import re
+from dataclasses import dataclass, field
+from typing import Iterable
+
+#: span name -> {attribute: counter}: the span attributes that are run
+#: counters. Repeated spans sum.
+COUNTERS: dict[str, dict[str, str]] = {
+    "match": {"tags": "tags", "instances": "instances",
+              "cache_hits": "cache_hits",
+              "cache_misses": "cache_misses"},
+    "structure_pass": {"repredicted": "structure_repredicted"},
+    "search": {stat: f"constraint_{stat}" for stat in (
+        "nodes_expanded", "prune_bound", "prune_hard",
+        "prune_soft_bound", "leaf_hard_rejects")},
+}
+
+_SHARD_SUFFIX = re.compile(r"\.s\d+$")
 
 
+@dataclass
 class StageProfile:
-    """Thread-safe per-stage wall-times and counters for one run."""
+    """Stage path -> seconds and counter -> value for one run."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._timings: dict[str, float] = {}
-        self._counters: dict[str, int] = {}
+    timings: dict[str, float] = field(default_factory=dict)
+    counters: dict[str, int] = field(default_factory=dict)
 
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    @contextmanager
-    def stage(self, path: str) -> Iterator[None]:
-        """Time a ``with`` block under ``path`` (dotted = nested)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(path, time.perf_counter() - start)
-
-    def add_time(self, path: str, seconds: float) -> None:
-        """Accumulate ``seconds`` of wall time under ``path``."""
-        with self._lock:
-            self._timings[path] = self._timings.get(path, 0.0) + seconds
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Increment the counter ``name`` by ``amount``."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    @property
-    def timings(self) -> dict[str, float]:
-        """Snapshot of path -> accumulated seconds."""
-        with self._lock:
-            return dict(self._timings)
-
-    @property
-    def counters(self) -> dict[str, int]:
-        """Snapshot of name -> count."""
-        with self._lock:
-            return dict(self._counters)
+    @staticmethod
+    def from_spans(spans: Iterable, root_id: str) -> "StageProfile":
+        """The view of ``root_id``'s subtree; ``spans`` may hold spans
+        outside it, which are ignored."""
+        prefix = root_id + "/"
+        timings: dict[str, float] = {}
+        counters: dict[str, int] = {}
+        for span in spans:
+            if span.span_id != root_id:
+                if not span.span_id.startswith(prefix):
+                    continue
+                path = ".".join(
+                    _SHARD_SUFFIX.sub("", part.partition("#")[0])
+                    for part in span.span_id[len(prefix):].split("/"))
+                timings[path] = timings.get(path, 0.0) + span.elapsed
+            attributes = span.attributes
+            for attribute, counter in COUNTERS.get(span.name, {}).items():
+                if attribute in attributes:
+                    counters[counter] = \
+                        counters.get(counter, 0) + attributes[attribute]
+            if span.name == "structure_pass" and "repredicted" in attributes:
+                # Passes that re-predicted something (the last one may not).
+                counters["structure_passes"] = \
+                    counters.get("structure_passes", 0) + 1
+        return StageProfile(timings, counters)
 
     def seconds(self, path: str) -> float:
         """Accumulated seconds under ``path`` (0.0 if never entered)."""
-        with self._lock:
-            return self._timings.get(path, 0.0)
-
-    def merge(self, other: "StageProfile") -> "StageProfile":
-        """Accumulate another profile's timings and counters into this
-        one (same-path entries add). Worker-side profiles from
-        :meth:`~repro.core.parallel.ParallelExecutor.map_profiled` fold
-        back through here, so per-stage numbers survive fan-out."""
-        snapshot = other.as_dict()
-        with self._lock:
-            for path, seconds in snapshot["timings"].items():
-                self._timings[path] = \
-                    self._timings.get(path, 0.0) + seconds
-            for name, amount in snapshot["counters"].items():
-                self._counters[name] = \
-                    self._counters.get(name, 0) + amount
-        return self
+        return self.timings.get(path, 0.0)
 
     def top_level_total(self) -> float:
         """Total seconds across the top-level stages.
@@ -98,32 +80,13 @@ class StageProfile:
                    if "." not in path)
 
     def as_dict(self) -> dict:
-        """JSON-ready ``{"timings": ..., "counters": ...}`` snapshot."""
-        return {"timings": self.timings, "counters": self.counters}
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+        """JSON-ready ``{"timings": ..., "counters": ...}`` copy."""
+        return {"timings": dict(self.timings),
+                "counters": dict(self.counters)}
 
     def table(self) -> str:
         """Human-readable stage table (see :func:`format_profile_table`)."""
         return format_profile_table(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._lock:
-            return (f"<StageProfile {len(self._timings)} stages, "
-                    f"{len(self._counters)} counters>")
-
-    # ------------------------------------------------------------------
-    # pickling (profiles ride along on saved systems; locks cannot
-    # cross the pickle boundary, so a fresh one is made on load)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        return self.as_dict()
-
-    def __setstate__(self, state: dict) -> None:
-        self._lock = threading.Lock()
-        self._timings = dict(state["timings"])
-        self._counters = dict(state["counters"])
 
 
 def _fill_implicit(timings: dict[str, float]) -> dict[str, float]:
@@ -157,11 +120,9 @@ def format_profile_table(profile: StageProfile) -> str:
     ``predict.learner.whirl`` exists) appear as implicit rows showing
     the sum of their children.
     """
-    timings = profile.timings
     counters = profile.counters
-    full = _fill_implicit(timings)
-    total = sum(seconds for path, seconds in full.items()
-                if "." not in path)
+    full = _fill_implicit(profile.timings)
+    total = profile.top_level_total()
 
     def sort_key(path: str) -> tuple:
         # Keep children right after their parent, slowest parents first.

@@ -1,11 +1,12 @@
 """Hierarchical tracing: spans with deterministic ids, exported as JSONL.
 
 A :class:`TraceCollector` records one tree of :class:`Span` records per
-run. Spans carry wall-clock start/end timestamps and free-form
-attributes; parenthood is tracked per thread (a span opened inside
-another span on the same thread becomes its child), and fan-out across
-:class:`~repro.core.parallel.ParallelExecutor` workers passes the parent
-explicitly, so worker-side spans merge into the same tree.
+run — the one timing record the pipelines keep (stage profiles, stage
+events and report sections are derived from it; see :mod:`.timers`).
+Spans carry wall-clock start/end timestamps and free-form attributes;
+a span opened inside another span on the same thread becomes its
+child, and spans measured in worker processes are replayed through
+:meth:`TraceCollector.emit` under the fan-out's explicit parent.
 
 Span ids are *path strings* derived from the span's position in the
 tree — ``match/predict/learner.whirl`` — with a ``#n`` suffix for
@@ -13,14 +14,10 @@ repeat occurrences of the same name under the same parent. Ids are
 therefore a function of tree structure alone: a run at ``--workers 4``
 produces exactly the same id set as ``--workers 1`` (only the recorded
 timings differ), which is what lets tests and tooling diff traces
-across configurations. The one caveat: two spans with the *same* name
-under the *same* parent started concurrently race for their ``#n``
-suffixes; the pipelines give concurrent siblings distinct names
-(learner names, fold indices) so the race never bites in practice.
+across configurations.
 
-:data:`NULL_TRACE` is the shared no-op collector — ``span()`` returns a
-reusable empty context manager, so instrumented code pays a dictionary
-lookup and nothing else when tracing is off.
+:data:`NULL_TRACE` is the shared no-op collector for callers that keep
+no trace; matching and training swap in a private collector instead.
 """
 
 from __future__ import annotations
@@ -106,9 +103,7 @@ class TraceCollector:
         # drives the deterministic ``#n`` id suffix.
         self._occurrences: dict[tuple[str | None, str], int] = {}
 
-    @property
-    def enabled(self) -> bool:
-        return True
+    enabled = True
 
     # ------------------------------------------------------------------
     # recording
@@ -124,18 +119,9 @@ class TraceCollector:
         if parent is None:
             stack = getattr(self._local, "stack", None)
             parent = stack[-1] if stack else None
-        if "/" in name or "#" in name:
-            raise ValueError(
-                f"span name {name!r} may not contain '/' or '#'")
-        with self._lock:
-            key = (parent, name)
-            n = self._occurrences.get(key, 0)
-            self._occurrences[key] = n + 1
-        suffix = f"#{n}" if n else ""
-        span_id = f"{parent}/{name}{suffix}" if parent else \
-            f"{name}{suffix}"
         return _ActiveSpan(
-            self, Span(name, span_id, parent, attributes=attributes))
+            self, Span(name, self._allocate_id(parent, name), parent,
+                       attributes=attributes))
 
     def emit(self, name: str, parent: str | None = None,
              start: float = 0.0, elapsed: float = 0.0,
@@ -150,6 +136,16 @@ class TraceCollector:
         implicit: a replayed span belongs to the fan-out's parent, not
         to whatever the replaying thread happens to have open.
         """
+        span = Span(name, self._allocate_id(parent, name), parent, start,
+                    elapsed, dict(attributes or {}))
+        with self._lock:
+            self._spans.append(span)
+        return span.span_id
+
+    def _allocate_id(self, parent: str | None, name: str) -> str:
+        """The deterministic id of the next ``name`` span under
+        ``parent``: its path, ``#n``-suffixed from the second
+        occurrence on."""
         if "/" in name or "#" in name:
             raise ValueError(
                 f"span name {name!r} may not contain '/' or '#'")
@@ -157,14 +153,8 @@ class TraceCollector:
             key = (parent, name)
             n = self._occurrences.get(key, 0)
             self._occurrences[key] = n + 1
-        suffix = f"#{n}" if n else ""
-        span_id = f"{parent}/{name}{suffix}" if parent else \
-            f"{name}{suffix}"
-        span = Span(name, span_id, parent, start, elapsed,
-                    dict(attributes or {}))
-        with self._lock:
-            self._spans.append(span)
-        return span_id
+        span_id = f"{name}#{n}" if n else name
+        return f"{parent}/{span_id}" if parent else span_id
 
     def _push(self, span: Span) -> None:
         stack = getattr(self._local, "stack", None)
@@ -249,7 +239,9 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullTraceCollector:
-    """The disabled collector: every operation is a no-op."""
+    """The disabled collector: spans opened on it are no-ops. Code that
+    reads or exports a trace swaps in a live one first
+    (:func:`~repro.observability.observer.with_trace`)."""
 
     enabled = False
     spans: list[Span] = []
@@ -257,25 +249,6 @@ class NullTraceCollector:
     def span(self, name: str, parent: str | None = None,
              **attributes) -> _NullSpan:
         return _NULL_SPAN
-
-    def emit(self, name: str, parent: str | None = None,
-             start: float = 0.0, elapsed: float = 0.0,
-             attributes: dict | None = None) -> None:
-        return None
-
-    def roots(self) -> list[Span]:
-        return []
-
-    def children_of(self, span_id: str) -> list[Span]:
-        return []
-
-    def to_jsonl(self) -> str:
-        return ""
-
-    def write_jsonl(self, path: str | Path, plan=None) -> None:
-        from .artifacts import atomic_write_text
-
-        atomic_write_text(path, "", plan=plan)
 
     def __len__(self) -> int:
         return 0

@@ -31,3 +31,24 @@ def training_set(pairs: list[tuple[ElementInstance, str]]
     instances = [instance for instance, _ in pairs]
     labels = [label for _, label in pairs]
     return instances, labels
+
+
+
+class LegacyStageProfile:
+    """Stand-in for the old locked ``StageProfile`` recorder.
+
+    Installed as ``repro.observability.timers.StageProfile`` while
+    pickling (``monkeypatch.setattr``), it writes what the recorder
+    wrote into old model files: that class name plus a
+    ``{"timings", "counters"}`` state dict.
+    """
+
+    __module__ = "repro.observability.timers"
+    __qualname__ = "StageProfile"
+
+    def __init__(self, timings: dict, counters: dict) -> None:
+        self.timings = dict(timings)
+        self.counters = dict(counters)
+
+    def __getstate__(self) -> dict:
+        return {"timings": self.timings, "counters": self.counters}

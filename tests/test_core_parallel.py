@@ -60,28 +60,24 @@ class TestMap:
 
 class TestMapProfiled:
     @staticmethod
-    def _timed(x, profile):
-        with profile.stage(f"task.{x % 2}"):
-            profile.count("tasks")
-        return x * 2
-
-    def test_serial_shares_the_profile(self):
-        from repro.observability import StageProfile
-        profile = StageProfile()
-        results = ParallelExecutor(1).map_profiled(
-            self._timed, range(4), profile)
-        assert results == [0, 2, 4, 6]
-        assert profile.counters["tasks"] == 4
+    def _traced(trace):
+        def task(x):
+            with trace.span(f"task.{x % 2}"):
+                return x * 2
+        return task
 
     def test_parallel_matches_serial(self):
-        from repro.observability import StageProfile
-        serial, parallel = StageProfile(), StageProfile()
-        a = ParallelExecutor(1).map_profiled(self._timed, range(10),
-                                             serial)
-        b = ParallelExecutor(4).map_profiled(self._timed, range(10),
-                                             parallel)
-        assert a == b
-        assert serial.counters == parallel.counters
+        # Plain items never reach a pool: any worker count maps in
+        # order and records the same spans.
+        from repro.observability import TraceCollector
+        serial, parallel = TraceCollector(), TraceCollector()
+        a = ParallelExecutor(1).map_profiled(self._traced(serial),
+                                             range(10))
+        b = ParallelExecutor(4).map_profiled(self._traced(parallel),
+                                             range(10))
+        assert a == b == [2 * x for x in range(10)]
+        assert [span.span_id for span in serial.spans] == \
+            [span.span_id for span in parallel.spans]
 
 
 class TestConstruction:

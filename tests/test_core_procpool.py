@@ -10,12 +10,20 @@ normal shutdown, worker crashes, or abandonment — is pinned here.
 """
 
 import gc
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import repro
 from repro.core.instance import ElementInstance
 from repro.core.parallel import ParallelExecutor
 from repro.core.procpool import (ProcessTask, RemoteTaskError, TaskFailure,
@@ -23,7 +31,6 @@ from repro.core.procpool import (ProcessTask, RemoteTaskError, TaskFailure,
 from repro.core.shared_arrays import (SharedArrayStore, extract_arrays,
                                       layout, restore, segment_exists)
 from repro.learners import NameMatcher
-from repro.observability import StageProfile
 
 from .helpers import make_instance, space_of, training_set
 
@@ -177,7 +184,11 @@ class TestWorkerPool:
         reply = events[0][2]
         assert reply[0] == "ok" and reply[1] == 0
         assert np.array_equal(reply[2], expected)
-        assert isinstance(reply[3], StageProfile)
+        # The reply ends in the (start, elapsed) span timing; it
+        # carries no profile.
+        assert len(reply) == 4
+        start, elapsed = reply[3]
+        assert start > 0 and elapsed >= 0
 
     def test_armed_failure_travels_as_value(self, pool):
         token = pool.ship_batch(_query_instances())
@@ -224,6 +235,71 @@ class TestWorkerPool:
         assert not segment_exists(name)
 
 
+#: Starts a 2-worker pool, reports its segment and worker pids, then
+#: waits to be killed.
+_ORPHANING_PARENT = """
+import time
+from repro.core.procpool import WorkerPool
+from tests.test_core_procpool import _fitted_name_matcher
+pool = WorkerPool([_fitted_name_matcher()], workers=2)
+print(pool.segment_name,
+      *(handle.process.pid for handle in pool._workers.values()),
+      flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """A SIGKILLed parent runs no cleanup: its workers must notice
+        the dead pipe on their own (every copy of the parent end is
+        closed), not linger forever."""
+        root = Path(__file__).resolve().parents[1]
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(src), str(root)]))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHANING_PARENT], cwd=root, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        try:
+            segment, *pids = parent.stdout.readline().split()
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        workers = [int(pid) for pid in pids]
+        assert len(workers) == 2
+        alive = workers
+        for _ in range(100):  # 5 s
+            alive = [pid for pid in alive if _running(pid)]
+            if not alive:
+                break
+            time.sleep(0.05)
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        # The killed parent never released its segment; its resource
+        # tracker may already have, once the last worker exited.
+        try:
+            leaked = shared_memory.SharedMemory(name=segment)
+        except FileNotFoundError:
+            pass
+        else:
+            leaked.close()
+            leaked.unlink()
+        assert not alive, f"workers outlived their parent: {alive}"
+
+
 class TestRunProcessMap:
     @staticmethod
     def _tasks(batch, learner_name="name_matcher", fallbacks=None):
@@ -234,7 +310,7 @@ class TestRunProcessMap:
                 payload={"kind": "predict", "learner": learner_name,
                          "start": index, "stop": index + 1},
                 batch=batch,
-                fallback=(lambda profile, v=value, i=index:
+                fallback=(lambda v=value, i=index:
                           f"fallback-{i}" if v is None else v)))
         return tasks
 
@@ -246,7 +322,7 @@ class TestRunProcessMap:
                                         pool=pool)
             batch = _query_instances()
             results = run_process_map(executor, self._tasks(batch),
-                                      StageProfile(), "predict")
+                                      "predict")
             assert results == [f"fallback-{i}" for i in range(len(batch))]
         finally:
             pool.shutdown()
@@ -265,7 +341,7 @@ class TestRunProcessMap:
             batch = _query_instances()
             results = run_process_map(
                 executor, self._tasks(batch, learner_name="suicide"),
-                StageProfile(), "predict")
+                "predict")
             assert results == [f"fallback-{i}" for i in range(len(batch))]
             assert pool.broken
             assert not segment_exists(name)

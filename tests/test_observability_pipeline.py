@@ -4,8 +4,9 @@ progress events a real match emits."""
 
 import pytest
 
-from repro.observability import (Observer, parse_openmetrics,
-                                 render_openmetrics)
+from repro.observability import (Observer, build_match_report,
+                                 parse_openmetrics, render_openmetrics,
+                                 validate_report)
 from repro.observability.events import EventStream, validate_file
 from repro.observability.expo import samples_for
 from repro.observability.metrics import (M_POOL_QUEUE_WAIT, M_POOL_TASKS,
@@ -146,3 +147,84 @@ class TestMatchEvents:
                     if e["kind"] == "shard_complete"]
 
         assert heartbeat_set(1) == heartbeat_set(4)
+
+
+class TestOneInstrumentationSpine:
+    """Every timing view of a match is read off its span tree."""
+
+    @staticmethod
+    def _observed_match(system, tmp_path, workers: int):
+        events = EventStream(tmp_path / f"events{workers}.jsonl")
+        observer = Observer.full(events=events)
+        system.workers = workers
+        try:
+            result = system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
+                                  observer=observer)
+        finally:
+            system.close_pool()
+            system.workers = 1
+            events.close()
+        return result, observer, events.events
+
+    def test_every_view_equals_the_span_elapsed(self, system, tmp_path):
+        result, observer, events = self._observed_match(system,
+                                                        tmp_path, 1)
+        spans = {span.span_id: span for span in observer.trace.spans}
+        stages = ("extract", "predict", "constrain")
+        elapsed = {stage: spans[f"match/{stage}"].elapsed
+                   for stage in stages}
+
+        assert result.timings == {"extract": elapsed["extract"],
+                                  "predict": elapsed["predict"],
+                                  "constraints": elapsed["constrain"]}
+        counters = result.profile.counters
+        report = build_match_report(
+            config={"workers": 1},
+            dataset={"fingerprint": "greathomes",
+                     "tags": counters["tags"],
+                     "instances": counters["instances"]},
+            result=result, observer=observer)
+        assert validate_report(report) == []
+        for stage in stages:
+            assert report["stages"]["timings"][stage] == elapsed[stage]
+        ends = {event["stage"]: event["elapsed_seconds"]
+                for event in events if event["kind"] == "stage_end"}
+        assert ends == elapsed
+
+        # The --profile table: one top-level row per child span of
+        # ``match``, totalling their elapsed.
+        top = [span for span in spans.values()
+               if span.parent_id == "match"]
+        table = result.profile.table()
+        for span in top:
+            row = next(line for line in table.splitlines()
+                       if line.split()[:1] == [span.name])
+            assert f"{span.elapsed:9.4f}s" in row
+        assert result.profile.top_level_total() == pytest.approx(
+            sum(span.elapsed for span in top), rel=1e-12)
+        learners = [span for span in spans.values()
+                    if span.name.startswith("learner.name_matcher")]
+        assert result.profile.seconds(
+            "predict.learner.name_matcher") == pytest.approx(
+                sum(span.elapsed for span in learners), rel=1e-12)
+
+    def test_serial_and_process_views_agree(self, system, tmp_path):
+        serial, _, _ = self._observed_match(system, tmp_path, 1)
+        process, _, _ = self._observed_match(system, tmp_path, 2)
+        # The featurize cache counters describe this process's cache,
+        # which pool workers bypass and earlier runs warm: same keys,
+        # values that depend on where and when the run happened.
+        local = ("cache_hits", "cache_misses")
+
+        def deterministic(profile):
+            return {name: value for name, value in profile.counters.items()
+                    if name not in local}
+
+        assert deterministic(process.profile) == \
+            deterministic(serial.profile)
+        assert set(process.profile.counters) == \
+            set(serial.profile.counters)
+        assert set(process.profile.timings) == \
+            set(serial.profile.timings)
+        assert serial.profile.counters["instances"] > 0
+        assert serial.profile.counters["structure_passes"] >= 1

@@ -24,10 +24,9 @@ def _record(tag: str = "price", assigned: str = "PRICE",
 
 
 def _result(records=None) -> SimpleNamespace:
-    profile = StageProfile()
-    profile.add_time("extract", 0.25)
-    profile.add_time("predict.learner.naive_bayes", 0.5)
-    profile.count("instances", 40)
+    profile = StageProfile({"extract": 0.25,
+                            "predict.learner.naive_bayes": 0.5},
+                           {"instances": 40})
     return SimpleNamespace(
         profile=profile,
         quality=list(records if records is not None else [_record()]),

@@ -10,6 +10,9 @@ from repro.core.persistence import (FORMAT_VERSION, ModelFormatError,
                                     load_system, save_system)
 from repro.datasets import load_domain
 from repro.evaluation import SystemConfig, build_system
+from repro.observability import timers
+
+from .helpers import LegacyStageProfile
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +96,43 @@ class TestRunSettings:
             save_system(system, path)
         loaded = load_system(path)
         assert (loaded.workers, loaded.backend) == (1, "process")
+
+        test = domain.sources[4]
+        listings = test.listings(20)
+        reference = system.match(test.schema, listings)
+        result = loaded.match(test.schema, listings)
+        assert dict(result.mapping.items()) == \
+            dict(reference.mapping.items())
+        assert set(result.tag_scores) == set(reference.tag_scores)
+        for tag, scores in reference.tag_scores.items():
+            assert np.array_equal(result.tag_scores[tag], scores), tag
+
+
+    def test_legacy_train_profile_is_dropped(self, trained, tmp_path,
+                                              monkeypatch):
+        """Model files written while training kept a stage profile
+        carry ``train_profile``, pickled as the old locked
+        ``StageProfile`` recorder. Loading drops it, and the loaded
+        model matches byte-identically to the original."""
+        domain, system = trained
+
+        def legacy_getstate(self):
+            state = dict(self.__dict__)
+            state.update(policy=None, _procpool=None,
+                         train_profile=LegacyStageProfile(
+                             {"build": 0.5, "fit": 1.0, "cv": 2.0},
+                             {}))
+            return state
+
+        path = tmp_path / "legacy.lsd"
+        with monkeypatch.context() as patch:
+            patch.setattr(LSDSystem, "__getstate__", legacy_getstate)
+            patch.setattr(timers, "StageProfile", LegacyStageProfile)
+            save_system(system, path)
+        assert b"train_profile" in path.read_bytes()
+        loaded = load_system(path)
+        assert not hasattr(loaded, "train_profile")
+        assert "train_profile" not in loaded.__getstate__()
 
         test = domain.sources[4]
         listings = test.listings(20)
