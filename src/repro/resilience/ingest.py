@@ -26,15 +26,16 @@ def ingest_fragments(text: str, mode: str = "strict",
         -> tuple[list[Element], RecoveryLog]:
     """Parse sibling listings under ``mode``, injecting ingest faults.
 
-    ``strict`` mode reassembles the (possibly corrupted) chunks and
-    parses them strictly — an injected corruption therefore raises,
-    which is exactly the brittleness the lenient modes exist to fix.
+    ``strict`` mode parses the (possibly corrupted) chunks strictly —
+    an injected corruption therefore raises, which is exactly the
+    brittleness the lenient modes exist to fix. Each chunk's parse is
+    seeded with its position in ``text``, so the error's line and
+    column point into the file, as they do without a plan.
     """
     if plan is None or not plan.targets_site(SITE_INGEST_CHUNK):
         return read_fragments(text, mode, keep_whitespace)
     log = RecoveryLog()
     roots: list[Element] = []
-    pieces: list[str] = []
     for index, fragment in enumerate(split_fragments(text)):
         location = SourceLocation(fragment.line, fragment.column)
         chunk_text = fragment.text
@@ -56,17 +57,15 @@ def ingest_fragments(text: str, mode: str = "strict",
                 log.record("injected-fault",
                            f"listing corrupted by fault plan "
                            f"(style: {style})", location, index)
-        if mode == "strict":
-            pieces.append(chunk_text)
-            continue
         damaged = Fragment(chunk_text, fragment.line, fragment.column,
                            fragment.kind)
         roots.extend(parse_chunk(damaged, mode, log, index,
                                  keep_whitespace=keep_whitespace))
-    if mode == "strict":
-        return parse_fragments("\n".join(pieces),
-                               keep_whitespace=keep_whitespace), log
     if not roots:
+        if mode == "strict":
+            # No listing chunk at all: fail as the plain parse fails.
+            return parse_fragments(text, keep_whitespace=keep_whitespace), \
+                log
         log.record("no-elements",
                    "no listings could be parsed from the input",
                    SourceLocation(1, 1))

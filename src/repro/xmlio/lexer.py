@@ -1,21 +1,46 @@
-"""Character-level scanner shared by the XML and DTD parsers.
+"""Run-based scanner shared by the XML and DTD parsers.
 
-The scanner is a thin cursor over a string with line/column tracking and
-the small set of lookahead/consume primitives a recursive-descent parser
-needs. Both :mod:`repro.xmlio.parser` and :mod:`repro.xmlio.dtd` build on
-it so position reporting is consistent across the substrate.
+The scanner is a cursor (one ``pos``) over a string plus the small set
+of lookahead/consume primitives a recursive-descent parser needs. Every
+primitive consumes a whole run — a slice, an anchored regex match, or a
+jump to the next occurrence of a pattern — never one character per
+Python call. ``line``/``column`` are not tracked while scanning: they
+are computed on demand by bisecting an index of the text's newlines,
+built the first time a position is asked for. Both
+:mod:`repro.xmlio.parser` and :mod:`repro.xmlio.dtd` build on it so
+position reporting is consistent across the substrate.
 """
 
 from __future__ import annotations
 
-from .errors import XMLSyntaxError
+import re
+from bisect import bisect_left
+
+from .errors import SourceLocation, XMLSyntaxError
 
 #: Characters allowed to *start* an XML name (simplified to ASCII plus a
 #: couple of common extras; sufficient for schema-matching workloads).
-_NAME_START = set("abcdefghijklmnopqrstuvwxyz"
-                  "ABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz"
+                        "ABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 #: Characters allowed in the body of an XML name.
-_NAME_BODY = _NAME_START | set("0123456789.-")
+_NAME_BODY = _NAME_START | frozenset("0123456789.-")
+
+
+def _char_class(chars: frozenset[str]) -> str:
+    return "[" + "".join(re.escape(ch) for ch in sorted(chars)) + "]"
+
+
+#: An XML name, from the same character sets as :func:`is_name_start`
+#: and :func:`is_name_char`.
+NAME = re.compile(_char_class(_NAME_START) + _char_class(_NAME_BODY) + "*")
+#: A (possibly empty) run of name characters.
+NAME_CHARS = re.compile(_char_class(_NAME_BODY) + "*")
+#: A (possibly empty) run of whitespace: exactly the characters for
+#: which ``str.isspace()`` is true.
+WHITESPACE = re.compile(r"\s*")
+#: A run of character data up to the next markup or entity reference.
+CHAR_DATA = re.compile(r"[^<&]+")
+_NEWLINE = re.compile("\n")
 
 #: The five predefined XML entities.
 PREDEFINED_ENTITIES = {
@@ -38,20 +63,51 @@ def is_name_char(ch: str) -> bool:
 
 
 class Scanner:
-    """A cursor over ``text`` with line/column tracking.
+    """A cursor over ``text``; positions are computed, not tracked.
 
-    All parser-level consumption goes through :meth:`advance` so that the
-    position bookkeeping can never drift from the cursor.
+    ``pos`` is the only state the primitives move. :attr:`line` and
+    :attr:`column` are derived from it, so the reported position can
+    never drift from the cursor.
     """
 
     def __init__(self, text: str, line: int = 1, column: int = 1) -> None:
-        """``line``/``column`` seed the position bookkeeping — parsers
-        working on a slice of a larger document pass the slice's start
-        so every reported location is file-absolute."""
+        """``line``/``column`` give the position of ``text[0]`` —
+        parsers working on a slice of a larger document pass the slice's
+        start so every reported location is file-absolute."""
         self.text = text
         self.pos = 0
-        self.line = line
-        self.column = column
+        self.start_line = line
+        self.start_column = column
+        self._newlines: list[int] | None = None
+
+    # ------------------------------------------------------------------
+    # position
+    # ------------------------------------------------------------------
+    def location(self) -> SourceLocation:
+        """The 1-based (line, column) of the cursor."""
+        newlines = self._newlines
+        if newlines is None:
+            newlines = self._newlines = [
+                match.start() for match in _NEWLINE.finditer(self.text)]
+        before = bisect_left(newlines, self.pos)
+        if before == 0:
+            return SourceLocation(self.start_line,
+                                  self.start_column + self.pos)
+        return SourceLocation(self.start_line + before,
+                              self.pos - newlines[before - 1])
+
+    @property
+    def line(self) -> int:
+        return self.location().line
+
+    @property
+    def column(self) -> int:
+        return self.location().column
+
+    def error(self, message: str) -> XMLSyntaxError:
+        """Build a syntax error pinned at the current position."""
+        location = self.location()
+        return XMLSyntaxError(message, location.line, location.column)
 
     # ------------------------------------------------------------------
     # primitives
@@ -74,20 +130,25 @@ class Scanner:
 
     def advance(self, count: int = 1) -> str:
         """Consume ``count`` characters and return them."""
-        end = min(self.pos + count, len(self.text))
-        chunk = self.text[self.pos:end]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos = end
-        return chunk
+        start = self.pos
+        self.pos = min(start + count, len(self.text))
+        return self.text[start:self.pos]
 
-    def error(self, message: str) -> XMLSyntaxError:
-        """Build a syntax error pinned at the current position."""
-        return XMLSyntaxError(message, self.line, self.column)
+    def consume(self, pattern: re.Pattern) -> str:
+        """Consume and return ``pattern``'s match at the cursor
+        (``""`` when it does not match here)."""
+        match = pattern.match(self.text, self.pos)
+        if match is None:
+            return ""
+        self.pos = match.end()
+        return match.group()
+
+    def skip_to(self, pattern: re.Pattern) -> re.Match | None:
+        """Move to the start of ``pattern``'s next match and return it;
+        with no match ahead, move to EOF and return ``None``."""
+        match = pattern.search(self.text, self.pos)
+        self.pos = len(self.text) if match is None else match.start()
+        return match
 
     # ------------------------------------------------------------------
     # compound consumers
@@ -97,26 +158,19 @@ class Scanner:
         if not self.looking_at(literal):
             found = self.peek() or "<end of input>"
             raise self.error(f"expected {literal!r}, found {found!r}")
-        self.advance(len(literal))
+        self.pos += len(literal)
 
     def skip_whitespace(self) -> int:
         """Consume any run of whitespace; return how many chars were eaten."""
-        count = 0
-        while not self.at_end and self.peek().isspace():
-            self.advance()
-            count += 1
-        return count
+        return len(self.consume(WHITESPACE))
 
     def read_name(self) -> str:
         """Consume and return an XML name."""
-        if self.at_end or not is_name_start(self.peek()):
+        name = self.consume(NAME)
+        if not name:
             found = self.peek() or "<end of input>"
             raise self.error(f"expected a name, found {found!r}")
-        start = self.pos
-        self.advance()
-        while not self.at_end and is_name_char(self.peek()):
-            self.advance()
-        return self.text[start:self.pos]
+        return name
 
     def read_until(self, terminator: str) -> str:
         """Consume up to (but not including) ``terminator``; consume it too.
@@ -127,7 +181,7 @@ class Scanner:
         if index < 0:
             raise self.error(f"unterminated construct, expected {terminator!r}")
         chunk = self.text[self.pos:index]
-        self.advance(len(chunk) + len(terminator))
+        self.pos = index + len(terminator)
         return chunk
 
     def read_quoted(self) -> str:
@@ -135,7 +189,7 @@ class Scanner:
         quote = self.peek()
         if quote not in ("'", '"'):
             raise self.error("expected a quoted literal")
-        self.advance()
+        self.pos += 1
         return self.read_until(quote)
 
 

@@ -17,9 +17,12 @@ the behaviour LSD wants when reading data listings.
 
 from __future__ import annotations
 
-from .errors import SourceLocation
-from .lexer import Scanner, decode_entity, is_name_start
+import re
+
+from .lexer import CHAR_DATA, Scanner, decode_entity, is_name_start
 from .tree import Document, Element
+
+_BRACKET = re.compile(r"[\[\]]")
 
 
 def parse_document(text: str, keep_whitespace: bool = False) -> Document:
@@ -133,16 +136,13 @@ class _Parser:
             scanner.advance()
             start = scanner.pos
             depth = 1
-            while depth > 0:
-                if scanner.at_end:
+            while True:
+                bracket = scanner.skip_to(_BRACKET)
+                if bracket is None:
                     raise scanner.error("unterminated DOCTYPE internal subset")
-                ch = scanner.peek()
-                if ch == "[":
-                    depth += 1
-                elif ch == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
+                depth += 1 if bracket.group() == "[" else -1
+                if depth == 0:
+                    break
                 scanner.advance()
             self.internal_subset = scanner.text[start:scanner.pos]
             scanner.expect("]")
@@ -154,7 +154,7 @@ class _Parser:
     # ------------------------------------------------------------------
     def _parse_element(self) -> Element:
         scanner = self.scanner
-        location = SourceLocation(scanner.line, scanner.column)
+        location = scanner.location()
         scanner.expect("<")
         tag = scanner.read_name()
         attributes = self._parse_attributes()
@@ -211,6 +211,9 @@ class _Parser:
             node.append_text(text)
 
         while True:
+            run = scanner.consume(CHAR_DATA)
+            if run:
+                buffer.append(run)
             if scanner.at_end:
                 raise scanner.error(f"unterminated element <{node.tag}>")
             if scanner.looking_at("</"):
@@ -229,12 +232,10 @@ class _Parser:
             elif scanner.peek() == "<":
                 flush()
                 node.append(self._parse_element())
-            elif scanner.peek() == "&":
+            else:  # "&"
                 scanner.advance()
                 name = scanner.read_until(";")
                 buffer.append(decode_entity(name, scanner))
-            else:
-                buffer.append(scanner.advance())
 
     # ------------------------------------------------------------------
     # misc
@@ -260,21 +261,18 @@ class _Parser:
 
 def _decode_text(raw: str, scanner: Scanner) -> str:
     """Resolve entity references inside an attribute value."""
-    if "&" not in raw:
-        return raw
     out: list[str] = []
     i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "&":
-            end = raw.find(";", i + 1)
-            if end < 0:
-                raise scanner.error("unterminated entity reference")
-            out.append(decode_entity(raw[i + 1:end], scanner))
-            i = end + 1
-        else:
-            out.append(ch)
-            i += 1
+    while (amp := raw.find("&", i)) >= 0:
+        end = raw.find(";", amp + 1)
+        if end < 0:
+            raise scanner.error("unterminated entity reference")
+        out.append(raw[i:amp])
+        out.append(decode_entity(raw[amp + 1:end], scanner))
+        i = end + 1
+    if not out:
+        return raw
+    out.append(raw[i:])
     return "".join(out)
 
 

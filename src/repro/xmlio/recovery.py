@@ -27,10 +27,12 @@ start line/column).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import SourceLocation, UNKNOWN_LOCATION, XMLSyntaxError
-from .lexer import Scanner, decode_entity, is_name_char, is_name_start
+from .lexer import (CHAR_DATA, NAME, NAME_CHARS, Scanner, decode_entity,
+                    is_name_start)
 from .parser import _Parser, parse_fragments
 from .tree import Element
 
@@ -40,6 +42,18 @@ INGEST_MODES = ("strict", "lenient", "salvage")
 #: Longest entity-reference body the recovering parser will look for
 #: before deciding a ``&`` is literal character data.
 _MAX_ENTITY = 32
+
+#: Where the chunker has to look again: a ``<`` inside an element, the
+#: next quote or tag end inside a start tag or declaration, and the
+#: start of the next fragment in stray content.
+_LT = re.compile("<")
+_TAG_MARK = re.compile("['\"<>]")
+_DECL_MARK = re.compile("['\"\\[\\]>]")
+_FRAGMENT_START = re.compile(f"<(?:[!?]|{NAME.pattern})")
+#: An unquoted attribute value: up to whitespace, ``<``, ``>`` or ``/>``.
+_UNQUOTED_VALUE = re.compile(r"(?:[^\s<>/]|/(?!>))*")
+#: A character that cannot appear in an entity-reference body.
+_NOT_ENTITY_BODY = re.compile(r"[<&\"'\s]")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +155,7 @@ def split_fragments(text: str) -> list[Fragment]:
         scanner.skip_whitespace()
         if scanner.at_end:
             break
-        line, column = scanner.line, scanner.column
+        location = scanner.location()
         start = scanner.pos
         if scanner.looking_at("<!--"):
             _consume_until(scanner, "-->")
@@ -151,13 +165,14 @@ def split_fragments(text: str) -> list[Fragment]:
             _consume_markup_decl(scanner)
         elif scanner.peek() == "<" and is_name_start(scanner.peek(1)):
             _consume_element(scanner)
-            fragments.append(
-                Fragment(text[start:scanner.pos], line, column))
+            fragments.append(Fragment(text[start:scanner.pos],
+                                      location.line, location.column))
         else:
             _consume_stray(scanner)
             chunk = text[start:scanner.pos]
             if chunk.strip():
-                fragments.append(Fragment(chunk, line, column, "stray"))
+                fragments.append(Fragment(chunk, location.line,
+                                          location.column, "stray"))
     return fragments
 
 
@@ -174,14 +189,12 @@ def _consume_markup_decl(scanner: Scanner) -> None:
     """Skip a ``<!...>`` declaration, honouring quotes and ``[...]``."""
     scanner.advance(2)
     depth = 0
-    while not scanner.at_end:
-        ch = scanner.peek()
-        if ch in ("'", '"'):
-            scanner.advance()
-            _consume_until(scanner, ch)
-            continue
+    while (mark := scanner.skip_to(_DECL_MARK)) is not None:
+        ch = mark.group()
         scanner.advance()
-        if ch == "[":
+        if ch in ("'", '"'):
+            _consume_until(scanner, ch)
+        elif ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
@@ -199,7 +212,7 @@ def _consume_element(scanner: Scanner) -> None:
     stack are ignored.
     """
     stack: list[str] = []
-    while not scanner.at_end:
+    while scanner.skip_to(_LT) is not None:
         if scanner.looking_at("<!--"):
             scanner.advance(4)
             _consume_until(scanner, "-->")
@@ -211,10 +224,7 @@ def _consume_element(scanner: Scanner) -> None:
             _consume_until(scanner, "?>")
         elif scanner.looking_at("</"):
             scanner.advance(2)
-            start = scanner.pos
-            while not scanner.at_end and is_name_char(scanner.peek()):
-                scanner.advance()
-            name = scanner.text[start:scanner.pos]
+            name = scanner.consume(NAME_CHARS)
             _consume_until(scanner, ">")
             if name in stack:
                 while stack and stack.pop() != name:
@@ -234,12 +244,9 @@ def _consume_element(scanner: Scanner) -> None:
 def _consume_start_tag(scanner: Scanner) -> tuple[str, bool]:
     """Advance past a start tag; return ``(name, self_closing)``."""
     scanner.advance()  # "<"
-    start = scanner.pos
-    while not scanner.at_end and is_name_char(scanner.peek()):
-        scanner.advance()
-    name = scanner.text[start:scanner.pos]
-    while not scanner.at_end:
-        ch = scanner.peek()
+    name = scanner.consume(NAME_CHARS)
+    while (mark := scanner.skip_to(_TAG_MARK)) is not None:
+        ch = mark.group()
         if ch in ("'", '"'):
             scanner.advance()
             _consume_until(scanner, ch)
@@ -247,24 +254,16 @@ def _consume_start_tag(scanner: Scanner) -> tuple[str, bool]:
             self_closing = scanner.text[scanner.pos - 1] == "/"
             scanner.advance()
             return name, self_closing
-        elif ch == "<":
+        else:
             # Start tag never closed — let the tag tracker resume at
             # the stray "<" and treat the element as open.
             return name, False
-        else:
-            scanner.advance()
     return name, False
 
 
 def _consume_stray(scanner: Scanner) -> None:
     """Advance past top-level content that cannot begin a fragment."""
-    while not scanner.at_end:
-        if scanner.peek() == "<" and (
-                is_name_start(scanner.peek(1))
-                or scanner.looking_at("<!")
-                or scanner.looking_at("<?")):
-            return
-        scanner.advance()
+    scanner.skip_to(_FRAGMENT_START)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +372,9 @@ class RecoveringParser:
             stack[-1].append_text(text)
 
         while stack:
+            run = scanner.consume(CHAR_DATA)
+            if run:
+                buffer.append(run)
             if scanner.at_end:
                 flush()
                 for node in reversed(stack):
@@ -403,10 +405,8 @@ class RecoveringParser:
                 self._record("stray-markup",
                              "stray '<' treated as character data")
                 buffer.append(scanner.advance())
-            elif scanner.peek() == "&":
+            else:  # "&"
                 buffer.append(self._entity())
-            else:
-                buffer.append(scanner.advance())
         return root
 
     def _parse_end_tag(self, stack: list[Element], flush) -> None:
@@ -522,13 +522,7 @@ class RecoveringParser:
             return self._decode_raw(raw)
         self._record("malformed-attribute",
                      f"unquoted value for attribute {name!r} in <{tag}>")
-        start = scanner.pos
-        while not scanner.at_end:
-            ch = scanner.peek()
-            if ch.isspace() or ch in (">", "<") or scanner.looking_at("/>"):
-                break
-            scanner.advance()
-        return self._decode_raw(scanner.text[start:scanner.pos])
+        return self._decode_raw(scanner.consume(_UNQUOTED_VALUE))
 
     # ------------------------------------------------------------------
     # character data
@@ -558,16 +552,11 @@ class RecoveringParser:
 
     def _decode_raw(self, raw: str) -> str:
         """Tolerantly resolve entity references in an attribute value."""
-        if "&" not in raw:
-            return raw
         out: list[str] = []
         i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch != "&":
-                out.append(ch)
-                i += 1
-                continue
+        while (amp := raw.find("&", i)) >= 0:
+            out.append(raw[i:amp])
+            i = amp
             end = raw.find(";", i + 1, i + 1 + _MAX_ENTITY)
             body = raw[i + 1:end] if end > 0 else ""
             if end < 0 or not body or not _entity_body_ok(body):
@@ -587,6 +576,9 @@ class RecoveringParser:
                     "literally")
                 out.append(f"&{body};")
             i = end + 1
+        if not out:
+            return raw
+        out.append(raw[i:])
         return "".join(out)
 
     # ------------------------------------------------------------------
@@ -619,7 +611,7 @@ class RecoveringParser:
     # bookkeeping
     # ------------------------------------------------------------------
     def _here(self) -> SourceLocation:
-        return SourceLocation(self.scanner.line, self.scanner.column)
+        return self.scanner.location()
 
     def _record(self, kind: str, message: str) -> None:
         self._record_at(kind, message, self._here())
@@ -631,7 +623,7 @@ class RecoveringParser:
 
 def _entity_body_ok(body: str) -> bool:
     """True if ``body`` could plausibly be an entity-reference body."""
-    return not any(ch in "<&\"'" or ch.isspace() for ch in body)
+    return _NOT_ENTITY_BODY.search(body) is None
 
 
 def _clip(text: str, limit: int = 30) -> str:
@@ -646,12 +638,17 @@ def _clip(text: str, limit: int = 30) -> str:
 # ---------------------------------------------------------------------------
 def parse_chunk(fragment: Fragment, mode: str, log: RecoveryLog,
                 listing: int, keep_whitespace: bool = False) -> list[Element]:
-    """Parse one top-level chunk under ``lenient`` or ``salvage`` mode.
+    """Parse one top-level chunk under an ingestion mode.
 
     Well-formed chunks take the strict parser path (so a clean input
-    produces byte-identical trees in every mode); malformed chunks are
-    repaired (lenient) or dropped (salvage), with the decision recorded.
+    produces byte-identical trees in every mode); malformed chunks raise
+    (strict), or are repaired (lenient) or dropped (salvage), with the
+    decision recorded. The parse is seeded with the chunk's start, so
+    every location, raised or logged, is file-absolute.
     """
+    if mode == "strict":
+        return _Parser(fragment.text, keep_whitespace, fragment.line,
+                       fragment.column).parse_fragments()
     location = SourceLocation(fragment.line, fragment.column)
     if fragment.kind != "element":
         log.record("stray-markup",

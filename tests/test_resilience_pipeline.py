@@ -183,6 +183,43 @@ class TestFaultAwareIngestion:
         with pytest.raises(XMLSyntaxError):
             ingest_fragments(self.listings_text(), "strict", plan)
 
+    def test_strict_errors_under_a_plan_are_file_absolute(self):
+        from repro.xmlio.errors import XMLSyntaxError
+        text = ('<?xml version="1.0"?>\n<!-- header -->\n'
+                "<l><a>1</a></l>\n<l><a>2</b></l>\n")
+        idle = plan_of({"site": "ingest.chunk", "action": "corrupt",
+                        "key": "99"})
+        errors = []
+        for plan in (None, idle):
+            with pytest.raises(XMLSyntaxError) as excinfo:
+                ingest_fragments(text, "strict", plan)
+            errors.append(excinfo.value)
+        assert [(e.line, e.column) for e in errors] == [(4, 11), (4, 11)]
+        assert str(errors[0]) == str(errors[1])
+
+    def test_strict_injected_corruption_points_into_the_file(self):
+        from repro.xmlio.errors import XMLSyntaxError
+        text = "<!-- header -->\n" + self.listings_text(3)
+        plan = plan_of({"site": "ingest.chunk", "action": "corrupt",
+                        "key": "2", "message": "drop-close"})
+        with pytest.raises(XMLSyntaxError) as excinfo:
+            ingest_fragments(text, "strict", plan)
+        # Listing 2 sits on line 4; dropping its close leaves it open
+        # to the end of the input, where the error is reported.
+        assert excinfo.value.line == 4
+        assert excinfo.value.column == len(text.splitlines()[-1]) - \
+            len("</listing>") + 1
+
+    def test_strict_plan_without_listings_fails_like_plain_parse(self):
+        from repro.xmlio.errors import XMLSyntaxError
+        plan = plan_of({"site": "ingest.chunk", "action": "corrupt"})
+        messages = []
+        for chosen in (None, plan):
+            with pytest.raises(XMLSyntaxError) as excinfo:
+                ingest_fragments("<!-- only -->\n  ", "strict", chosen)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+
     def test_no_ingest_faults_delegates_to_recovery(self):
         plan = plan_of({"site": "learner.predict", "key": "nb"})
         roots, log = ingest_fragments(self.listings_text(5), "lenient",
