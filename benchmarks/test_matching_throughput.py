@@ -18,10 +18,10 @@ source of Real Estate I in one process) under five configurations:
     pool is built during warm-up, so rounds time steady-state dispatch,
     not pool construction).
 ``ckpt``
-    ``serial`` plus an armed checkpoint (``--checkpoint-dir``): every
-    stage snapshot is serialized and atomically renamed (not fsynced;
-    see ``repro.runtime.checkpoint``) into a fresh checkpoint directory
-    each round. Gated to within
+    ``serial`` plus an armed checkpoint (``--checkpoint-dir``): the
+    search incumbent and the final mapping are written synchronously and
+    atomically renamed (not fsynced; see ``repro.runtime.checkpoint``)
+    into a fresh checkpoint directory each round. Gated to within
     ``CKPT_TOLERANCE`` of ``serial`` — durability must stay effectively
     free — and byte-identical to it.
 
@@ -188,10 +188,9 @@ def _run_engine(system, targets, workers, cached, backend="serial"):
 
 
 def _run_ckpt(system, targets):
-    """The ``serial`` run with an armed checkpoint in the CLI's
-    background-writer mode: every stage snapshot actually hits disk
-    (serialize + rename, no fsync) into a fresh directory, and the
-    ``close()`` drain is timed too — never a resume."""
+    """The ``serial`` run with an armed checkpoint, as the CLI arms it:
+    every checkpoint write actually hits disk (serialize + rename, no
+    fsync) into a fresh directory — never a resume."""
     featurize.clear_text_cache()
     system.workers = 1
     with tempfile.TemporaryDirectory(prefix="lsd-bench-ckpt") as ckdir:
@@ -200,14 +199,10 @@ def _run_ckpt(system, targets):
             fingerprint = dataset_fingerprint(
                 schema.tags,
                 [listing.text_content() for listing in listings])
-            checkpoint = Checkpointer(ckdir, run_key(fingerprint),
-                                      background=True)
+            checkpoint = Checkpointer(ckdir, run_key(fingerprint))
             checkpoint.open(resume=False)
-            try:
-                results.append(system.match(schema, listings,
-                                            checkpoint=checkpoint))
-            finally:
-                checkpoint.close()
+            results.append(system.match(schema, listings,
+                                        checkpoint=checkpoint))
         return results
 
 

@@ -10,8 +10,7 @@ paths::
     lsd-lint --select 'metric-*' src     # glob over rule ids
     lsd-lint --list-rules
 
-Flow mode runs the interprocedural rules instead (``flow-*`` plus the
-checkpoint-coverage rule ``checkpoint-unregistered-state``) — it
+Flow mode runs the interprocedural ``flow-*`` rules instead — it
 builds the project call graph once, runs the determinism / worker-
 purity / fault-escape lattices over it, and gates against its own
 baseline (``analysis-flow-baseline.txt``)::
@@ -146,8 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     select = args.select.split(",") if args.select else None
     try:
         if args.flow:
-            rules = get_rules(select or ["flow-*",
-                                         "checkpoint-*"])
+            rules = get_rules(select or ["flow-*"])
         else:
             rules = get_rules(select)
     except ValueError as exc:

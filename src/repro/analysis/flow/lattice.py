@@ -16,9 +16,9 @@ statement, carrying the shortest call chain as evidence.
 * :data:`WORKER_PURITY` — writes to module-level or closure-captured
   state anywhere transitively reachable from worker execution roots
   (``@task_handler`` functions and every callable handed to a
-  ``ParallelExecutor`` map). This upgrades ``executor-shared-write``
-  and ``process-unsafe-state`` from one-hop heuristics to full
-  transitive reachability; the documented benign caches
+  ``ParallelExecutor`` map). This upgrades ``process-unsafe-state``
+  from a one-hop heuristic to full transitive reachability; the
+  documented benign caches
   (:data:`~repro.analysis.rules_concurrency.BENIGN_SHARED`) stay
   allowlisted at any depth.
 * :data:`FAULT_FLOW` — every armed fault site
@@ -75,7 +75,7 @@ class TaintHit:
     path: str
     line: int
     detail: str     # human message for the finding
-    base_rule: str  # the per-file rule whose suppression also silences it
+    base_rule: str  # the rule id whose suppression also silences it
 
 
 @dataclass(frozen=True)
@@ -160,11 +160,11 @@ def _purity_scan(graph: CallGraph, info: FunctionInfo,
     nodes = list(iter_own_nodes(info.node))
     for node, description in _shared_writes(info.node, nodes):
         line = getattr(node, "lineno", info.lineno)
-        if _suppressed(source, line, "executor-shared-write",
+        if _suppressed(source, line, "flow-worker-shared-write",
                        "process-unsafe-state"):
             continue
         yield TaintHit(info.qualname, source.display, line,
-                       description, "executor-shared-write")
+                       description, "flow-worker-shared-write")
 
 
 WORKER_PURITY = TaintLattice(

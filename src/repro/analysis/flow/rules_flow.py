@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..astutil import chain_parts
 from ..engine import Rule, SourceFile, register
 from ..findings import Finding
-from ..rules_concurrency import _shared_writes
 from .callgraph import CallGraph, iter_own_nodes
 from .lattice import (DETERMINISM, WORKER_PURITY, documents_propagation,
                       handles_fault, iter_arming_sites)
@@ -70,8 +68,9 @@ class NondeterministicPathRule(FlowRule):
 @register
 class WorkerSharedWriteRule(FlowRule):
     """Worker-executed code must not write shared state, however many
-    helpers deep the write happens — this is ``executor-shared-write``
-    / ``process-unsafe-state`` at full transitive reachability."""
+    helpers deep the write happens — ``process-unsafe-state`` at full
+    transitive reachability, over mapped callables as well as task
+    handlers."""
 
     id = "flow-worker-shared-write"
     severity = "error"
@@ -210,115 +209,9 @@ class ObserverGapRule(FlowRule):
                     f"merge into the run trace", chain)
 
 
-@register
-class CheckpointUnregisteredStateRule(FlowRule):
-    """Crash-safe resume assumes the pipeline's mutable module-level
-    state is *accounted for*: every such name must appear in
-    ``repro.runtime.checkpoint.REGISTERED_MUTABLE_STATE`` with a
-    documented resume story (persisted by a checkpoint stage, or
-    rebuilt deterministically). A write to unregistered module state
-    on a matching-pipeline path is state a resumed run would silently
-    lose — the race-tolerant cache allowlist deliberately does not
-    apply here, because a write can be a benign *race* and still be a
-    resume hazard."""
-
-    id = "checkpoint-unregistered-state"
-    severity = "error"
-    description = ("module-level state written on a matching-pipeline "
-                   "path but missing from the checkpoint registry "
-                   "(repro.runtime.checkpoint."
-                   "REGISTERED_MUTABLE_STATE)")
-
-    def check_flow(self, graph: CallGraph,
-                   sources: Sequence[SourceFile]) -> Iterable[Finding]:
-        from ...runtime.checkpoint import REGISTERED_MUTABLE_STATE
-
-        registered = {name.rsplit(".", 1)[-1]
-                      for name in REGISTERED_MUTABLE_STATE}
-        module_state: dict[int, set[str]] = {}
-        forest = reachable_from(graph, DETERMINISM.entries(graph))
-        for qualname in sorted(forest):
-            info = graph.functions[qualname]
-            source = graph.source_of(info)
-            if source is None or info.node is None:
-                continue
-            if source.in_package("observability", "analysis"):
-                # Telemetry registries mutate by design and are never
-                # resumed from; the linter is not pipeline code.
-                continue
-            key = id(source)
-            if key not in module_state:
-                module_state[key] = _module_bindings(source)
-            chain = chain_to(forest, qualname)
-            nodes = list(iter_own_nodes(info.node))
-            for node, description in _shared_writes(
-                    info.node, nodes, benign=frozenset()):
-                roots = _write_roots(node)
-                if roots is None:
-                    # A nonlocal/closure write mutates an enclosing
-                    # frame that dies with the run — resume rebuilds
-                    # it; only module state outlives stages.
-                    continue
-                if not isinstance(node, ast.Global):
-                    roots = roots & module_state[key]
-                if not roots or roots & registered:
-                    continue
-                line = getattr(node, "lineno", info.lineno)
-                if _line_suppressed(source, line, self.id):
-                    continue
-                yield self.chain_finding(
-                    source, line,
-                    f"{description} on a pipeline path from "
-                    f"{_short(chain[0])} but the name is not in "
-                    f"REGISTERED_MUTABLE_STATE; a resumed run would "
-                    f"silently lose this state", chain)
-
-
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _write_roots(node: ast.AST) -> set[str] | None:
-    """The root name(s) a shared write mutates, or ``None`` for a
-    closure (``nonlocal``) write the checkpoint rule ignores."""
-    if isinstance(node, ast.Global):
-        return set(node.names)
-    if isinstance(node, ast.Nonlocal):
-        return None
-    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-        roots: set[str] = set()
-        targets = getattr(node, "targets", None) or [node.target]
-        for target in targets:
-            if isinstance(target, (ast.Subscript, ast.Attribute)):
-                parts = chain_parts(target)
-                if parts:
-                    roots.add(parts[0])
-        return roots
-    if isinstance(node, ast.Call):
-        parts = chain_parts(node.func)
-        return {parts[0]} if parts else set()
-    return set()
-
-
-def _module_bindings(source: SourceFile) -> set[str]:
-    """Names bound at the module's top level — assignments and import
-    aliases. Only a write whose root is one of these (or an explicit
-    ``global``) touches state that outlives the run's stack and so
-    falls under the checkpoint registry's contract."""
-    names: set[str] = set()
-    if source.tree is None:
-        return names
-    for node in source.tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = getattr(node, "targets", None) or [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                names.add(alias.asname
-                          or alias.name.split(".", 1)[0])
-    return names
 
 def _short(qualname: str) -> str:
     return qualname[len("repro."):] if qualname.startswith("repro.") \

@@ -1,29 +1,23 @@
-"""Concurrency rule: shared-state writes inside fanned-out callables.
+"""Concurrency rule: shared-state writes inside worker task handlers.
 
-:class:`~repro.core.parallel.ParallelExecutor` promises byte-identical
-results at any worker count; the one way user code breaks that promise
-is by mutating state shared across tasks from inside the mapped
-callable. This rule finds callables passed to ``map`` /
-``map_profiled`` (including one call-hop through module-local helper
-functions, the dominant pattern in this codebase) and flags writes to
-names the callable does not own: assignments through ``global`` /
-``nonlocal``, stores into subscripts/attributes rooted at closure or
-module names, and calls of mutating methods on such names.
+A worker-side task handler (:func:`repro.core.procpool.task_handler`)
+runs in a *forked process*, so a write to module-level or closure
+state is not a race — it is a silent no-op from the parent's point of
+view. The copy-on-write page the worker dirties never travels back,
+the parent keeps its stale value, and (worse) which worker dirtied it
+varies run to run. The ``process-unsafe-state`` rule flags such writes
+inside ``@task_handler(...)`` functions and their one-hop helpers:
+assignments through ``global`` / ``nonlocal``, stores into
+subscripts/attributes rooted at closure or module names, and calls of
+mutating methods on such names. The flow rule
+``flow-worker-shared-write`` follows the same write shapes to full
+transitive depth from every worker execution root.
 
 The documented benign-race caches (``featurize._text_cache``, the
 per-instance ``feature_cache``, the approximate ``stats`` counters — see
 the thread-safety note in :mod:`repro.core.featurize`) are allowlisted:
 they are last-write-wins idempotent by design and exercised by the
 dynamic sanitizer instead (:mod:`repro.analysis.sanitizer`).
-
-The process backend gets the mirror-image rule: a worker-side task
-handler (:func:`repro.core.procpool.task_handler`) runs in a *forked
-process*, so a write to module-level or closure state is not a race —
-it is a silent no-op from the parent's point of view. The copy-on-write
-page the worker dirties never travels back, the parent keeps its stale
-value, and (worse) which worker dirtied it varies run to run. The
-``process-unsafe-state`` rule flags the same write shapes inside
-``@task_handler(...)`` functions and their one-hop helpers.
 """
 
 from __future__ import annotations
@@ -34,9 +28,6 @@ from typing import Iterable, Iterator
 from .astutil import chain_parts, root_name
 from .engine import Rule, SourceFile, register
 from .findings import Finding
-
-#: ParallelExecutor entry points whose first argument is fanned out.
-EXECUTOR_METHODS = ("map", "map_profiled")
 
 #: Method names that mutate their receiver.
 _MUTATORS = {
@@ -103,18 +94,14 @@ def _local_names(fn: ast.AST,
 
 
 def _shared_writes(fn: ast.AST,
-                   nodes: Iterable[ast.AST] | None = None,
-                   benign: frozenset = BENIGN_SHARED
+                   nodes: Iterable[ast.AST] | None = None
                    ) -> Iterator[tuple[ast.AST, str]]:
-    """(node, description) for every write to non-local state in fn.
+    """(node, description) for every write to non-local state in fn,
+    skipping the :data:`BENIGN_SHARED` caches.
 
     ``nodes`` narrows both the locals computation and the write scan to
     a subset of the subtree (the flow lattice passes the own-body walk;
-    it must be re-iterable or passed twice via :func:`list`).
-    ``benign`` is the allowlist of chain components to skip — the
-    race-tolerant caches by default; the checkpoint-coverage flow rule
-    passes an empty set because a benign *race* can still be state a
-    resumed run silently loses."""
+    it must be re-iterable or passed twice via :func:`list`)."""
     nodes = None if nodes is None else list(nodes)
     local = _local_names(fn, nodes)
 
@@ -123,7 +110,7 @@ def _shared_writes(fn: ast.AST,
         root = root_name(target)
         if root is None or root in local:
             return None
-        if benign.intersection(chain_parts(target)):
+        if BENIGN_SHARED.intersection(chain_parts(target)):
             return None
         return ".".join(chain_parts(target)) or root
 
@@ -132,7 +119,7 @@ def _shared_writes(fn: ast.AST,
             scope = "global" if isinstance(node, ast.Global) else \
                 "nonlocal"
             for name in node.names:
-                if name not in benign:
+                if name not in BENIGN_SHARED:
                     yield node, (f"declares {scope} {name!r} (writes "
                                  f"escape the task)")
         elif isinstance(node, (ast.Assign, ast.AnnAssign,
@@ -154,70 +141,12 @@ def _shared_writes(fn: ast.AST,
 
 def _collect_functions(tree: ast.Module) -> dict[str, ast.AST]:
     """Every function/method in the module, by (unqualified) name —
-    the one-hop resolution table for mapped callables."""
+    the one-hop resolution table for task handlers."""
     functions: dict[str, ast.AST] = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             functions.setdefault(node.name, node)
     return functions
-
-
-def _resolve_targets(fn_arg: ast.AST,
-                     functions: dict[str, ast.AST]) -> list[ast.AST]:
-    """The function bodies to scan for a mapped callable: the lambda or
-    named function itself, plus (one hop) any module-local functions it
-    calls — fan-out sites here overwhelmingly wrap a worker helper in a
-    closure (``lambda lrn, prof: predict_with(lrn, flat, prof)``)."""
-    targets: list[ast.AST] = []
-    if isinstance(fn_arg, ast.Lambda):
-        targets.append(fn_arg)
-    elif isinstance(fn_arg, ast.Name) and fn_arg.id in functions:
-        targets.append(functions[fn_arg.id])
-    elif isinstance(fn_arg, ast.Attribute) and \
-            fn_arg.attr in functions:
-        targets.append(functions[fn_arg.attr])
-    hops: list[ast.AST] = []
-    for target in targets:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Call):
-                callee = None
-                if isinstance(node.func, ast.Name):
-                    callee = functions.get(node.func.id)
-                elif isinstance(node.func, ast.Attribute):
-                    callee = functions.get(node.func.attr)
-                if callee is not None and callee not in targets and \
-                        callee not in hops:
-                    hops.append(callee)
-    return targets + hops
-
-
-@register
-class ExecutorSharedWriteRule(Rule):
-    """Callables handed to a parallel ``map`` must not write shared
-    state — that is how byte-identical-at-any-worker-count dies."""
-
-    id = "executor-shared-write"
-    severity = "error"
-    description = ("mutation of module-level or closure-captured state "
-                   "inside a callable passed to ParallelExecutor.map/"
-                   "map_profiled")
-
-    def check_file(self, source: SourceFile) -> Iterable[Finding]:
-        assert source.tree is not None
-        functions = _collect_functions(source.tree)
-        for node in ast.walk(source.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in EXECUTOR_METHODS
-                    and node.args):
-                continue
-            for target in _resolve_targets(node.args[0], functions):
-                for write, description in _shared_writes(target):
-                    yield self.finding(source,
-                        write, f"task mapped at line {node.lineno} "
-                        f"{description}; shared writes under a "
-                        f"parallel map break determinism (allowlist: "
-                        f"{', '.join(sorted(BENIGN_SHARED))})")
 
 
 def _is_task_handler_decorator(decorator: ast.AST) -> bool:
@@ -235,8 +164,7 @@ def _is_task_handler_decorator(decorator: ast.AST) -> bool:
 def _handler_hops(handler: ast.AST,
                   functions: dict[str, ast.AST]) -> list[ast.AST]:
     """The handler plus (one hop) module-local functions its *body*
-    calls — the same resolution depth :func:`_resolve_targets` gives
-    mapped callables. Only the body: the decorator expression itself
+    calls. Only the body: the decorator expression itself
     (``@task_handler("predict")``) runs at import time in every
     process, so its registry write is not worker-side state."""
     targets: list[ast.AST] = [handler]

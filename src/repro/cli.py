@@ -49,7 +49,8 @@ streams structured progress events (JSONL), and ``--ledger-out``
 
 ``match`` also takes durability flags (see :mod:`repro.runtime`):
 ``--checkpoint-dir``/``--resume`` make runs crash-safe — a killed run
-restarted with ``--resume`` skips completed stages and produces a
+restarted with ``--resume`` warm-starts the constraint search from its
+saved incumbent (or reuses the committed mapping) and produces a
 byte-identical mapping — while ``--watchdog SECONDS`` supervises
 worker processes and ``--rss-limit MIB`` arms the memory-pressure
 guardrails. SIGTERM/SIGINT finish cleanly with best-so-far results
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import os
 import signal
 import sys
@@ -303,16 +305,17 @@ def _add_durability_flags(parser: argparse.ArgumentParser) -> None:
         "crash-safe checkpointing, watchdog supervision, and memory "
         "guardrails (all off by default; see repro.runtime)")
     group.add_argument("--checkpoint-dir", type=Path, metavar="DIR",
-                       help="persist per-stage checkpoints under "
-                            "DIR/<run-key>/ (atomic, versioned); a "
-                            "killed run restarted with --resume skips "
-                            "completed stages and produces a "
+                       help="persist the search incumbent and the "
+                            "final mapping under DIR/<run-key>/ "
+                            "(atomic, versioned); a killed run "
+                            "restarted with --resume produces a "
                             "byte-identical mapping")
     group.add_argument("--resume", action="store_true",
                        help="resume from the checkpoint under "
-                            "--checkpoint-dir: completed stages load "
-                            "from disk and the constraint search "
-                            "warm-starts from its last saved incumbent")
+                            "--checkpoint-dir: a committed mapping "
+                            "loads from disk, otherwise the constraint "
+                            "search warm-starts from its last saved "
+                            "incumbent")
     group.add_argument("--watchdog", type=float, metavar="SECONDS",
                        help="supervision deadline: a worker process "
                             "holding a shard longer than this is killed "
@@ -535,11 +538,11 @@ def _graceful_shutdown(policy: ResiliencePolicy):
 
     The first signal trips the run deadline: the constraint search
     exits on its anytime path with the best-so-far mapping, and the
-    run then flushes every artifact — checkpoint stages already
-    committed stay committed, and the trace/report/events/ledger all
-    pass through their normal end-of-run writers. A second signal
-    restores the default disposition and re-delivers, so a stuck run
-    can still be force-quit. Handlers are restored on exit, keeping
+    run then flushes every artifact — checkpoint writes are
+    synchronous, so whatever was saved is already on disk, and the
+    trace/report/events/ledger all pass through their normal end-of-run
+    writers. A second signal restores the default disposition and
+    re-delivers, so a stuck run can still be force-quit. Handlers are restored on exit, keeping
     in-process use (tests, notebooks) side-effect free.
     """
     seen = {"signals": 0}
@@ -574,17 +577,21 @@ def _graceful_shutdown(policy: ResiliencePolicy):
 def _open_checkpoint(args: argparse.Namespace,
                      policy: ResiliencePolicy, fingerprint: str):
     """Build and open the run's :class:`Checkpointer`, or ``None``
-    when ``--checkpoint-dir`` is off (the default costs nothing)."""
+    when ``--checkpoint-dir`` is off (the default costs nothing).
+
+    The run key covers the model file's bytes: a resume under another
+    model must not serve the first model's incumbent or mapping."""
     if not args.checkpoint_dir:
         return None
     from .runtime import Checkpointer, run_key
 
+    model_sha = hashlib.sha256(args.model.read_bytes()).hexdigest()
     key = run_key(fingerprint, feedback=args.feedback,
-                  settings={"input_mode": args.input_mode})
+                  settings={"input_mode": args.input_mode,
+                            "model": model_sha})
     checkpoint = Checkpointer(args.checkpoint_dir, key,
                               plan=policy.fault_plan,
-                              report=policy.report,
-                              background=True)
+                              report=policy.report)
     checkpoint.open(resume=args.resume)
     return checkpoint
 
@@ -658,11 +665,7 @@ def _run_match(args: argparse.Namespace,
                                   checkpoint=checkpoint)
         finally:
             # Process-backend hygiene: workers and the shared-memory
-            # segment never outlive the command. The checkpoint closes
-            # first so any absorbed write losses reach the degradation
-            # report before it is rendered below.
-            if checkpoint is not None:
-                checkpoint.close()
+            # segment never outlive the command.
             if supervisor is not None:
                 supervisor.stop()
                 if obs.events.enabled:

@@ -158,15 +158,14 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
     exactly as before.
 
     ``checkpoint`` (an opened :class:`repro.runtime.Checkpointer`)
-    arms crash-safe stage snapshots: a stage whose checkpoint is
-    already on disk loads instead of recomputing, per-learner score
-    matrices and the search's best-so-far incumbent persist as they
-    complete, and the final mapping is committed before the function
-    returns. The resume contract is byte identity: a run killed at any
-    stage boundary and resumed produces exactly the mapping, scores
-    and quality records of one uninterrupted run (structure passes and
-    the converter re-run deterministically from the persisted pass-0
-    matrices). ``None`` — the default — costs nothing.
+    arms crash-safe resume: the search's best-so-far incumbent persists
+    as it improves, and the final mapping is committed before the
+    function returns. A resumed attempt re-runs extraction and
+    prediction, then loads the committed mapping or warm-starts the
+    search from the saved incumbent. The resume contract is byte
+    identity: a run killed at any point and resumed produces exactly
+    the mapping, scores and quality records of one uninterrupted run.
+    ``None`` — the default — costs nothing.
     """
     executor = resolve(executor)
     obs = with_trace(observer)
@@ -177,17 +176,9 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
     events = obs.events
     with trace.span("match") as match_span:
         events.emit(EV_STAGE_START, stage="extract")
-        # Extraction always runs — the extract checkpoint persists
-        # provenance, not payload, because columns re-derive from the
-        # durable inputs faster than a serialized form loads (see
-        # repro.runtime.checkpoint). A resumed attempt skips only the
-        # marker re-commit.
         with trace.span("extract") as extract_span:
             columns = extract_columns(schema, list(listings),
                                       max_instances_per_tag)
-        if checkpoint is not None and checkpoint.save_columns(columns):
-            obs.metrics.counter(M_CKPT_WRITES).inc()
-            events.emit(EV_CHECKPOINT, stage="extract")
         events.emit(EV_STAGE_END, stage="extract",
                     elapsed_seconds=extract_span.span.elapsed)
 
@@ -211,7 +202,7 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
             scores_by_learner, tag_scores = _predict_tags(
                 flat, slices, columns, learners, meta, converter, space,
                 structure_passes, executor, incremental_structure, obs,
-                predict_span.span_id, policy, checkpoint)
+                predict_span.span_id, policy)
             converted_scores = tag_scores
             if score_filter is not None:
                 with trace.span("score_filter"):
@@ -358,8 +349,7 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                   converter: PredictionConverter, space: LabelSpace,
                   structure_passes: int, executor: ParallelExecutor,
                   incremental: bool, obs: Observer, predict_span_id: str,
-                  policy: ResiliencePolicy | None = None,
-                  checkpoint=None
+                  policy: ResiliencePolicy | None = None
                   ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Per-learner flat score matrices and per-tag converted scores,
     with optional structure re-passes.
@@ -390,15 +380,6 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     renormalizes over the survivors (uniform scores if none survive).
     The ``learner.predict`` fault site fires once per learner per pass
     (on its first shard), exactly as it did before sharding.
-
-    With a ``checkpoint``, each learner's pass-0 matrix is persisted
-    as its gather completes — gather always happens here on the
-    orchestrating thread, so the persisted bytes are identical on
-    every backend — and learners already on disk are dropped from the
-    fan-out on resume (per-learner shard plans make each learner's
-    scores independent of the group it runs with). Structure passes
-    are never persisted: they re-run deterministically from the pass-0
-    matrices, which is what keeps a resumed run byte-identical.
     """
     latency = obs.metrics.histogram(M_PREDICT_LATENCY)
 
@@ -568,40 +549,13 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     if featurize.is_enabled():
         with obs.trace.span("featurize_warm"):
             featurize.warm_texts(flat)
-    preloaded: dict[str, np.ndarray] = {}
-    if checkpoint is not None:
-        names = {learner.name for learner in learners}
-        preloaded = {name: scores for name, scores
-                     in checkpoint.load_scores(len(flat)).items()
-                     if name in names}
-    pending = [learner for learner in learners
-               if learner.name not in preloaded]
-    rows = fan_out(flat, pending, "predict") if pending else []
-    fresh = {learner.name: scores
-             for learner, scores in zip(pending, rows)}
+    rows = fan_out(flat, learners, "predict") if learners else []
     scores_by_learner: dict[str, np.ndarray] = {}
-    for learner in learners:
-        scores = preloaded.get(learner.name)
-        if scores is None:
-            scores = fresh.get(learner.name)
-        if scores is not None and not isinstance(scores, TaskFailure):
-            scores_by_learner[learner.name] = scores
-    for learner in pending:
-        failure = fresh.get(learner.name)
-        if isinstance(failure, TaskFailure):
-            quarantine(learner, failure)
-    if checkpoint is not None:
-        if not pending and checkpoint.has("predict"):
-            obs.events.emit(EV_RESUME, stage="predict")
-            obs.metrics.counter(M_CKPT_STAGES_RESUMED).inc()
+    for learner, scores in zip(learners, rows):
+        if isinstance(scores, TaskFailure):
+            quarantine(learner, scores)
         else:
-            for learner in pending:
-                scores = scores_by_learner.get(learner.name)
-                if scores is not None and checkpoint. \
-                        save_learner_scores(learner.name, scores):
-                    obs.metrics.counter(M_CKPT_WRITES).inc()
-            checkpoint.commit_predict()
-            obs.events.emit(EV_CHECKPOINT, stage="predict")
+            scores_by_learner[learner.name] = scores
     tag_scores = _convert(scores_by_learner, slices, meta, converter,
                           space, obs, len(flat))
 

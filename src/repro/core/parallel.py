@@ -213,9 +213,8 @@ class ShardScale:
     memory shrinks under RSS pressure. Learner scoring is row-wise by
     the :class:`~repro.learners.base.BaseLearner` contract, so a finer
     shard plan changes concatenation boundaries and trace shape only,
-    never pipeline output. Registered in
-    :data:`repro.runtime.checkpoint.REGISTERED_MUTABLE_STATE`: a
-    resumed run safely starts back at factor 1.
+    never pipeline output, so a resumed run safely starts back at
+    factor 1.
     """
 
     __slots__ = ("_factor", "_lock")

@@ -70,8 +70,8 @@ def build_entry(*, label: str, fingerprint: str, created: float,
 
     ``run_id`` names the checkpointed attempt that produced the entry
     and ``resumed_from`` the prior attempt it picked up from. A
-    resumed entry's timings cover only the stages that actually ran,
-    so :func:`check_ledger` excludes it from timing comparisons.
+    resumed entry's search time covers only what the checkpoint left
+    to do, so :func:`check_ledger` excludes it from timing comparisons.
     """
     entry = {
         "schema_version": LEDGER_SCHEMA_VERSION,
@@ -260,10 +260,10 @@ def check_ledger(path: str | Path = DEFAULT_PATH,
     baseline entry is checked. Returns ``(ok, rendered verdicts)``.
 
     Entries carrying ``resumed_from`` are excluded from every series:
-    a resumed run only timed the stages its checkpoint had not
-    already completed, so its totals would poison baselines (and a
-    fast partial run as the newest entry would sail past a gate it
-    never really ran).
+    a resumed run reuses its checkpoint's mapping or warm-starts the
+    search from its incumbent, so its totals would poison baselines
+    (and a fast partial run as the newest entry would sail past a gate
+    it never really ran).
     """
     entries = read_ledger(path)
     if not entries:

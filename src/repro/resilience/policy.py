@@ -44,11 +44,11 @@ def call_with_timeout(fn, args=(), timeout: float | None = None):
         # handoff: ``outcome`` is fresh per call and only read after
         # join() on the caller's thread.
         try:
-            outcome["value"] = fn(*args)  # lsd: ignore[executor-shared-write]
+            outcome["value"] = fn(*args)  # lsd: ignore[flow-worker-shared-write]
         except BaseException as exc:  # lsd: ignore[blind-except]
             # Transported across the thread boundary and re-raised on
             # the caller's thread below — nothing is swallowed.
-            outcome["error"] = exc  # lsd: ignore[executor-shared-write]
+            outcome["error"] = exc  # lsd: ignore[flow-worker-shared-write]
 
     thread = threading.Thread(target=runner, daemon=True)
     thread.start()

@@ -5,8 +5,10 @@ absorbs faults *inside* a surviving process; this package covers the
 failure modes where the process itself does not survive — SIGKILL,
 hung workers, memory exhaustion:
 
-* :mod:`repro.runtime.checkpoint` — crash-safe stage snapshots with a
-  byte-identical resume contract;
+* :mod:`repro.runtime.checkpoint` — the constraint search's incumbent
+  and the final mapping, written synchronously and atomically, with a
+  byte-identical resume contract (a resumed run re-runs ingest,
+  extraction and prediction, then warm-starts the search);
 * :mod:`repro.runtime.supervisor` — a watchdog thread that kills and
   recovers hung process-pool workers and detects pipeline stalls;
 * :mod:`repro.runtime.pressure` — tiered RSS-watermark responses that
@@ -19,8 +21,7 @@ build without the package.
 """
 
 from .checkpoint import (CHECKPOINT_VERSION, Checkpointer,
-                         REGISTERED_MUTABLE_STATE, STAGE_CONSTRAIN,
-                         STAGE_EXTRACT, STAGE_PREDICT, run_key)
+                         STAGE_CONSTRAIN, run_key)
 from .pressure import PressureMonitor, PressureThresholds
 from .supervisor import Supervisor
 
@@ -29,10 +30,7 @@ __all__ = [
     "Checkpointer",
     "PressureMonitor",
     "PressureThresholds",
-    "REGISTERED_MUTABLE_STATE",
     "STAGE_CONSTRAIN",
-    "STAGE_EXTRACT",
-    "STAGE_PREDICT",
     "Supervisor",
     "run_key",
 ]

@@ -12,15 +12,12 @@ injectable reader :mod:`repro.observability.resources` uses) against a
    (:data:`repro.core.parallel.SHARD_SCALE`), so per-task peak memory
    (materialised score blocks, shipped batches) shrinks. Learner
    scoring is row-wise by contract, so concatenation boundaries are
-   output-invisible — only the trace shape changes, which is why the
-   scale is registered in
-   :data:`~repro.runtime.checkpoint.REGISTERED_MUTABLE_STATE`.
+   output-invisible — only the trace shape changes, so a resumed run
+   safely starts back at the default grain.
 3. **checkpoint-and-degrade** (97%) — trip the policy deadline: the
-   constraint search exits on its anytime best-so-far path (its
-   incumbent is already snapshotted on disk by the checkpointer), the
-   run finishes degraded-but-complete, and a later ``--resume`` picks
-   up from the persisted stages. An optional ``on_degrade`` hook runs
-   first (the CLI uses it to force a final checkpoint flush).
+   constraint search exits on its anytime best-so-far path (with a
+   checkpoint armed, its incumbent is already on disk — checkpoint
+   writes are synchronous), and the run finishes degraded-but-complete.
 
 Each action is recorded in the degradation report and the
 ``runtime.pressure.*`` metrics. Tiers fire on upward crossings; a
@@ -68,8 +65,8 @@ class PressureMonitor:
 
     def __init__(self, limit_bytes: int, *, policy=None, registry=None,
                  reader=None, interval: float = 0.5,
-                 thresholds: PressureThresholds | None = None,
-                 on_degrade=None) -> None:
+                 thresholds: PressureThresholds | None = None
+                 ) -> None:
         if limit_bytes <= 0:
             raise ValueError("rss limit must be positive")
         self.limit_bytes = int(limit_bytes)
@@ -78,7 +75,6 @@ class PressureMonitor:
         self._policy = policy
         self._registry = registry
         self._reader = reader if reader is not None else read_proc_self
-        self._on_degrade = on_degrade
         self._tier = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -113,11 +109,8 @@ class PressureMonitor:
             featurize.clear_text_cache()
         elif level == 2:
             SHARD_SCALE.halve()
-        else:
-            if self._on_degrade is not None:
-                self._on_degrade()
-            if self._policy is not None:
-                self._policy.trip_deadline()
+        elif self._policy is not None:
+            self._policy.trip_deadline()
         self.actions.append(action)
         if self._policy is not None:
             self._policy.report.pressure(level, action)

@@ -219,13 +219,12 @@ class TestDiscoveryAndParseErrors:
     def test_rule_registry_is_complete(self):
         assert set(rule_ids()) == {
             "unseeded-random", "wallclock", "set-iteration",
-            "executor-shared-write", "process-unsafe-state",
-            "learner-contract",
+            "process-unsafe-state", "learner-contract",
             "metric-catalogue", "event-catalogue", "span-unclosed",
             "blind-except", "fault-site-catalogue",
             "flow-nondeterministic-path", "flow-worker-shared-write",
             "flow-fault-unhandled", "flow-unresolved-hot-call",
-            "flow-observer-gap", "checkpoint-unregistered-state"}
+            "flow-observer-gap"}
 
     def test_unknown_rule_selection_raises(self):
         with pytest.raises(ValueError, match="unknown rule"):

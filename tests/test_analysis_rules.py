@@ -117,68 +117,6 @@ class TestSetIteration:
             """, "set-iteration") == []
 
 
-class TestExecutorSharedWrite:
-    def test_lambda_mutating_closure_list_flagged(self):
-        findings = lint("""\
-            results = []
-
-            def run(pool, items):
-                pool.map(lambda item: results.append(item), items)
-            """, "executor-shared-write")
-        assert len(findings) == 1
-        assert "results.append" in findings[0].message
-
-    def test_one_hop_helper_writing_module_dict_flagged(self):
-        findings = lint("""\
-            cache = {}
-
-            def worker(item):
-                cache[item] = item
-
-            def run(pool, items):
-                pool.map(lambda item: worker(item), items)
-            """, "executor-shared-write")
-        assert len(findings) == 1
-        assert "stores into shared" in findings[0].message
-
-    def test_global_declaration_flagged(self):
-        findings = lint("""\
-            total = 0
-
-            def worker(pair):
-                global total
-                total += sum(pair)
-
-            def run(pool, pairs):
-                pool.map(worker, pairs)
-            """, "executor-shared-write")
-        assert any("global" in f.message for f in findings)
-
-    def test_pure_worker_clean(self):
-        assert lint("""\
-            def worker(item):
-                out = []
-                out.append(item * 2)
-                return out
-
-            def run(pool, items):
-                return pool.map(worker, items)
-            """, "executor-shared-write") == []
-
-    def test_benign_cache_allowlisted(self):
-        assert lint("""\
-            _text_cache = {}
-
-            def worker(text):
-                _text_cache[text] = text.split()
-                stats.hits += 1
-                return _text_cache[text]
-
-            def run(pool, texts):
-                return pool.map(worker, texts)
-            """, "executor-shared-write") == []
-
-
 class TestProcessUnsafeState:
     def test_handler_writing_module_dict_flagged(self):
         findings = lint("""\

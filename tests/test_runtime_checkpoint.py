@@ -1,14 +1,11 @@
 """Unit tests for :mod:`repro.runtime.checkpoint` and the durability
 contract of the atomic artifact layer it builds on: keys, manifests,
-stage roundtrips, absorbed write faults, and never-torn files."""
+incumbent and mapping roundtrips, absorbed write faults, and never-torn
+files."""
 
-import importlib
 import json
 import os
 import threading
-
-import numpy as np
-import pytest
 
 from repro.observability import artifacts
 from repro.observability.artifacts import (atomic_write_bytes,
@@ -16,10 +13,8 @@ from repro.observability.artifacts import (atomic_write_bytes,
 from repro.observability.ledger import build_entry, check_ledger
 from repro.resilience import (FaultPlan, FaultSpec, ResiliencePolicy,
                               SITE_ARTIFACT_WRITE)
-from repro.runtime import (Checkpointer, REGISTERED_MUTABLE_STATE,
-                           run_key)
-from repro.runtime.checkpoint import (STAGE_CONSTRAIN, STAGE_EXTRACT,
-                                      STAGE_PREDICT, STAGES)
+from repro.runtime import (CHECKPOINT_VERSION, Checkpointer,
+                           STAGE_CONSTRAIN, run_key)
 
 
 # ---------------------------------------------------------------------------
@@ -66,60 +61,14 @@ class TestCheckpointer:
         ck.open(resume=False)
         manifest = json.loads(
             (tmp_path / "k1" / "MANIFEST.json").read_text())
+        assert manifest["schema_version"] == CHECKPOINT_VERSION == 2
         assert manifest["kind"] == "lsd-checkpoint"
         assert manifest["run_key"] == "k1"
         assert manifest["attempt"] == 1
         assert manifest["run_id"] == "k1-a1"
         assert manifest["stages"] == []
         assert ck.run_id == "k1-a1"
-        assert not any(ck.has(stage) for stage in STAGES)
-
-    def test_extract_commits_a_provenance_marker(self, tmp_path):
-        """The extract checkpoint records per-tag instance counts, not
-        the column payload — columns re-derive deterministically from
-        the run's durable inputs (see the module docstring)."""
-        ck = Checkpointer(tmp_path, "k1")
-        ck.open(resume=False)
-        columns = {"price": ["$100", "$200"], "agent": ["Ann Lee"]}
-        assert ck.save_columns(columns) is True
-        assert ck.has(STAGE_EXTRACT)
-        marker = json.loads((tmp_path / "k1" / "columns.json")
-                            .read_text())
-        assert marker == {"instances": {"agent": 1, "price": 2}}
-        # Already committed: the resumed attempt skips the re-write.
-        assert ck.save_columns(columns) is False
-        fresh = Checkpointer(tmp_path, "k1")
-        fresh.open(resume=True)
-        assert fresh.has(STAGE_EXTRACT)
-        assert fresh.save_columns(columns) is False
-
-    def test_scores_roundtrip_and_shape_validation(self, tmp_path):
-        ck = Checkpointer(tmp_path, "k1")
-        ck.open(resume=False)
-        scores = np.arange(12, dtype=np.float64).reshape(4, 3)
-        assert ck.save_learner_scores("naive bayes", scores) is True
-        ck.commit_predict()
-        assert ck.has(STAGE_PREDICT)
-        fresh = Checkpointer(tmp_path, "k1")
-        fresh.open(resume=True)
-        loaded = fresh.load_scores(n_rows=4)
-        assert set(loaded) == {"naive bayes"}
-        np.testing.assert_array_equal(loaded["naive bayes"], scores)
-        assert loaded["naive bayes"].dtype == scores.dtype
-        # A matrix persisted for a different batch size never leaks in.
-        assert fresh.load_scores(n_rows=7) == {}
-
-    def test_learner_saves_survive_a_partial_predict_stage(self,
-                                                           tmp_path):
-        ck = Checkpointer(tmp_path, "k1")
-        ck.open(resume=False)
-        ck.save_learner_scores("nb", np.ones((2, 2)))
-        # No commit_predict: the stage is incomplete, but the one
-        # finished learner is individually resumable.
-        fresh = Checkpointer(tmp_path, "k1")
-        fresh.open(resume=True)
-        assert not fresh.has(STAGE_PREDICT)
-        assert set(fresh.load_scores(n_rows=2)) == {"nb"}
+        assert not ck.has(STAGE_CONSTRAIN)
 
     def test_mapping_roundtrip(self, tmp_path):
         ck = Checkpointer(tmp_path, "k1")
@@ -135,7 +84,9 @@ class TestCheckpointer:
         ck.open(resume=False)
         cost = 0.1 + 0.2  # a float whose repr must survive the trip
         ck.save_incumbent(cost, (0, 3, 1), {"price": "PRICE"})
-        loaded = ck.load_incumbent()
+        fresh = Checkpointer(tmp_path, "k1")
+        fresh.open(resume=True)
+        loaded = fresh.load_incumbent()
         assert loaded == (cost, (0, 3, 1), {"price": "PRICE"})
         assert loaded[0] == cost  # bitwise, not approximately
 
@@ -155,22 +106,23 @@ class TestCheckpointer:
     def test_resume_bumps_attempt_and_records_lineage(self, tmp_path):
         first = Checkpointer(tmp_path, "k1")
         first.open(resume=False)
-        first.save_columns({"t": ["v"]})
+        first.save_mapping({"t": "X"})
         second = Checkpointer(tmp_path, "k1")
         second.open(resume=True)
         assert second.run_id == "k1-a2"
         assert second.resumed_from == "k1-a1"
-        assert second.has(STAGE_EXTRACT)
+        assert second.has(STAGE_CONSTRAIN)
         third = Checkpointer(tmp_path, "k1")
         third.open(resume=False)  # fresh run: stages reset,
         assert third.manifest["stages"] == []  # ids never repeat
         assert third.run_id == "k1-a3"
         assert third.resumed_from is None
+        assert third.load_mapping() is None
 
     def test_foreign_or_corrupt_manifest_starts_fresh(self, tmp_path):
         other = Checkpointer(tmp_path, "other-key")
         other.open(resume=False)
-        other.save_columns({"t": ["v"]})
+        other.save_mapping({"t": "X"})
         (tmp_path / "k1").mkdir()
         (tmp_path / "k1" / "MANIFEST.json").write_text("{not json")
         ck = Checkpointer(tmp_path, "k1")
@@ -178,104 +130,44 @@ class TestCheckpointer:
         assert ck.resumed_from is None
         assert ck.manifest["stages"] == []
 
+    def test_version_1_directory_is_not_half_read(self, tmp_path):
+        """A checkpoint written by the previous format (score shards,
+        an extract marker) is ignored whole: the resume starts fresh
+        and serves neither its incumbent nor its mapping."""
+        directory = tmp_path / "k1"
+        directory.mkdir()
+        (directory / "MANIFEST.json").write_text(json.dumps({
+            "schema_version": 1, "kind": "lsd-checkpoint",
+            "run_key": "k1", "attempt": 1, "run_id": "k1-a1",
+            "stages": ["extract", "predict", "constrain"],
+            "scores": {"nb": "scores_nb.bin"}}))
+        (directory / "incumbent.json").write_text(json.dumps({
+            "cost": 1.0, "path": [0], "assignment": {"t": "X"}}))
+        (directory / "mapping.json").write_text('{"t": "X"}\n')
+        ck = Checkpointer(tmp_path, "k1")
+        ck.open(resume=True)
+        assert ck.resumed_from is None
+        assert ck.run_id == "k1-a1"
+        assert ck.load_incumbent() is None
+        assert ck.load_mapping() is None
+
     def test_write_fault_is_absorbed_never_torn(self, tmp_path):
         """An ``artifact.write`` fault during a checkpoint save is a
         recorded degradation: the save reports failure, the stage is
         not committed, and no torn or temp file is left behind."""
         policy = ResiliencePolicy()
         plan = FaultPlan(specs=(
-            FaultSpec(site=SITE_ARTIFACT_WRITE, key="columns.json"),))
+            FaultSpec(site=SITE_ARTIFACT_WRITE, key="mapping.json"),))
         ck = Checkpointer(tmp_path, "k1", plan=plan,
                           report=policy.report)
         ck.open(resume=False)
-        assert ck.save_columns({"t": ["v"]}) is False
-        assert not ck.has(STAGE_EXTRACT)
+        assert ck.save_mapping({"t": "X"}) is False
+        assert not ck.has(STAGE_CONSTRAIN)
         lost = [f["artifact"] for f in
                 policy.report.artifact_failures]
-        assert lost == ["checkpoint:columns.json"]
+        assert lost == ["checkpoint:mapping.json"]
         assert sorted(p.name for p in (tmp_path / "k1").iterdir()) == \
-            ["MANIFEST.json"]  # no marker, no temp litter
-
-    def test_scores_write_fault_keeps_learner_out_of_manifest(
-            self, tmp_path):
-        plan = FaultPlan(specs=(
-            FaultSpec(site=SITE_ARTIFACT_WRITE, key="scores_nb.bin"),))
-        ck = Checkpointer(tmp_path, "k1", plan=plan)
-        ck.open(resume=False)
-        assert ck.save_learner_scores("nb", np.ones((2, 2))) is False
-        assert ck.manifest["scores"] == {}
-        fresh = Checkpointer(tmp_path, "k1")
-        fresh.open(resume=True)
-        assert fresh.load_scores(n_rows=2) == {}
-
-    def test_background_writer_drains_in_order(self, tmp_path):
-        """The CLI's mode: saves return immediately, the writer thread
-        lands payload-then-commit in submission order, and ``flush``
-        waits for durability."""
-        ck = Checkpointer(tmp_path, "k1", background=True)
-        try:
-            ck.open(resume=False)
-            assert ck.save_columns({"t": ["v"]}) is True  # scheduled
-            assert ck.save_learner_scores("nb", np.ones((2, 2))) is True
-            ck.commit_predict()
-            assert ck.save_mapping({"t": "X"}) is True
-            assert ck.flush(timeout=30.0)
-            assert ck.has(STAGE_EXTRACT)
-            assert ck.has(STAGE_PREDICT)
-            assert ck.has(STAGE_CONSTRAIN)
-            fresh = Checkpointer(tmp_path, "k1")
-            fresh.open(resume=True)
-            assert fresh.manifest["stages"] == \
-                ["extract", "predict", "constrain"]
-            assert set(fresh.load_scores(n_rows=2)) == {"nb"}
-            assert fresh.load_mapping() == {"t": "X"}
-        finally:
-            ck.close()
-        ck.close()  # idempotent
-
-    def test_background_snapshot_is_immune_to_later_mutation(
-            self, tmp_path):
-        """Score matrices are copied on the caller's thread before the
-        enqueue — later in-place rescaling (structure passes) must not
-        leak into the persisted bytes."""
-        ck = Checkpointer(tmp_path, "k1", background=True)
-        try:
-            ck.open(resume=False)
-            scores = np.ones((2, 2))
-            ck.save_learner_scores("nb", scores)
-            scores *= 7.0  # the live array moves on immediately
-            assert ck.flush(timeout=30.0)
-        finally:
-            ck.close()
-        fresh = Checkpointer(tmp_path, "k1")
-        fresh.open(resume=True)
-        np.testing.assert_array_equal(
-            fresh.load_scores(n_rows=2)["nb"], np.ones((2, 2)))
-
-    def test_background_write_fault_is_absorbed(self, tmp_path):
-        policy = ResiliencePolicy()
-        plan = FaultPlan(specs=(
-            FaultSpec(site=SITE_ARTIFACT_WRITE, key="columns.json"),))
-        ck = Checkpointer(tmp_path, "k1", plan=plan,
-                          report=policy.report, background=True)
-        try:
-            ck.open(resume=False)
-            ck.save_columns({"t": ["v"]})
-            assert ck.flush(timeout=30.0)
-        finally:
-            ck.close()
-        assert not ck.has(STAGE_EXTRACT)
-        lost = [f["artifact"] for f in policy.report.artifact_failures]
-        assert lost == ["checkpoint:columns.json"]
-
-    def test_registered_state_entries_resolve(self):
-        """Every registry entry names a real module attribute — a
-        renamed cache cannot silently rot the allowlist."""
-        for qualname, reason in REGISTERED_MUTABLE_STATE.items():
-            module_name, attr = qualname.rsplit(".", 1)
-            module = importlib.import_module(module_name)
-            assert hasattr(module, attr), qualname
-            assert reason  # the why is part of the contract
+            ["MANIFEST.json"]  # no mapping, no temp litter
 
 
 # ---------------------------------------------------------------------------

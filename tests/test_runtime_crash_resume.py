@@ -1,7 +1,7 @@
 """Crash-safe checkpoint/resume, end to end.
 
-The durability contract: a run killed at any stage boundary resumes to
-a byte-identical mapping. Proven two ways — in-process against the
+The durability contract: a run killed at any point resumes to a
+byte-identical mapping. Proven two ways — in-process against the
 matching pipeline directly (fast, covers partial-manifest resume), and
 through the real CLI with an injected ``SIGKILL``
 (``LSD_CHECKPOINT_CRASH``) followed by ``--resume``.
@@ -49,9 +49,12 @@ class TestInProcessResume:
     def test_checkpointed_run_matches_the_baseline(self, system,
                                                    tmp_path):
         baseline = _match(system)
-        checkpointed = _match(system,
-                              checkpoint=_open_checkpoint(tmp_path))
+        checkpoint = _open_checkpoint(tmp_path)
+        checkpointed = _match(system, checkpoint=checkpoint)
         assert checkpointed.mapping == baseline.mapping
+        # A complete run keeps exactly what a resume can use.
+        assert sorted(p.name for p in checkpoint.dir.iterdir()) == \
+            ["MANIFEST.json", "incumbent.json", "mapping.json"]
 
     def test_full_resume_replays_the_identical_mapping(self, system,
                                                        tmp_path):
@@ -62,26 +65,25 @@ class TestInProcessResume:
         resumed = _match(system, checkpoint=resumed_ck)
         assert resumed.mapping == baseline.mapping
 
-    def test_resume_from_extract_only_is_byte_identical(self, system,
-                                                        tmp_path):
-        """Simulate a crash right after the extract stage committed:
-        the resumed run must re-predict and re-search to the same
-        mapping the uninterrupted run produced."""
+    def test_resume_with_only_the_incumbent_is_byte_identical(
+            self, system, tmp_path):
+        """Simulate a crash after the search saved its incumbent but
+        before the mapping commit: the resumed run re-predicts, warm-
+        starts the search, and reproduces the uninterrupted run's
+        mapping and scores."""
         baseline = _match(system, checkpoint=_open_checkpoint(tmp_path))
         partial = _open_checkpoint(tmp_path, resume=True)
-        partial.manifest["stages"] = ["extract"]
-        partial.manifest["scores"] = {}
+        partial.manifest["stages"] = []
+        (partial.dir / "mapping.json").unlink()
+        assert sorted(p.name for p in partial.dir.iterdir()) == \
+            ["MANIFEST.json", "incumbent.json"]
+        assert partial.load_incumbent() is not None
         resumed = _match(system, checkpoint=partial)
         assert resumed.mapping == baseline.mapping
-        assert partial.has("predict") and partial.has("constrain")
-
-    def test_resume_from_predict_skips_rescoring(self, system,
-                                                 tmp_path):
-        baseline = _match(system, checkpoint=_open_checkpoint(tmp_path))
-        partial = _open_checkpoint(tmp_path, resume=True)
-        partial.manifest["stages"] = ["extract", "predict"]
-        resumed = _match(system, checkpoint=partial)
-        assert resumed.mapping == baseline.mapping
+        assert resumed.tag_scores.keys() == baseline.tag_scores.keys()
+        for tag, row in baseline.tag_scores.items():
+            assert resumed.tag_scores[tag].tobytes() == row.tobytes()
+        assert partial.has("constrain")
 
 
 class TestGracefulShutdown:
@@ -152,8 +154,7 @@ def _run_cli(argv: list[str], crash_stage: str | None = None):
 
 
 class TestCliCrashResume:
-    @pytest.mark.parametrize("stage", ["extract", "predict",
-                                       "constrain"])
+    @pytest.mark.parametrize("stage", ["incumbent", "constrain"])
     def test_sigkill_then_resume_is_byte_identical(
             self, cli_workspace, tmp_path, stage):
         baseline = tmp_path / "baseline.txt"
@@ -174,6 +175,34 @@ class TestCliCrashResume:
         assert resumed.returncode == 0, resumed.stderr
         assert "resuming run" in resumed.stdout
         assert out.read_bytes() == baseline.read_bytes()
+
+    def test_resume_under_another_model_starts_fresh(
+            self, cli_workspace, tmp_path):
+        """The run key covers the model: resuming a checkpoint written
+        with one model under another must print the second model's own
+        mapping, never the first model's saved one."""
+        data = cli_workspace / "data"
+        other_model = tmp_path / "other.lsd"
+        assert main(["train", "--mediated", str(data / "mediated.dtd"),
+                     "--train", str(data / "homeseekers.com"),
+                     "--model", str(other_model),
+                     "--max-instances", "3"]) == 0
+        other_plain = tmp_path / "other-plain.txt"
+        argv = _match_argv(cli_workspace, other_plain)
+        argv[argv.index("--model") + 1] = str(other_model)
+        assert main(argv) == 0
+        first = tmp_path / "first.txt"
+        ck_dir = tmp_path / "ck"
+        assert main(_match_argv(cli_workspace, first,
+                                "--checkpoint-dir", str(ck_dir))) == 0
+        assert first.read_bytes() != other_plain.read_bytes()
+
+        resumed = tmp_path / "resumed.txt"
+        argv = _match_argv(cli_workspace, resumed,
+                           "--checkpoint-dir", str(ck_dir), "--resume")
+        argv[argv.index("--model") + 1] = str(other_model)
+        assert main(argv) == 0
+        assert resumed.read_bytes() == other_plain.read_bytes()
 
     def test_constraints_source_exists(self, cli_workspace):
         source = cli_workspace / "data" / "greathomes.com"

@@ -156,15 +156,12 @@ class TestPressureMonitor:
         # Coverage is unchanged — only the grain moved.
         assert finer[0][0] == 0 and finer[-1][1] == 10_000
 
-    def test_degrade_tier_trips_deadline_and_runs_hook(self):
+    def test_degrade_tier_trips_deadline(self):
         policy = ResiliencePolicy()
         deadline = policy.start_deadline()
-        flushed = []
-        monitor = PressureMonitor(1000, policy=policy,
-                                  on_degrade=lambda: flushed.append(1))
+        monitor = PressureMonitor(1000, policy=policy)
         assert monitor.sample_once(rss_bytes=990) == 3
         assert deadline.expired()
-        assert flushed == [1]
 
     def test_a_spike_escalates_through_every_tier_in_order(self):
         policy = ResiliencePolicy()
