@@ -125,7 +125,7 @@ class CallGraph:
         self.external_calls: int = 0
         #: Call sites bound to one or more project nodes.
         self.resolved_calls: int = 0
-        #: Functions that run on worker threads/processes: every
+        #: Functions that may run in a worker process: every
         #: ``@task_handler`` def plus every resolved fan-out callable.
         self.worker_roots: set[str] = set()
         #: display path -> SourceFile, for rules that re-scan bodies.

@@ -91,8 +91,8 @@ class WorkerSharedWriteRule(FlowRule):
                 yield self.chain_finding(
                     source, hit.line,
                     f"{hit.detail} on a worker path from "
-                    f"{_short(chain[0])}; the write races (threads) or "
-                    f"silently stays in the fork (processes)", chain)
+                    f"{_short(chain[0])}; in a worker process the write "
+                    f"silently stays in the fork", chain)
 
 
 @register

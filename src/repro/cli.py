@@ -664,8 +664,8 @@ def _run_match(args: argparse.Namespace,
                                   observer=obs,
                                   checkpoint=checkpoint)
         finally:
-            # Process-backend hygiene: workers and the shared-memory
-            # segment never outlive the command.
+            # Process-backend hygiene: workers never outlive the
+            # command.
             if supervisor is not None:
                 supervisor.stop()
                 if obs.events.enabled:

@@ -17,10 +17,8 @@ mixing it with ``np.mean`` (pairwise summation) would not be.
 
 The converter itself is stateless (one strategy string) and never
 writes its inputs: both reductions allocate fresh output arrays, so a
-read-only score matrix — e.g. combined scores built over zero-copy
-shared model state (:mod:`repro.core.shared_arrays`) — flows through
-untouched. ``np.asarray`` on such input returns it as-is rather than
-copying, which is exactly what the shared-view contract wants.
+read-only score matrix flows through untouched. ``np.asarray`` on such
+input returns it as-is rather than copying.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ Two backends:
 
 * ``serial`` — in-process, in-order; the reference semantics.
 * ``process`` (default) — a persistent :class:`~repro.core.procpool.
-  WorkerPool` whose workers hold the trained model reconstructed once
-  around a shared-memory segment (:mod:`repro.core.shared_arrays`). The
-  hot score kernels (scipy sparse products, ``np.partition``) hold the
+  WorkerPool` whose forked workers hold the parent's trained model as
+  they inherited it. The hot score kernels (scipy sparse products, ``np.partition``) hold the
   GIL, so worker processes are the only way to run them side by side.
   Only :class:`~repro.core.procpool.ProcessTask` descriptors handed to
   :meth:`ParallelExecutor.map_profiled` reach the pool; every other map

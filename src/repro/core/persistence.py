@@ -5,35 +5,9 @@ The training phase is cheap for a demo but expensive at production scale
 of sources"), so a trained system — learners, meta-learner weights,
 constraints, pruner profiles — can be persisted and reloaded.
 
-Pickle is the serialisation layer; a format header guards against loading
-files produced by incompatible library versions.
-
-Two on-disk layouts share one loader:
-
-* **version 1** (default): the whole system in one pickle stream —
-  simple, single-file, still what :func:`save_system` writes unless
-  asked otherwise.
-* **version 2** (``save_system(..., array_store=True)``): the model's
-  large read-only arrays are hoisted out of the pickle
-  (:func:`~repro.core.shared_arrays.extract_arrays`) and written as
-  individual ``.npy`` files in a ``<model>.arrays/`` sidecar directory
-  next to the model file. :func:`load_system` can then splice them back
-  as ``np.load(..., mmap_mode="r")`` memmaps (``mmap_arrays=True``) —
-  the OS page cache shares the bytes across every process that loads
-  the model, so pool workers and future serving processes attach a
-  saved model without a full deserialize-copy, and cold loads only
-  fault in the pages the run actually touches.
-
-Array-store lifecycle (who owns, who unlinks):
-
-* the sidecar directory belongs to the model file: copy or delete the
-  two together (the loader refuses a model whose sidecar is missing);
-* re-saving to the same path overwrites the model file and clears stale
-  ``*.npy`` entries from the sidecar — no reader-side cleanup exists;
-* mmap-loaded systems keep open file handles on the ``.npy`` files for
-  as long as the arrays live; on POSIX, deleting the files under a
-  running system is safe (the mapping survives until the system dies),
-  it just breaks the *next* load.
+Pickle is the serialisation layer: the whole system in one pickle
+stream, behind a format header that guards against loading files
+produced by incompatible library versions.
 
 .. warning:: as with any pickle-based format, only load model files you
    trust.
@@ -44,16 +18,10 @@ from __future__ import annotations
 import pickle
 from pathlib import Path
 
-import numpy as np
-
-from .shared_arrays import extract_arrays, restore
 from .system import LSDSystem
 
 #: Bumped whenever the on-disk layout changes incompatibly.
 FORMAT_VERSION = 1
-#: The hoisted-array sidecar layout; older readers reject it cleanly
-#: with their version message rather than misparsing it.
-ARRAY_STORE_VERSION = 2
 _MAGIC = "repro-lsd"
 
 #: What ``pickle.load`` raises on corrupt or incompatible input:
@@ -75,76 +43,19 @@ class ModelFormatError(RuntimeError):
     """The file is not a compatible saved LSD system."""
 
 
-def _sidecar_dir(path: Path) -> Path:
-    """The array sidecar directory belonging to a model file."""
-    return path.with_name(path.name + ".arrays")
-
-
-def save_system(system: LSDSystem, path: str | Path,
-                array_store: bool = False) -> None:
-    """Serialise a (typically trained) system to ``path``.
-
-    ``array_store=True`` writes the version-2 layout: the model file
-    plus a ``<path>.arrays/`` sidecar of ``.npy`` files holding the
-    hoisted arrays — the format :func:`load_system` can memory-map.
-    """
-    path = Path(path)
-    if not array_store:
-        payload = {
-            "magic": _MAGIC,
-            "version": FORMAT_VERSION,
-            "system": system,
-        }
-        with path.open("wb") as handle:
-            pickle.dump(payload, handle,
-                        protocol=pickle.HIGHEST_PROTOCOL)
-        return
-    blob, arrays = extract_arrays(system)
-    sidecar = _sidecar_dir(path)
-    sidecar.mkdir(exist_ok=True)
-    for stale in sidecar.glob("*.npy"):
-        stale.unlink()
-    names = []
-    for index, array in enumerate(arrays):
-        name = f"{index:04d}.npy"
-        np.save(sidecar / name, array)
-        names.append(name)
+def save_system(system: LSDSystem, path: str | Path) -> None:
+    """Serialise a (typically trained) system to ``path``."""
     payload = {
         "magic": _MAGIC,
-        "version": ARRAY_STORE_VERSION,
-        "system_payload": blob,
-        "arrays": names,
-        "sidecar": sidecar.name,
+        "version": FORMAT_VERSION,
+        "system": system,
     }
-    with path.open("wb") as handle:
+    with Path(path).open("wb") as handle:
         pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _load_arrays(path: Path, payload: dict, mmap_arrays: bool) -> list:
-    sidecar = path.with_name(payload["sidecar"])
-    views = []
-    for name in payload["arrays"]:
-        file = sidecar / name
-        if not file.is_file():
-            raise ModelFormatError(
-                f"{path}: array sidecar file {file} is missing — the "
-                f"model file and its .arrays/ directory travel "
-                f"together")
-        views.append(np.load(file,
-                             mmap_mode="r" if mmap_arrays else None))
-    return views
-
-
-def load_system(path: str | Path,
-                mmap_arrays: bool = False) -> LSDSystem:
-    """Load a system saved by :func:`save_system` (either layout).
-
-    For array-store models, ``mmap_arrays=True`` splices the sidecar
-    arrays in as read-only memmaps instead of heap copies — near-zero
-    load cost and bytes shared across processes via the page cache. The
-    flag is ignored for version-1 single-pickle models (there is
-    nothing to map).
-    """
+def load_system(path: str | Path) -> LSDSystem:
+    """Load a system saved by :func:`save_system`."""
     path = Path(path)
     with path.open("rb") as handle:
         try:
@@ -155,24 +66,11 @@ def load_system(path: str | Path,
     if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
         raise ModelFormatError(f"{path} is not an LSD model file")
     version = payload.get("version")
-    if version == FORMAT_VERSION:
-        system = payload["system"]
-    elif version == ARRAY_STORE_VERSION:
-        if not all(key in payload for key in
-                   ("system_payload", "arrays", "sidecar")):
-            raise ModelFormatError(
-                f"{path} declares the array-store format but lacks its "
-                f"sections — not a file save_system produced")
-        views = _load_arrays(path, payload, mmap_arrays)
-        try:
-            system = restore(payload["system_payload"], views)
-        except _UNPICKLE_ERRORS as exc:
-            raise ModelFormatError(
-                f"{path} is not a readable LSD model: {exc}") from exc
-    else:
+    if version != FORMAT_VERSION:
         raise ModelFormatError(
             f"{path} uses format version {version}, this library reads "
-            f"versions {FORMAT_VERSION} and {ARRAY_STORE_VERSION}")
+            f"version {FORMAT_VERSION}")
+    system = payload["system"]
     if not isinstance(system, LSDSystem):
         raise ModelFormatError(f"{path} does not contain an LSDSystem")
     return system

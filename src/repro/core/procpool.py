@@ -1,16 +1,14 @@
-"""Process execution backend: persistent workers over a shared model.
+"""Process execution backend: persistent workers over the trained model.
 
 The hot score kernels (scipy sparse products, ``np.partition``) hold
 the GIL, so only worker *processes* can run them side by side. This
 module runs them there, built so the rest of the pipeline does not
 notice the boundary:
 
-* a :class:`WorkerPool` spawns its workers **once** and keeps them for
-  the system's lifetime; each worker reconstructs the trained learners
-  a single time from a :class:`~repro.core.shared_arrays.
-  SharedArrayStore` segment (the TF-IDF CSR triplets, label matrices
-  and friends are mapped, not copied — see :mod:`~repro.core.
-  shared_arrays`) and keeps its own featurize caches warm across tasks;
+* a :class:`WorkerPool` forks its workers **once** and keeps them for
+  the system's lifetime; each worker inherits the parent's trained
+  learners as they are and keeps its own featurize caches warm across
+  tasks;
 * per fan-out, the featurized shard batch is pickled **once** and
   broadcast to every worker; the per-task messages then carry only a
   batch token plus ``[start, stop)`` row bounds, so IPC stays
@@ -46,9 +44,8 @@ and summarised as a :class:`RemoteTaskError` when not.
 Chaos: the ``worker.process`` fault site hard-kills one worker
 (``os._exit``, skipping every ``finally``) before a map dispatches —
 the genuine crash path. The pool marks itself broken, the interrupted
-map falls back to serial, the owner releases the shared segment, and
-subsequent maps run serially until the system rebuilds the pool on its
-next access.
+map falls back to serial, the pool is retired, and subsequent maps run
+serially until the system rebuilds the pool on its next access.
 """
 
 from __future__ import annotations
@@ -70,7 +67,6 @@ from ..observability.metrics import (BYTE_BUCKETS, CPU_BUCKETS,
                                      M_POOL_QUEUE_DEPTH,
                                      M_POOL_QUEUE_WAIT,
                                      M_POOL_SHIP_SKIPS, M_POOL_TASKS,
-                                     M_POOL_SHM_BYTES,
                                      M_POOL_WORKER_CPU,
                                      M_POOL_WORKER_RSS,
                                      M_POOL_WORKERS, M_PREDICT_LATENCY)
@@ -78,7 +74,6 @@ from ..observability.resources import ProcSample, read_proc_self
 from ..resilience.faults import FaultInjected
 from ..resilience.policy import call_with_timeout
 from ..resilience.sites import SITE_EXECUTOR_TASK, SITE_WORKER_PROCESS
-from .shared_arrays import SharedArrayStore, extract_arrays, restore
 
 #: Batches a worker keeps resident. Every map ships its batches
 #: immediately before its tasks, and maps never interleave on one pool,
@@ -259,28 +254,25 @@ def _run_task(state: _WorkerState, task_id: int, task: dict) -> tuple:
                     if task.get("sample") else ())
 
 
-def _worker_main(conn, store_handle: tuple, payload: bytes,
-                 inherited: tuple = ()) -> None:
-    """One worker process: attach, reconstruct, serve until told to stop.
+def _worker_main(conn, learners: list, inherited: tuple = ()) -> None:
+    """One worker process: serve tasks until told to stop.
 
-    The expensive part happens exactly once — attaching the shared
-    segment and re-inflating the learners around its read-only views.
-    After that the loop is: receive a broadcast batch or a task, answer
-    on the same pipe. ``die`` hard-exits without cleanup (the chaos
-    crash path); a vanished parent (EOF on the pipe) ends the loop too,
-    so orphaned workers never linger — which needs every copy of the
-    parent's pipe end closed: a forked worker closes the ones it
-    ``inherited``, and drops the parent's SIGTERM/SIGINT handlers.
+    ``learners`` is the parent's fitted list — inherited as is under
+    fork, unpickled once under spawn. The loop is: receive a broadcast
+    batch or a task, answer on the same pipe. ``die`` hard-exits without
+    cleanup (the chaos crash path); a vanished parent (EOF on the pipe)
+    ends the loop too, so orphaned workers never linger — which needs
+    every copy of the parent's pipe end closed: a forked worker closes
+    the ones it ``inherited``, and drops the parent's SIGTERM/SIGINT
+    handlers.
     """
     for parent_end in inherited:
         parent_end.close()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    store = SharedArrayStore.attach(store_handle)
+    state = _WorkerState(
+        learners={learner.name: learner for learner in learners})
     try:
-        learners = restore(payload, store.views())
-        state = _WorkerState(
-            learners={learner.name: learner for learner in learners})
         while True:
             try:
                 message = conn.recv()
@@ -302,9 +294,6 @@ def _worker_main(conn, store_handle: tuple, payload: bytes,
             except OSError:
                 break
     finally:
-        # Attacher obligation only: close, never unlink (the owner
-        # frees the name; see shared_arrays' lifecycle contract).
-        store.close()
         try:
             conn.close()
         except OSError:
@@ -323,10 +312,10 @@ class _WorkerHandle:
         self.conn = conn
 
 
-def _release(workers: dict, store: SharedArrayStore) -> None:
+def _release(workers: dict) -> None:
     """Idempotent pool teardown (also the ``weakref.finalize`` target):
-    stop or terminate every worker, close the pipes, release the shared
-    segment. Safe against workers that already crashed."""
+    stop or terminate every worker and close the pipes. Safe against
+    workers that already crashed."""
     for handle in workers.values():
         if handle.process.is_alive():
             try:
@@ -342,36 +331,32 @@ def _release(workers: dict, store: SharedArrayStore) -> None:
             handle.conn.close()
         except OSError:
             pass
-    store.release()
 
 
 def default_start_method() -> str:
-    """``fork`` where available (cheap start, inherited imports),
-    ``spawn`` otherwise — everything shipped to workers is picklable,
-    so both behave identically apart from start-up latency."""
+    """``fork`` where available (cheap start, the trained model
+    inherited in place), ``spawn`` otherwise — everything handed to
+    workers is picklable, so both behave identically apart from
+    start-up cost."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
 
 class WorkerPool:
-    """A persistent pool of worker processes sharing one trained model.
+    """A persistent pool of worker processes over one trained model.
 
-    Construction is the expensive step — export the learners' arrays
-    into a shared segment, spawn the workers, let each attach and
-    reconstruct — and happens once per trained system; every map after
-    that only moves batches and row bounds. The pool owns the segment:
-    :meth:`shutdown` (or the garbage-collection finalizer) releases it,
-    and the no-leak tests pin that nothing survives normal exit, worker
-    crashes, or chaos runs.
+    Construction starts the workers once per trained system; each one
+    holds the learners from then on, so every map after that only moves
+    batches and row bounds. :meth:`shutdown` (or the garbage-collection
+    finalizer) stops them, and the lifecycle tests pin that no worker
+    survives normal exit, worker crashes, or abandonment.
     """
 
-    def __init__(self, learners, workers: int,
-                 start_method: str | None = None) -> None:
+    def __init__(self, learners, workers: int) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.size = int(workers)
-        payload, arrays = extract_arrays(list(learners))
-        self._store = SharedArrayStore.create(arrays)
+        learners = list(learners)
         self._workers: dict[int, _WorkerHandle] = {}
         self.broken = False
         self._batch_tokens = itertools.count()
@@ -387,8 +372,7 @@ class WorkerPool:
         #: int-keyed dict traffic, no lock needed.
         self._dispatched: dict[int, float] = {}
         try:
-            ctx = multiprocessing.get_context(
-                start_method or default_start_method())
+            ctx = multiprocessing.get_context(default_start_method())
             forked = ctx.get_start_method() == "fork"
             for worker_id in range(self.size):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -399,21 +383,20 @@ class WorkerPool:
                      parent_conn) if forked else ())
                 process = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, self._store.handle, payload,
-                          inherited),
+                    args=(child_conn, learners, inherited),
                     name=f"lsd-worker-{worker_id}", daemon=True)
                 process.start()
                 child_conn.close()
                 self._workers[worker_id] = _WorkerHandle(process,
                                                          parent_conn)
         except BaseException:
-            _release(self._workers, self._store)
+            _release(self._workers)
             raise
         # Safety net for abandoned pools: runs at GC or interpreter
-        # exit if nobody called shutdown(). Captures the workers dict
-        # and store, never self.
+        # exit if nobody called shutdown(). Captures the workers dict,
+        # never self.
         self._finalizer = weakref.finalize(
-            self, _release, dict(self._workers), self._store)
+            self, _release, dict(self._workers))
 
     # ------------------------------------------------------------------
     # introspection
@@ -424,17 +407,6 @@ class WorkerPool:
         return (not self.broken and bool(self._workers)
                 and all(handle.process.is_alive()
                         for handle in self._workers.values()))
-
-    @property
-    def segment_name(self) -> str:
-        """The shared segment's name (for the leak tests)."""
-        return self._store.name
-
-    @property
-    def shm_bytes(self) -> int:
-        """Size of the shared model segment (the ``pool.shm_bytes``
-        metric)."""
-        return self._store.nbytes
 
     def worker_ids(self) -> list[int]:
         return [worker_id
@@ -600,13 +572,13 @@ class WorkerPool:
         self.broken = True
 
     def retire(self) -> None:
-        """Break-and-release: the mid-map crash response. Segment
-        hygiene does not wait for anyone to remember ``shutdown``."""
+        """Break-and-stop: the mid-map crash response. The surviving
+        workers do not wait for anyone to remember ``shutdown``."""
         self.broken = True
         self.shutdown()
 
     def shutdown(self) -> None:
-        """Stop the workers and release the segment (idempotent)."""
+        """Stop the workers and close their pipes (idempotent)."""
         self._finalizer()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -827,7 +799,7 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
                             time.perf_counter()  # lsd: ignore[wallclock]
                 feed(worker_id)
     except PoolBrokenError:
-        # A genuine crash: release the segment immediately, record the
+        # A genuine crash: stop the survivors immediately, record the
         # degradation, finish every unfinished task locally. Maps after
         # this one see a dead pool and run serially.
         pool.retire()
@@ -852,7 +824,6 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
         if not pool.broken:
             metrics.gauge(M_POOL_WORKERS).set(
                 float(len(pool.worker_ids())))
-            metrics.gauge(M_POOL_SHM_BYTES).set(float(pool.shm_bytes))
         rss_hist = metrics.histogram(M_POOL_WORKER_RSS, BYTE_BUCKETS)
         cpu_hist = metrics.histogram(M_POOL_WORKER_CPU, CPU_BUCKETS)
         for worker_id in sorted(worker_resources):

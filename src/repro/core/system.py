@@ -179,9 +179,8 @@ class LSDSystem:
         return pool
 
     def close_pool(self) -> None:
-        """Shut down the worker-process pool (workers + shared-memory
-        segment), if one is live. Safe to call at any time; the next
-        process-backend run rebuilds it."""
+        """Shut down the worker-process pool, if one is live. Safe to
+        call at any time; the next process-backend run rebuilds it."""
         pool = getattr(self, "_procpool", None)
         if pool is not None:
             pool.shutdown()
@@ -190,7 +189,7 @@ class LSDSystem:
     def __getstate__(self) -> dict:
         # The policy holds run state (locks, fault counters) and is a
         # per-process concern: models persist without one. Same for the
-        # worker pool — live processes and shared memory do not pickle —
+        # worker pool — live processes do not pickle —
         # and for the execution settings, which belong to each run.
         state = {key: value for key, value in self.__dict__.items()
                  if key not in _RUN_SETTINGS}

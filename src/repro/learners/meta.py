@@ -202,9 +202,9 @@ class StackingMetaLearner:
                 row = prior.copy()
             self.weights[c] = row
         # Fitted weights are read-only from here on: combination and
-        # quarantine renormalization work on copies, so the table can be
-        # shared zero-copy across worker processes / memmapped models
-        # (repro.core.shared_arrays documents the contract).
+        # quarantine renormalization work on copies, so a write anywhere
+        # is a bug, caught here rather than as a silent divergence
+        # between the parent and its forked workers.
         self.weights.setflags(write=False)
 
     def fit_uniform(self, learner_names: Sequence[str],

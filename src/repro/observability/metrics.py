@@ -63,7 +63,6 @@ M_PROC_CPU = "proc.cpu_seconds"
 M_PROC_FDS = "proc.open_fds"
 M_PROC_THREADS = "proc.threads"
 M_POOL_WORKERS = "pool.workers"
-M_POOL_SHM_BYTES = "pool.shm_bytes"
 M_POOL_WORKER_RSS = "pool.worker_rss_bytes"
 M_POOL_WORKER_CPU = "pool.worker_cpu_seconds"
 M_POOL_QUEUE_DEPTH = "pool.queue_depth"
@@ -123,8 +122,6 @@ CATALOGUE: dict[str, tuple[str, str]] = {
     M_PROC_FDS: ("gauge", "open file descriptors of this process"),
     M_PROC_THREADS: ("gauge", "live threads of this process"),
     M_POOL_WORKERS: ("gauge", "live worker processes in the pool"),
-    M_POOL_SHM_BYTES: (
-        "gauge", "bytes of the pool's shared-memory model segment"),
     M_POOL_WORKER_RSS: (
         "histogram", "per-worker resident set size sampled at map end "
                      "(bytes)"),
@@ -177,7 +174,7 @@ LATENCY_BUCKETS = exponential_buckets(1e-6, 4.0, 12)
 SIZE_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
                 1000.0)
 
-#: 1MiB .. 8GiB in x2 steps — worker RSS and shared-segment sizes.
+#: 1MiB .. 8GiB in x2 steps — worker RSS.
 BYTE_BUCKETS = exponential_buckets(float(1 << 20), 2.0, 14)
 
 #: 1ms .. ~1h in x4 steps — cumulative per-worker CPU time.

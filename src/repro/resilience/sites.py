@@ -43,7 +43,7 @@ SITE_SEARCH_ROOT = "constraints.search"
 #: stage label. A fired fault hard-kills a live worker process
 #: (``os._exit``) before any task of that map is dispatched, breaking
 #: the pool and exercising the genuine crash-recovery path: serial
-#: fallback for the map, segment cleanup, serial maps afterwards.
+#: fallback for the map, pool retirement, serial maps afterwards.
 #: Fires only when a process pool is actually in use — at
 #: ``--workers 1`` there is no process to kill, so plans targeting it
 #: leave such runs untouched.

@@ -49,9 +49,8 @@ class TfidfVectorSpace:
         self.matrix = self.transform(documents)
         # The fitted model is immutable from here on: queries build
         # *fresh* matrices (transform) and only ever read these. Marking
-        # the arrays read-only proves it at runtime and is what lets the
-        # process backend / array-store persistence hand every consumer
-        # zero-copy views of the same bytes (repro.core.shared_arrays).
+        # the arrays read-only proves it at runtime, so forked workers
+        # never write (and copy) the pages they share with the parent.
         self.idf.setflags(write=False)
         self.matrix.data.setflags(write=False)
         self.matrix.indices.setflags(write=False)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.core.instance import ElementInstance
 from repro.core.labels import LabelSpace
 from repro.xmlio import Element
@@ -52,3 +54,17 @@ class LegacyStageProfile:
 
     def __getstate__(self) -> dict:
         return {"timings": self.timings, "counters": self.counters}
+
+
+def running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def worker_pids(pool) -> list[int]:
+    """The pids of a :class:`~repro.core.procpool.WorkerPool`'s workers."""
+    return [handle.process.pid for handle in pool._workers.values()]

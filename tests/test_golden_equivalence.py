@@ -29,7 +29,8 @@ from repro.learners import (ContentMatcher, EditDistanceNameMatcher,
                             StackingMetaLearner, StatisticsLearner,
                             XMLLearner)
 
-from .helpers import make_instance, space_of, training_set
+from .helpers import (make_instance, running, space_of, training_set,
+                      worker_pids)
 
 SPACE = space_of("ADDRESS", "PRICE", "PHONE", "DESCRIPTION")
 
@@ -333,17 +334,15 @@ class TestProcessBackendEquivalence:
         run = self._run(system, workers=4, backend="process")
         self._assert_identical(run, reference)
 
-    def test_no_segment_leak_after_runs(self, system):
-        """``close_pool`` must release every shared-memory segment the
-        pool exported (guaranteed ordering: this class's tests run the
-        pool above; pytest executes methods in definition order)."""
-        from repro.core.shared_arrays import segment_exists
-
+    def test_no_worker_left_after_runs(self, system):
+        """``close_pool`` must stop every worker process the pool
+        started (guaranteed ordering: this class's tests run the pool
+        above; pytest executes methods in definition order)."""
         pool = getattr(system, "_procpool", None)
         if pool is not None:
-            name = pool.segment_name
+            pids = worker_pids(pool)
             system.close_pool()
-            assert name is None or not segment_exists(name)
+            assert not any(running(pid) for pid in pids)
         assert getattr(system, "_procpool", None) is None
 
 

@@ -145,87 +145,6 @@ class TestRunSettings:
             assert np.array_equal(result.tag_scores[tag], scores), tag
 
 
-class TestArrayStore:
-    """The version-2 layout: hoisted arrays in a ``.arrays/`` sidecar,
-    optionally spliced back in as read-only memmaps."""
-
-    def test_save_writes_model_plus_sidecar(self, trained, tmp_path):
-        domain, system = trained
-        path = tmp_path / "model.lsd"
-        save_system(system, path, array_store=True)
-        sidecar = tmp_path / "model.lsd.arrays"
-        assert sidecar.is_dir()
-        assert list(sidecar.glob("*.npy")), \
-            "a trained model should hoist at least one large array"
-
-    def test_roundtrip_matches_identically(self, trained, tmp_path):
-        domain, system = trained
-        path = tmp_path / "model.lsd"
-        save_system(system, path, array_store=True)
-        loaded = load_system(path)
-        test = domain.sources[4]
-        listings = test.listings(20)
-        assert system.match(test.schema, listings).mapping == \
-            loaded.match(test.schema, listings).mapping
-
-    def test_mmap_load_matches_identically(self, trained, tmp_path):
-        domain, system = trained
-        path = tmp_path / "model.lsd"
-        save_system(system, path, array_store=True)
-        loaded = load_system(path, mmap_arrays=True)
-        test = domain.sources[4]
-        listings = test.listings(20)
-        assert system.match(test.schema, listings).mapping == \
-            loaded.match(test.schema, listings).mapping
-
-    def test_mmap_load_actually_maps(self, trained, tmp_path):
-        """The mmap fast path must splice memmaps in, not heap copies.
-
-        ``extract_arrays`` hoists exactly-``np.ndarray`` objects only,
-        so re-extracting an mmap-loaded system finds strictly fewer
-        arrays than a copy-loaded one — every sidecar slot now holds an
-        ``np.memmap``."""
-        from repro.core.shared_arrays import extract_arrays
-
-        domain, system = trained
-        path = tmp_path / "model.lsd"
-        save_system(system, path, array_store=True)
-        copied = load_system(path, mmap_arrays=False)
-        mapped = load_system(path, mmap_arrays=True)
-        n_copied = len(extract_arrays(copied)[1])
-        n_mapped = len(extract_arrays(mapped)[1])
-        assert n_copied > 0
-        assert n_mapped < n_copied
-
-    def test_resave_clears_stale_sidecar_entries(self, trained, tmp_path):
-        domain, system = trained
-        path = tmp_path / "model.lsd"
-        save_system(system, path, array_store=True)
-        stale = tmp_path / "model.lsd.arrays" / "9999.npy"
-        stale.write_bytes(b"stale")
-        save_system(system, path, array_store=True)
-        assert not stale.exists()
-        assert load_system(path).is_trained
-
-    def test_missing_sidecar_file_is_a_format_error(self, trained,
-                                                    tmp_path):
-        domain, system = trained
-        path = tmp_path / "model.lsd"
-        save_system(system, path, array_store=True)
-        sidecar = tmp_path / "model.lsd.arrays"
-        victim = sorted(sidecar.glob("*.npy"))[0]
-        victim.unlink()
-        with pytest.raises(ModelFormatError, match="sidecar"):
-            load_system(path)
-
-    def test_mmap_flag_is_ignored_for_v1_models(self, trained, tmp_path):
-        domain, system = trained
-        path = tmp_path / "model.lsd"
-        save_system(system, path)
-        loaded = load_system(path, mmap_arrays=True)
-        assert loaded.is_trained
-
-
 class TestFormatGuards:
     def test_not_a_pickle(self, tmp_path):
         path = tmp_path / "junk.lsd"
@@ -240,14 +159,16 @@ class TestFormatGuards:
         with pytest.raises(ModelFormatError):
             load_system(path)
 
-    def test_wrong_version(self, trained, tmp_path):
+    @pytest.mark.parametrize("version", [2, 99])
+    def test_wrong_version(self, trained, tmp_path, version):
         domain, system = trained
         path = tmp_path / "future.lsd"
         with path.open("wb") as handle:
-            pickle.dump({"magic": "repro-lsd",
-                         "version": FORMAT_VERSION + 1,
+            pickle.dump({"magic": "repro-lsd", "version": version,
                          "system": system}, handle)
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError,
+                           match=f"format version {version}, this library "
+                                 f"reads version {FORMAT_VERSION}"):
             load_system(path)
 
     def test_wrong_payload_type(self, tmp_path):
