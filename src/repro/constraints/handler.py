@@ -135,9 +135,10 @@ class _Budget:
     exactly the "search was cut short, result is best-so-far" signal
     the anytime flag reports.
 
-    An *inert* deadline is kept rather than dropped: the runtime
-    watchdog and memory-pressure guardrails may ``trip()`` it from
-    another thread mid-search, and that must be visible at the poll.
+    An *inert* deadline is kept rather than dropped: a signal handler
+    may ``trip()`` it mid-search, and the run guardrails (stall
+    watchdog, RSS limit) are checked inside ``expired()`` — both must
+    be visible at the poll.
     ``snapshot``, when set, fires every :data:`_SNAPSHOT_MASK` + 1
     expansions — the checkpointer's incumbent-persistence hook.
     """

@@ -53,12 +53,15 @@ from ..observability.metrics import (M_ANYTIME_EXITS, M_CACHE_HIT_RATIO,
                                      M_LISTINGS_DROPPED,
                                      M_LISTINGS_RECOVERED,
                                      M_POOL_FAILURES, M_PREDICT_LATENCY,
+                                     M_PRESSURE_ACTIONS, M_PRESSURE_LEVEL,
                                      M_STRUCTURE_PASSES,
                                      M_STRUCTURE_REPREDICTED, M_TAGS,
-                                     M_TASK_RETRIES, SIZE_BUCKETS)
+                                     M_TASK_RETRIES, M_WATCHDOG_KILLS,
+                                     M_WATCHDOG_STALLS, SIZE_BUCKETS)
 from ..resilience.faults import FaultInjected
-from ..resilience.policy import (Deadline, DegradationReport,
-                                 ResiliencePolicy, call_with_timeout)
+from ..resilience.policy import (HALVE_SHARD_GRAIN, Deadline,
+                                 DegradationReport, ResiliencePolicy,
+                                 call_with_timeout)
 from ..resilience.sites import SITE_LEARNER_PREDICT, SITE_SEARCH_ROOT
 from ..xmlio import Element
 from . import featurize
@@ -67,7 +70,8 @@ from .instance import (ElementInstance, InstanceColumn, extract_columns,
                        fill_child_labels)
 from .labels import LabelSpace
 from .mapping import Mapping
-from .parallel import ParallelExecutor, resolve, shard_bounds
+from .parallel import (SHARD_TARGET_ROWS, ParallelExecutor,
+                       resolve, shard_bounds)
 from .prediction import Prediction
 from .procpool import ProcessTask, TaskFailure
 from .schema import SourceSchema
@@ -324,6 +328,17 @@ def _emit_degradation_metrics(degradation: DegradationReport,
     if degradation.fired_faults:
         metrics.counter(M_FAULTS_FIRED).inc(
             len(degradation.fired_faults))
+    for kind, name in (("worker_killed", M_WATCHDOG_KILLS),
+                       ("stall", M_WATCHDOG_STALLS)):
+        count = sum(event["kind"] == kind
+                    for event in degradation.watchdog)
+        if count:
+            metrics.counter(name).inc(count)
+    if degradation.pressure_events:
+        metrics.counter(M_PRESSURE_ACTIONS).inc(
+            len(degradation.pressure_events))
+        metrics.gauge(M_PRESSURE_LEVEL).set(float(max(
+            event["tier"] for event in degradation.pressure_events)))
     recovery = degradation.recovery
     if recovery is not None:
         if recovery.recovered:
@@ -478,11 +493,15 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
         with per-call amortized costs stay coarse while per-row
         learners split finely, so a parallel map balances its makespan
         without taxing the serial path. Every plan is a pure function
-        of the batch size, never of the worker count or backend.
+        of the batch size, never of the worker count or backend. Under
+        memory pressure (RSS at the policy's 90% watermark when the map
+        is planned) every grain is halved; outputs are unchanged.
         """
-        plans = [shard_bounds(len(batch), target=learner.shard_rows)
-                 if getattr(learner, "shard_rows", None)
-                 else shard_bounds(len(batch))
+        scale = 2 if policy is not None \
+            and policy.memory_pressed(HALVE_SHARD_GRAIN) else 1
+        plans = [shard_bounds(len(batch),
+                              target=getattr(learner, "shard_rows", None)
+                              or SHARD_TARGET_ROWS, scale=scale)
                  for learner in group]
         # A single shard already dedups globally; only a real split
         # needs duplicates clustered into one shard.

@@ -38,7 +38,6 @@ behaves exactly as before.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from typing import Callable, Iterable, TypeVar
 
@@ -204,64 +203,27 @@ SHARD_TARGET_ROWS = 2048
 MAX_SHARDS = 8
 
 
-class ShardScale:
-    """Memory-pressure shard-grain scale (thread-safe).
-
-    The pressure monitor (:mod:`repro.runtime.pressure`) halves the
-    effective shard grain — doubling this factor — so per-task peak
-    memory shrinks under RSS pressure. Learner scoring is row-wise by
-    the :class:`~repro.learners.base.BaseLearner` contract, so a finer
-    shard plan changes concatenation boundaries and trace shape only,
-    never pipeline output, so a resumed run safely starts back at
-    factor 1.
-    """
-
-    __slots__ = ("_factor", "_lock")
-
-    _MAX_FACTOR = 16
-
-    def __init__(self) -> None:
-        self._factor = 1
-        self._lock = threading.Lock()
-
-    @property
-    def factor(self) -> int:
-        return self._factor
-
-    def halve(self) -> int:
-        """Halve the shard grain once more; returns the new factor."""
-        with self._lock:
-            self._factor = min(self._factor * 2, self._MAX_FACTOR)
-            return self._factor
-
-    def reset(self) -> None:
-        with self._lock:
-            self._factor = 1
-
-
-#: The process-wide shard-grain scale; factor 1 (the default) keeps
-#: :func:`shard_bounds` the documented pure function of the batch size.
-SHARD_SCALE = ShardScale()
-
-
 def shard_bounds(n: int, target: int = SHARD_TARGET_ROWS,
-                 max_shards: int = MAX_SHARDS) -> list[tuple[int, int]]:
+                 max_shards: int = MAX_SHARDS,
+                 scale: int = 1) -> list[tuple[int, int]]:
     """Contiguous ``[start, stop)`` shards covering an ``n``-row batch.
 
-    The plan is a pure function of ``n`` — never of the worker count —
-    so a sharded fan-out stays byte-identical at any parallelism (the
-    determinism sanitizer diffs workers 1 vs N, including the trace
-    shape). Shards are near-equal, earlier shards taking the remainder,
+    The plan is a pure function of its arguments — never of the worker
+    count — so a sharded fan-out stays byte-identical at any
+    parallelism (the determinism sanitizer diffs workers 1 vs N,
+    including the trace shape). Shards are near-equal, earlier shards taking the remainder,
     and an empty batch yields the single empty shard ``[(0, 0)]`` so
     callers still fan out one task per unit of work.
 
-    Exception to purity: under memory pressure :data:`SHARD_SCALE`
-    tightens the grain (see :class:`ShardScale`) — outputs stay
-    byte-identical, only task granularity and trace shape change.
+    ``scale`` divides the grain (and multiplies the shard ceiling):
+    the memory guardrail plans a map at ``scale=2`` under RSS pressure
+    so per-task peak memory shrinks. Learner scoring is row-wise by
+    the :class:`~repro.learners.base.BaseLearner` contract, so a finer
+    plan changes concatenation boundaries and trace shape only, never
+    pipeline output.
     """
     if n <= 0:
         return [(0, 0)]
-    scale = SHARD_SCALE.factor
     if scale > 1:
         target = max(1, target // scale)
         max_shards = max_shards * scale

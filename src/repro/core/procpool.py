@@ -367,9 +367,9 @@ class WorkerPool:
         #: the pool's lifetime (the ``pool.batch_ship_skips`` metric).
         self.ship_skips = 0
         #: worker_id -> monotonic stamp of its in-flight task; set on
-        #: dispatch, cleared when the worker answers (or dies). Read by
-        #: the watchdog thread through :meth:`dispatch_ages` — GIL-safe
-        #: int-keyed dict traffic, no lock needed.
+        #: dispatch, cleared when the worker answers, dies or is
+        #: killed. Read by the map engine's watchdog check through
+        #: :meth:`dispatch_ages`.
         self._dispatched: dict[int, float] = {}
         try:
             ctx = multiprocessing.get_context(default_start_method())
@@ -461,20 +461,21 @@ class WorkerPool:
         self._dispatched[worker_id] = \
             time.monotonic()  # lsd: ignore[wallclock]
 
-    def wait(self) -> list[tuple]:
+    def wait(self, timeout: float | None = None) -> list[tuple]:
         """Block until something happens; one event per entry.
 
         ``("result", worker_id, reply)`` for an answered task,
         ``("died", worker_id, None)`` for a worker whose process exited
         or whose pipe broke. Waits on the pipes *and* the process
         sentinels so a crashed worker (which answers nothing, ever)
-        still wakes the parent immediately.
+        still wakes the parent immediately. Returns ``[]`` when
+        ``timeout`` seconds pass first.
         """
         channels: dict = {}
         for worker_id, handle in self._workers.items():
             channels[handle.conn] = ("conn", worker_id)
             channels[handle.process.sentinel] = ("sentinel", worker_id)
-        ready = connection.wait(list(channels))
+        ready = connection.wait(list(channels), timeout)
         events: list[tuple] = []
         answered: set[int] = set()
         dead: set[int] = set()
@@ -506,9 +507,9 @@ class WorkerPool:
     def dispatch_ages(self) -> dict[int, float]:
         """Seconds each in-flight task has been outstanding, by worker.
 
-        Workers with no dispatched task are absent. The watchdog
-        compares these against its deadline; pure telemetry, never
-        pipeline output.
+        Workers with no dispatched task are absent. The map engine's
+        watchdog check compares these against its deadline; pure
+        telemetry, never pipeline output.
         """
         now = time.monotonic()  # lsd: ignore[wallclock]
         return {worker_id: now - stamp
@@ -521,8 +522,10 @@ class WorkerPool:
         broken — the dead worker's sentinel wakes the map engine, which
         discards it and re-dispatches the lost shard to a survivor
         (bounded; see :func:`run_process_map`). SIGKILL because a hung
-        worker may never read another pipe message.
+        worker may never read another pipe message. The task's dispatch
+        stamp goes with it, so one hang is killed (and recorded) once.
         """
+        self._dispatched.pop(worker_id, None)
         handle = self._workers.get(worker_id)
         if handle is None or not handle.process.is_alive():
             return
@@ -590,6 +593,24 @@ class WorkerPool:
 # parent side: the map engine
 # ---------------------------------------------------------------------------
 
+def _kill_overdue(pool: WorkerPool, watchdog: float, report) -> float:
+    """The watchdog check: SIGKILL every worker whose task has been
+    outstanding longer than ``watchdog`` seconds and record it in
+    ``report``. Returns the seconds until the next in-flight task
+    would be overdue — the map engine's next wait timeout. A killed
+    worker's sentinel then wakes the engine, which re-dispatches its
+    shard."""
+    ages = pool.dispatch_ages()
+    for worker_id, age in sorted(ages.items()):
+        if age > watchdog:
+            pool.kill_worker(worker_id)
+            report.watchdog_event(
+                "worker_killed", f"worker {worker_id} silent for "
+                f"{age:.1f}s (deadline {watchdog:g}s)")
+    return watchdog - max((age for age in ages.values()
+                           if age <= watchdog), default=0.0)
+
+
 def run_process_map(executor, tasks: list[ProcessTask], label: str,
                     observer=None) -> list:
     """Order-preserving map of :class:`ProcessTask` items over a pool.
@@ -599,7 +620,10 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
     point for point — see the module docstring for the full contract —
     and self-schedules: each worker gets one task up front and the next
     one the moment it answers, so an expensive learner cannot strand
-    the other workers idle behind a static partition.
+    the other workers idle behind a static partition. Under a policy
+    ``watchdog`` the engine waits with a timeout and kills a worker
+    whose task outlives it (:func:`_kill_overdue`); the shard is then
+    re-dispatched like any other worker death.
     """
     pool = executor.pool
     policy = executor.policy
@@ -739,8 +763,13 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
         if metrics is not None:
             metrics.gauge(M_POOL_QUEUE_DEPTH).set(float(len(pending)))
         deaths = 0
+        watchdog = policy.watchdog if policy is not None else None
+        timeout = watchdog
         while outstanding:
-            for event in pool.wait():
+            events = pool.wait(timeout)
+            if watchdog is not None:
+                timeout = _kill_overdue(pool, watchdog, policy.report)
+            for event in events:
                 if event[0] == "died":
                     # A deliberately crashed pool (chaos, broken pipe)
                     # keeps the legacy contract: serial completion.

@@ -87,8 +87,9 @@ class LSDSystem:
             state, never pickled with the model.
         backend:
             Execution backend for the fan-out: ``"process"`` (default;
-            a persistent worker-process pool sharing the trained model
-            zero-copy, see :mod:`repro.core.procpool`) or ``"serial"``.
+            a persistent pool of forked worker processes that inherit
+            the trained model, see :mod:`repro.core.procpool`) or
+            ``"serial"``.
             Byte-identical outputs across both. Mutable after
             construction; runtime state, never pickled with the
             model.

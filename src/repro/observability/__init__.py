@@ -13,8 +13,7 @@ the code grows. The primitives:
   behind ``--profile``, ``MatchResult.timings`` and the report's
   ``stages`` section;
 * :class:`MetricsRegistry` (``metrics``) — named counters, gauges and
-  fixed-bucket histograms with p50/p90/p99 summaries and worker-side
-  ``merge()``;
+  fixed-bucket histograms with p50/p90/p99 summaries;
 * :class:`QualityRecord` (``quality``) + run reports (``report``) —
   per-column triage data and the one-JSON-per-run artifact written by
   ``--report-out``.
@@ -41,7 +40,7 @@ from .quality import QualityRecord, build_quality_records
 from .report import (build_match_report, dataset_fingerprint,
                      load_report, load_schema, render_text,
                      validate_file, validate_report, write_report)
-from .resources import ProcSample, ResourceSampler, read_proc_self
+from .resources import ProcSample, read_proc_self
 from .timers import StageProfile, format_profile_table
 from .trace import (NULL_TRACE, NullTraceCollector, Span,
                     TraceCollector, iter_tree, read_jsonl)
@@ -52,7 +51,7 @@ __all__ = [
     "NO_OP", "SIZE_BUCKETS", "Counter", "EventStream", "Gauge",
     "Histogram", "MetricsRegistry", "NullEventStream",
     "NullMetricsRegistry", "NullTraceCollector", "Observer",
-    "ProcSample", "QualityRecord", "ResourceSampler", "Span",
+    "ProcSample", "QualityRecord", "Span",
     "StageProfile", "TelemetryServer", "TraceCollector",
     "atomic_append_jsonl", "atomic_write_text", "build_match_report",
     "build_quality_records", "dataset_fingerprint",

@@ -87,7 +87,7 @@ class EventStream:
         self._seq = 0
         self._handle = None
         #: Optional ``(kind, event)`` tap invoked on every emission —
-        #: the runtime supervisor registers its heartbeat intake here.
+        #: ``match --watchdog`` registers the policy's heartbeat here.
         self.listener = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -32,6 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .metrics import (CATALOGUE, MetricsRegistry, refresh_derived_gauges)
+from .resources import sample_into
 
 #: Every exposed metric name is prefixed with this namespace.
 PREFIX = "lsd"
@@ -96,9 +97,9 @@ def render_openmetrics(registry, labels: dict[str, str] | None = None
     """The registry in OpenMetrics text format.
 
     ``labels`` (e.g. a run fingerprint) are attached to every sample.
-    Derived gauges are refreshed first so ratios reflect the merged
-    counters, not the last worker registry folded in. Families render
-    in sorted exposed-name order, so identical registries render
+    Derived gauges are refreshed first so ratios reflect the summed
+    counters, not the last match recorded. Families render in sorted
+    exposed-name order, so identical registries render
     byte-identically.
     """
     refresh_derived_gauges(registry)
@@ -275,6 +276,7 @@ class _TelemetryHTTPServer(ThreadingHTTPServer):
     allow_reuse_address = True
     registry = None
     labels: dict[str, str] = {}
+    sample_proc = False
 
 
 class _TelemetryHandler(BaseHTTPRequestHandler):
@@ -283,6 +285,8 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server contract
         route = self.path.split("?", 1)[0]
         if route == "/metrics":
+            if self.server.sample_proc:
+                sample_into(self.server.registry)
             body = render_openmetrics(self.server.registry,
                                       self.server.labels).encode()
             self._reply(200, CONTENT_TYPE, body)
@@ -314,15 +318,23 @@ class TelemetryServer:
     run sees a consistent point-in-time snapshot of each instrument.
     ``port=0`` binds an ephemeral port — read :attr:`port` after
     construction. Use as a context manager or call :meth:`close`.
+
+    With ``sample_proc`` (a live run's endpoint) the server publishes
+    this process's ``proc.*`` gauges into the registry when it starts
+    and again on every ``/metrics`` request, so scrapes see current
+    resource figures without a sampling thread. Serving a saved
+    report leaves it off: its gauges describe the recorded run.
     """
 
     def __init__(self, registry, host: str = "127.0.0.1",
                  port: int = 0,
-                 labels: dict[str, str] | None = None) -> None:
+                 labels: dict[str, str] | None = None,
+                 sample_proc: bool = True) -> None:
         self._server = _TelemetryHTTPServer((host, port),
                                             _TelemetryHandler)
         self._server.registry = registry
         self._server.labels = dict(labels or {})
+        self._server.sample_proc = sample_proc
         self._thread: threading.Thread | None = None
 
     @property
@@ -339,6 +351,8 @@ class TelemetryServer:
 
     def start(self) -> "TelemetryServer":
         if self._thread is None:
+            if self._server.sample_proc:
+                sample_into(self._server.registry)
             self._thread = threading.Thread(
                 target=self._server.serve_forever,
                 name="lsd-telemetry", daemon=True)
@@ -420,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         print(render_openmetrics(registry, labels), end="")
         return 0
     with TelemetryServer(registry, host=args.host, port=args.port,
-                         labels=labels) as server:
+                         labels=labels, sample_proc=False) as server:
         print(f"serving {args.report} at {server.url}/metrics "
               f"(healthz at /healthz); Ctrl-C to stop")
         try:

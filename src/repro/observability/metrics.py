@@ -11,11 +11,11 @@ typed instruments:
   min/max, so a histogram fed one repeated value reports that value
   exactly at every percentile).
 
-Instruments are get-or-created by name, every mutation is lock-guarded,
-and :meth:`MetricsRegistry.merge` folds a worker's registry into the
-main one (bucket-by-bucket for histograms), which is how per-worker
-measurements aggregate deterministically after a
-:class:`~repro.core.parallel.ParallelExecutor` fan-out.
+Instruments are get-or-created by name and every mutation is
+lock-guarded, so a ``/metrics`` scrape served from the endpoint's
+request thread reads consistent values. Worker processes ship
+resource snapshots, not registries: the parent records every
+instrument itself.
 
 The metric name catalogue used by the pipelines is declared here
 (``M_*`` constants + :data:`CATALOGUE`) so reports, docs and dashboards
@@ -143,11 +143,12 @@ CATALOGUE: dict[str, tuple[str, str]] = {
     M_CKPT_STAGES_RESUMED: (
         "counter", "pipeline stages skipped by --resume"),
     M_WATCHDOG_KILLS: (
-        "counter", "hung workers killed by the supervisor"),
+        "counter", "hung workers killed by the watchdog"),
     M_WATCHDOG_STALLS: (
         "counter", "pipeline stalls that tripped the run deadline"),
     M_PRESSURE_LEVEL: (
-        "gauge", "current memory-pressure tier (0 = nominal)"),
+        "gauge", "highest memory-guardrail tier reached (emitted only "
+                 "when non-zero)"),
     M_PRESSURE_ACTIONS: (
         "counter", "memory-pressure guardrail actions taken"),
 }
@@ -199,17 +200,12 @@ class Counter:
         with self._lock:
             self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        self.inc(other.value)
-
     def as_dict(self) -> int:
         return self.value
 
 
 class Gauge:
-    """A point-in-time float metric; ``merge`` keeps the merged-in
-    value when the other gauge was ever set (submission-order merges
-    therefore behave like "last writer wins")."""
+    """A point-in-time float metric (last writer wins)."""
 
     __slots__ = ("name", "value", "is_set", "_lock")
 
@@ -223,10 +219,6 @@ class Gauge:
         with self._lock:
             self.value = float(value)
             self.is_set = True
-
-    def merge(self, other: "Gauge") -> None:
-        if other.is_set:
-            self.set(other.value)
 
     def as_dict(self) -> float:
         return self.value
@@ -314,19 +306,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r}: bucket bounds "
-                f"differ")
-        with self._lock:
-            for i, count in enumerate(other.counts):
-                self.counts[i] += count
-            self.total += other.total
-            self.sum += other.sum
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-
     def summary(self) -> dict:
         """JSON-ready summary with the p50/p90/p99 headline numbers."""
         with self._lock:
@@ -392,15 +371,6 @@ class MetricsRegistry:
                     name, bounds if bounds is not None
                     else LATENCY_BUCKETS)
             return instrument
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments into this one."""
-        for name, counter in other._snapshot("_counters").items():
-            self.counter(name).merge(counter)
-        for name, gauge in other._snapshot("_gauges").items():
-            self.gauge(name).merge(gauge)
-        for name, histogram in other._snapshot("_histograms").items():
-            self.histogram(name, histogram.bounds).merge(histogram)
 
     def _snapshot(self, attribute: str) -> dict:
         with self._lock:
@@ -471,9 +441,6 @@ class NullMetricsRegistry:
                   ) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def merge(self, other) -> None:
-        pass
-
     def instruments(self) -> dict[str, dict]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
@@ -492,12 +459,12 @@ NULL_METRICS = NullMetricsRegistry()
 def refresh_derived_gauges(registry) -> None:
     """Recompute gauges that are pure functions of counters.
 
-    :meth:`Gauge.merge` is last-writer-wins, so after worker registries
-    fold into the main one a ratio gauge reflects only the last worker
-    merged — not the aggregate. Every consumer that reads a registry
-    after merges (the run report, the OpenMetrics exposition) calls
-    this first so derived values are recomputed from the merged
-    counters. Touches nothing when the inputs were never emitted.
+    Gauges are last-writer-wins, so when one registry records several
+    matches the ratio gauge holds only the last match's value while
+    the counters hold the sum. Every consumer that reads a registry
+    (the run report, the OpenMetrics exposition) calls this first so
+    derived values are recomputed from the summed counters. Touches
+    nothing when the inputs were never emitted.
     """
     if not registry.enabled:
         return

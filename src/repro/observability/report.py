@@ -65,8 +65,8 @@ def build_match_report(*, config: dict, dataset: dict, result,
     """
     metrics = {"counters": {}, "gauges": {}, "histograms": {}}
     if observer is not None and observer.metrics.enabled:
-        # Gauge merges are last-writer-wins; recompute derived gauges
-        # (cache hit ratio) from the merged counters before reporting.
+        # Gauges are last-writer-wins; recompute derived gauges (cache
+        # hit ratio) from the summed counters before reporting.
         refresh_derived_gauges(observer.metrics)
         metrics = observer.metrics.summary()
     report = {

@@ -4,20 +4,18 @@
 process — resident set size, cumulative CPU time, open file
 descriptors, live threads — straight from procfs with no third-party
 dependencies. Workers of the process execution backend call it to ship
-resource snapshots back over the pool's wire protocol; the driver calls
-it through :class:`ResourceSampler` to keep the ``proc.*`` gauges live
-while ``--serve-metrics`` is scraping.
+resource snapshots back over the pool's wire protocol, and the
+``--serve-metrics`` endpoint publishes one through :func:`sample_into`
+when it starts and on every scrape. :func:`read_rss_bytes` reads the
+resident set size alone — the cheap read the memory guardrails poll.
 
-Everything degrades to zeros on platforms without procfs (the sampler
-never makes a run fail), and both the reader and the clock are
-injectable so tests drive the sampler deterministically instead of
-sleeping.
+Everything degrades to zeros on platforms without procfs, so sampling
+never makes a run fail.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 from .metrics import (M_PROC_CPU, M_PROC_FDS, M_PROC_RSS,
@@ -90,6 +88,18 @@ def read_proc_self() -> ProcSample:
                       threads=threads)
 
 
+def read_rss_bytes() -> int:
+    """Resident set size of the calling process from
+    ``/proc/self/statm`` (one small read, no fd listing); 0 where
+    procfs is unavailable."""
+    try:
+        with open(f"{_PROC}/statm") as handle:
+            pages = int(handle.read().split()[1])
+    except (OSError, ValueError, IndexError):
+        return 0
+    return pages * os.sysconf("SC_PAGE_SIZE")
+
+
 def sample_into(registry, sample: ProcSample | None = None) -> None:
     """Publish one snapshot to the ``proc.*`` gauges."""
     if not registry.enabled:
@@ -102,71 +112,6 @@ def sample_into(registry, sample: ProcSample | None = None) -> None:
     registry.gauge(M_PROC_THREADS).set(float(sample.threads))
 
 
-class ResourceSampler:
-    """A background thread refreshing the ``proc.*`` gauges on an
-    interval.
-
-    Started by ``--serve-metrics`` so scrapes see live resource
-    figures. The reader and the wait primitive are injectable: tests
-    pass a canned reader and drive :meth:`sample_once` directly (or a
-    zero interval with a bounded ``max_samples``), so sampler behaviour
-    is deterministic without wall-clock sleeps.
-    """
-
-    def __init__(self, registry, interval: float = 1.0, reader=None,
-                 max_samples: int | None = None) -> None:
-        self._registry = registry
-        self._interval = max(0.0, float(interval))
-        self._reader = reader if reader is not None else read_proc_self
-        self._max_samples = max_samples
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.samples_taken = 0
-
-    def sample_once(self) -> ProcSample | None:
-        """Take and publish one sample; also the loop body.
-
-        A disabled registry makes the whole sampler inert — no read,
-        no count — so a null observer never pays for /proc traffic.
-        """
-        if not self._registry.enabled:
-            return None
-        sample = self._reader()
-        sample_into(self._registry, sample)
-        self.samples_taken += 1
-        return sample
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            self.sample_once()
-            if (self._max_samples is not None
-                    and self.samples_taken >= self._max_samples):
-                return
-            if self._stop.wait(self._interval):
-                return
-
-    def start(self) -> "ResourceSampler":
-        if self._thread is None and self._registry.enabled:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="lsd-resource-sampler",
-                daemon=True)
-            self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "ResourceSampler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
 # Re-exported for procpool's wire-protocol use without a metrics import.
-__all__ = ["ProcSample", "read_proc_self", "sample_into",
-           "ResourceSampler"]
+__all__ = ["ProcSample", "read_proc_self", "read_rss_bytes",
+           "sample_into"]

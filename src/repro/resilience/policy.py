@@ -1,10 +1,10 @@
 """Run-level resilience policy and degradation accounting.
 
 :class:`ResiliencePolicy` bundles the operator-facing knobs (ingestion
-mode, retry budget, deadline, learner timeout, fault plan) and owns the
-:class:`DegradationReport` that every layer appends to — ingestion
-salvage counts, learner quarantines, executor retries and pool
-failures, anytime search exits. The report feeds the ``degradation``
+mode, retry budget, deadline, learner timeout, fault plan, RSS limit,
+watchdog) and owns the :class:`DegradationReport` that every layer
+appends to — ingestion salvage counts, learner quarantines, executor
+retries and pool failures, anytime search exits, guardrail actions. The report feeds the ``degradation``
 section of the run report, so a degraded run is always *visible*, never
 silent.
 
@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .faults import FaultPlan
+from ..observability.resources import read_rss_bytes
 from ..xmlio.recovery import INGEST_MODES, RecoveryLog
 
 
@@ -69,28 +70,35 @@ class Deadline:
     *robustness* device, so chaos determinism tests only combine it
     with raise-style faults, never with timing-sensitive assertions.
 
-    :meth:`trip` expires the deadline immediately from another thread —
-    the runtime watchdog and memory-pressure guardrails use it to force
-    long-running stages (the constraint search) onto their anytime
-    best-so-far exits. A tripped deadline counts as active even when it
-    carries no time budget.
+    ``guard`` (the policy's :meth:`ResiliencePolicy.guard_breached`
+    when a memory limit or watchdog is set) is consulted on every
+    :meth:`expired` check: the run guardrails act exactly where the
+    deadline is read — the constraint search's amortized poll — so no
+    monitor thread is needed. A breach, like :meth:`trip`, expires the
+    deadline for good and forces the search onto its anytime
+    best-so-far exit. A tripped or guarded deadline counts as active
+    even when it carries no time budget.
     """
 
-    __slots__ = ("seconds", "_start", "_tripped")
+    __slots__ = ("seconds", "_start", "_tripped", "_guard")
 
-    def __init__(self, seconds: float | None = None) -> None:
+    def __init__(self, seconds: float | None = None,
+                 guard=None) -> None:
         self.seconds = seconds
         self._tripped = False
+        self._guard = guard
         self._start = None if seconds is None else \
             time.monotonic()  # lsd: ignore[wallclock]
 
     @property
     def active(self) -> bool:
-        return self.seconds is not None or self._tripped
+        return (self.seconds is not None or self._tripped
+                or self._guard is not None)
 
     def trip(self) -> None:
-        """Expire immediately (idempotent, thread-safe: one boolean
-        store, read at the consumers' amortized poll points)."""
+        """Expire immediately (idempotent; safe from a signal handler:
+        one boolean store, read at the consumers' amortized poll
+        points)."""
         self._tripped = True
 
     def remaining(self) -> float | None:
@@ -104,6 +112,9 @@ class Deadline:
 
     def expired(self) -> bool:
         if self._tripped:
+            return True
+        if self._guard is not None and self._guard():
+            self._tripped = True
             return True
         if self._start is None:
             return False
@@ -142,10 +153,11 @@ class DegradationReport:
         #: Worker deaths absorbed mid-map by re-dispatching the lost
         #: shard to a surviving worker (watchdog kills land here).
         self.worker_deaths: list[dict] = []
-        #: Watchdog escalations: hung-worker kills and pipeline stalls.
+        #: Watchdog escalations (hung-worker kills, pipeline stalls)
+        #: and shutdown signals, in the order they happened.
         self.watchdog: list[dict] = []
-        #: Memory-pressure tier actions (cache shed, shard re-grain,
-        #: checkpoint-and-degrade), in the order they fired.
+        #: Memory-guardrail actions (shard re-grain, checkpoint-and-
+        #: degrade), in the order they fired.
         self.pressure_events: list[dict] = []
 
     # ------------------------------------------------------------------
@@ -183,13 +195,14 @@ class DegradationReport:
                 {"stage": stage, "worker": worker, "task": task})
 
     def watchdog_event(self, kind: str, detail: str) -> None:
-        """A supervisor escalation: ``worker_killed`` or ``stall``."""
+        """A watchdog escalation (``worker_killed``, ``stall``) or a
+        ``shutdown`` signal."""
         with self._lock:
             self.watchdog.append({"kind": kind, "detail": detail})
 
     def pressure(self, tier: int, action: str) -> None:
-        """A memory-pressure tier fired (see
-        :mod:`repro.runtime.pressure`)."""
+        """A memory-guardrail tier fired (see
+        :meth:`ResiliencePolicy.memory_pressed`)."""
         with self._lock:
             self.pressure_events.append(
                 {"tier": tier, "action": action})
@@ -229,8 +242,9 @@ class DegradationReport:
             out["quarantined"] = [event.as_dict()
                                   for event in self.quarantines]
         if self.retries:
-            # Worker threads append in scheduling order; sort so the
-            # report is byte-identical at any --workers count.
+            # The process map records retries in completion order;
+            # sort so the report is byte-identical at any --workers
+            # count.
             out["retries"] = sorted(
                 self.retries,
                 key=lambda r: (r["stage"], r["task"], r["attempts"]))
@@ -259,13 +273,32 @@ class DegradationReport:
         return out
 
 
+#: Memory-guardrail tiers: ``(tier, watermark as a fraction of the RSS
+#: limit, action recorded in the degradation report)``.
+HALVE_SHARD_GRAIN = (2, 0.90, "halve_shard_grain")
+CHECKPOINT_AND_DEGRADE = (3, 0.97, "checkpoint_and_degrade")
+
+
 @dataclass
 class ResiliencePolicy:
     """Operator knobs for fault tolerance, plus the run's degradation log.
 
     The default instance is inert — strict ingestion, no retries, no
-    deadline, no timeouts, no fault plan — and keeps the pipeline
-    byte-identical to a policy-free build.
+    deadline, no timeouts, no fault plan, no guardrails — and keeps the
+    pipeline byte-identical to a policy-free build.
+
+    Two run guardrails are checked where they take effect, never by a
+    monitor thread:
+
+    * ``rss_limit`` (bytes) — a prediction map planned with RSS at or
+      above 90% of the limit runs at half the shard grain
+      (:meth:`memory_pressed`), and the run deadline expires once RSS
+      reaches 97%, so the search exits on its anytime path;
+    * ``watchdog`` (seconds) — the process-pool map engine kills a
+      worker whose task outlives it and re-dispatches the shard, and
+      the run deadline expires once no :meth:`heartbeat` arrived for
+      that long (a stall; heartbeats come from the progress-event
+      stream, so without one there is no stall check).
     """
 
     input_mode: str = "strict"
@@ -275,11 +308,22 @@ class ResiliencePolicy:
     deadline: float | None = None
     learner_timeout: float | None = None
     fault_plan: FaultPlan | None = None
+    rss_limit: int | None = None
+    watchdog: float | None = None
     report: DegradationReport = field(default_factory=DegradationReport)
     #: The most recent :meth:`start_deadline` product — the handle the
-    #: runtime watchdog and pressure monitor trip from their threads.
+    #: signal handler trips.
     _active_deadline: Deadline | None = field(
         default=None, init=False, repr=False, compare=False)
+    #: Set by :meth:`trip_deadline`; every later deadline starts expired.
+    _tripped: bool = field(default=False, init=False, repr=False,
+                           compare=False)
+    #: Monotonic stamp of the last :meth:`heartbeat` (``None``: never).
+    _last_beat: float | None = field(default=None, init=False,
+                                     repr=False, compare=False)
+    #: The current silent period was already recorded as a stall.
+    _stalled: bool = field(default=False, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self) -> None:
         if self.input_mode not in INGEST_MODES:
@@ -288,20 +332,67 @@ class ResiliencePolicy:
                 f"of {', '.join(INGEST_MODES)}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.rss_limit is not None and self.rss_limit <= 0:
+            raise ValueError("rss limit must be positive")
+        if self.watchdog is not None and self.watchdog <= 0:
+            raise ValueError("watchdog deadline must be positive")
 
     def start_deadline(self) -> Deadline:
-        """A fresh :class:`Deadline` for one pipeline run."""
-        deadline = Deadline(self.deadline)
+        """A fresh :class:`Deadline` for one pipeline run, guarded by
+        the RSS limit and the stall watchdog when either is set."""
+        guarded = self.rss_limit is not None or self.watchdog is not None
+        deadline = Deadline(self.deadline,
+                            self.guard_breached if guarded else None)
+        if self._tripped:
+            deadline.trip()
         self._active_deadline = deadline
         return deadline
 
     def trip_deadline(self) -> None:
-        """Expire the current run's deadline from another thread (the
-        watchdog/pressure escalation path); no-op before the first
-        :meth:`start_deadline`."""
-        deadline = self._active_deadline
-        if deadline is not None:
-            deadline.trip()
+        """Expire the current run's deadline and every later one (the
+        SIGTERM/SIGINT path). A trip before :meth:`start_deadline` — a
+        signal during model load or ingest — carries into it."""
+        self._tripped = True
+        if self._active_deadline is not None:
+            self._active_deadline.trip()
+
+    def heartbeat(self, kind: str = "", event: dict | None = None) -> None:
+        """Progress-event listener (``EventStream.listener``): any
+        emitted event proves the pipeline is alive and opens a new
+        silent period for the stall check."""
+        self._last_beat = time.monotonic()  # lsd: ignore[wallclock]
+        self._stalled = False
+
+    def memory_pressed(self, tier: tuple[int, float, str]) -> bool:
+        """True when RSS is at or above ``tier``'s watermark of
+        :attr:`rss_limit`; the tier's action is recorded the first
+        time it fires."""
+        level, watermark, action = tier
+        if self.rss_limit is None \
+                or read_rss_bytes() < watermark * self.rss_limit:
+            return False
+        if all(event["action"] != action
+               for event in self.report.pressure_events):
+            self.report.pressure(level, action)
+        return True
+
+    def guard_breached(self) -> bool:
+        """The run deadline's guard: RSS at the degrade watermark, or
+        no heartbeat for longer than :attr:`watchdog` (recorded once
+        per silent period)."""
+        if self.memory_pressed(CHECKPOINT_AND_DEGRADE):
+            return True
+        beat = self._last_beat
+        if self.watchdog is None or beat is None or self._stalled:
+            return False
+        silent = time.monotonic() - beat  # lsd: ignore[wallclock]
+        if silent <= self.watchdog:
+            return False
+        self._stalled = True
+        self.report.watchdog_event(
+            "stall", f"no progress event for {silent:.1f}s "
+            f"(deadline {self.watchdog:g}s)")
+        return True
 
     def fire(self, site: str, key: str = "") -> None:
         """Hit a fault site if a plan is armed; no-op otherwise."""

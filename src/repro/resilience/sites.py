@@ -80,7 +80,7 @@ SITE_CATALOGUE: dict[str, str] = {
     SITE_WORKER_PROCESS:
         "One process-backend worker; a fault here hard-kills the "
         "worker before dispatch, forcing the serial fallback and the "
-        "shared-memory cleanup path (key: stage label).",
+        "pool's retire path (key: stage label).",
     SITE_ARTIFACT_WRITE:
         "One run-artifact write; fires between the temp-file write and "
         "the atomic rename, modelling a crash mid-write (key: "

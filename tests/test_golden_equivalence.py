@@ -252,8 +252,8 @@ class TestWorkerCountEquivalence:
 class TestProcessBackendEquivalence:
     """The process backend is byte-identical to serial: mappings, tag
     score rows, quality records, and trace span structure at any
-    ``--workers``.  Worker processes score shards against shared-memory
-    model views, so any drift here would mean the exported arrays (or
+    ``--workers``.  Forked worker processes score shards with the model
+    they inherited, so any drift here would mean the shipped batches (or
     the span/quality plumbing back across the pipe) are unfaithful."""
 
     @pytest.fixture(scope="class")

@@ -8,14 +8,12 @@ from repro.observability.metrics import CATALOGUE
 
 
 class TestCounter:
-    def test_inc_and_merge(self):
-        a, b = Counter("x"), Counter("x")
-        a.inc()
-        a.inc(4)
-        b.inc(2)
-        a.merge(b)
-        assert a.value == 7
-        assert a.as_dict() == 7
+    def test_inc(self):
+        counter = Counter("x")
+        counter.inc()
+        counter.inc(4)
+        assert counter.value == 5
+        assert counter.as_dict() == 5
 
 
 class TestGauge:
@@ -24,19 +22,6 @@ class TestGauge:
         assert not gauge.is_set
         gauge.set(0.25)
         assert gauge.is_set and gauge.value == 0.25
-
-    def test_merge_keeps_other_when_set(self):
-        a, b = Gauge("g"), Gauge("g")
-        a.set(1.0)
-        b.set(2.0)
-        a.merge(b)
-        assert a.value == 2.0
-
-    def test_merge_ignores_unset_other(self):
-        a, b = Gauge("g"), Gauge("g")
-        a.set(1.0)
-        a.merge(b)
-        assert a.value == 1.0
 
 
 class TestBuckets:
@@ -119,22 +104,6 @@ class TestHistogram:
         data = hist.as_dict()
         assert data["buckets"] == {"1.0": 0, "2.0": 1, "+inf": 0}
 
-    def test_merge(self):
-        a = Histogram("h", bounds=(1.0, 2.0))
-        b = Histogram("h", bounds=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5, count=3)
-        a.merge(b)
-        assert a.total == 4
-        assert a.min == 0.5 and a.max == 1.5
-        assert a.counts == [1, 3, 0]
-
-    def test_merge_rejects_different_bounds(self):
-        a = Histogram("h", bounds=(1.0, 2.0))
-        b = Histogram("h", bounds=(1.0, 3.0))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
@@ -142,17 +111,6 @@ class TestRegistry:
         assert registry.counter("c") is registry.counter("c")
         assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
-
-    def test_merge_folds_all_instrument_kinds(self):
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        main.counter("c").inc(1)
-        worker.counter("c").inc(2)
-        worker.gauge("g").set(0.5)
-        worker.histogram("h", bounds=(1.0,)).observe(0.25)
-        main.merge(worker)
-        assert main.counter("c").value == 3
-        assert main.gauge("g").value == 0.5
-        assert main.histogram("h", bounds=(1.0,)).total == 1
 
     def test_summary_shape(self):
         registry = MetricsRegistry()

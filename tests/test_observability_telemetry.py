@@ -26,8 +26,9 @@ from repro.observability.expo import (TelemetryServer, exposition_name,
 from repro.observability.expo import main as expo_main
 from repro.observability.metrics import (M_CACHE_HIT_RATIO, M_CACHE_HITS,
                                          M_CACHE_MISSES, MetricsRegistry)
-from repro.observability.resources import (ProcSample, ResourceSampler,
-                                           read_proc_self, sample_into)
+from repro.observability import resources
+from repro.observability.resources import (ProcSample, read_proc_self,
+                                           read_rss_bytes, sample_into)
 from repro.resilience import (FaultInjected, FaultPlan, FaultSpec,
                               SITE_ARTIFACT_WRITE)
 
@@ -296,31 +297,47 @@ class TestResources:
         assert gauges["proc.open_fds"] == 9.0
         assert gauges["proc.threads"] == 3.0
 
-    def test_sampler_with_canned_reader_is_deterministic(self):
-        registry = MetricsRegistry()
+    def test_read_rss_bytes_agrees_with_the_full_snapshot(self):
+        rss = read_rss_bytes()
+        assert rss > 0
+        # Same procfs figure, read at a slightly different instant.
+        assert abs(rss - read_proc_self().rss_bytes) < 64 << 20
+
+    def test_sampler_with_canned_reader_is_deterministic(self,
+                                                         monkeypatch):
+        """The endpoint samples once on start and again on every
+        scrape — no sampling thread."""
         canned = iter([ProcSample(1, 0.1, 1, 1), ProcSample(2, 0.2, 2, 2)])
-        sampler = ResourceSampler(registry, reader=lambda: next(canned))
-        sampler.sample_once()
-        assert registry.summary()["gauges"]["proc.rss_bytes"] == 1.0
-        sampler.sample_once()
-        assert registry.summary()["gauges"]["proc.rss_bytes"] == 2.0
-        assert sampler.samples_taken == 2
-
-    def test_sampler_thread_stops_cleanly(self):
+        monkeypatch.setattr(resources, "read_proc_self",
+                            lambda: next(canned))
         registry = MetricsRegistry()
-        with ResourceSampler(registry, interval=0.01,
-                             reader=read_proc_self) as sampler:
-            sampler.sample_once()
-        assert sampler.samples_taken >= 1
-        assert registry.summary()["gauges"]["proc.rss_bytes"] > 0
+        with TelemetryServer(registry) as server:
+            assert registry.summary()["gauges"]["proc.rss_bytes"] == 1.0
+            with urllib.request.urlopen(f"{server.url}/metrics") as rsp:
+                families = parse_openmetrics(rsp.read().decode())
+        ((_, _, value),) = samples_for(families, "proc.rss_bytes")
+        assert value == 2.0
+        assert registry.summary()["gauges"]["proc.rss_bytes"] == 2.0
 
-    def test_sampler_is_inert_on_a_disabled_registry(self):
+    def test_sampler_is_inert_on_a_disabled_registry(self, monkeypatch):
+        def unexpected():
+            raise AssertionError("a disabled registry must not read /proc")
+
+        monkeypatch.setattr(resources, "read_proc_self", unexpected)
         observer = Observer()  # default: everything disabled
-        sampler = ResourceSampler(observer.metrics)
-        sampler.start()
-        sampler.sample_once()
-        sampler.close()
-        assert sampler.samples_taken == 0
+        sample_into(observer.metrics)
+        with TelemetryServer(observer.metrics):
+            pass
+        assert observer.metrics.summary()["gauges"] == {}
+
+    def test_saved_report_endpoint_keeps_its_recorded_gauges(self):
+        registry = MetricsRegistry()
+        registry.gauge("proc.rss_bytes").set(7.0)
+        with TelemetryServer(registry, sample_proc=False) as server:
+            with urllib.request.urlopen(f"{server.url}/metrics") as rsp:
+                families = parse_openmetrics(rsp.read().decode())
+        ((_, _, value),) = samples_for(families, "proc.rss_bytes")
+        assert value == 7.0
 
 
 # ---------------------------------------------------------------------------
@@ -536,27 +553,37 @@ class TestLedger:
 
 
 # ---------------------------------------------------------------------------
-# the cache-hit-ratio gauge after worker merges
+# the cache-hit-ratio gauge of a registry shared by several matches
 # ---------------------------------------------------------------------------
 
 class TestCacheHitRatioRefresh:
-    def test_merge_then_refresh_recomputes_from_counters(self):
-        """Gauge.merge is last-writer-wins, so the merged ratio gauge is
-        whichever worker merged last — refresh_derived_gauges must
-        recompute it from the (correctly summed) hit/miss counters."""
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        main.counter(M_CACHE_HITS).inc(90)
-        main.counter(M_CACHE_MISSES).inc(10)
-        main.gauge(M_CACHE_HIT_RATIO).set(0.9)
-        worker.counter(M_CACHE_HITS).inc(0)
-        worker.counter(M_CACHE_MISSES).inc(100)
-        worker.gauge(M_CACHE_HIT_RATIO).set(0.0)
-        main.merge(worker)
-        # Last writer won: the gauge now lies.
-        assert main.summary()["gauges"][M_CACHE_HIT_RATIO] == 0.0
-        refresh_derived_gauges(main)
-        assert main.summary()["gauges"][M_CACHE_HIT_RATIO] == \
-            pytest.approx(90 / 200)
+    def test_two_matches_then_refresh_recomputes_from_counters(self):
+        """Each match sets the ratio gauge for its own lookups while the
+        hit/miss counters sum over both, so after the second match the
+        gauge holds only that match's ratio — refresh_derived_gauges
+        must recompute it from the summed counters."""
+        from repro.core import featurize
+        from repro.xmlio import parse_fragments
+
+        from .test_core_matching_edge import SOURCE, trained_system
+
+        system = trained_system()
+        listings = parse_fragments(
+            "<l><a>alpha apple</a><b>berry</b></l>" * 3)
+        featurize.clear_text_cache()
+        observer = Observer.full()
+        system.match(SOURCE, listings, observer=observer)
+        system.match(SOURCE, listings, observer=observer)  # warm cache
+        registry = observer.metrics
+        hits = registry.counter(M_CACHE_HITS).value
+        misses = registry.counter(M_CACHE_MISSES).value
+        assert misses > 0
+        # The second match found everything cached: its gauge lies
+        # about the run as a whole.
+        assert registry.gauge(M_CACHE_HIT_RATIO).value == 1.0
+        refresh_derived_gauges(registry)
+        assert registry.gauge(M_CACHE_HIT_RATIO).value == \
+            pytest.approx(hits / (hits + misses))
 
     def test_refresh_is_a_no_op_without_cache_traffic(self):
         registry = MetricsRegistry()

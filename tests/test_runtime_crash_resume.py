@@ -102,6 +102,25 @@ class TestGracefulShutdown:
         assert "SIGTERM" in shutdowns[0]["detail"]
         assert signal.getsignal(signal.SIGTERM) is before
 
+    def test_signal_before_the_match_starts_still_ends_the_search(self):
+        """A signal during model load or ingest arrives before the run
+        deadline exists; the trip must carry into it."""
+        policy = ResiliencePolicy()
+        with _graceful_shutdown(policy):
+            os.kill(os.getpid(), signal.SIGINT)
+        assert policy.start_deadline().expired()
+
+    def test_early_sigterm_yields_an_anytime_mapping(self, system):
+        policy = ResiliencePolicy()
+        policy.trip_deadline()  # what the handler does on SIGTERM
+        system.policy = policy
+        try:
+            result = _match(system)
+        finally:
+            system.policy = None
+        assert result.anytime
+        assert set(result.mapping.tags()) == set(GREATHOMES_SCHEMA.tags)
+
     def test_flag_validation(self, tmp_path):
         base = ["match", "--model", str(tmp_path / "m"), "--schema",
                 str(tmp_path / "s"), "--listings", str(tmp_path / "l")]
@@ -114,24 +133,6 @@ class TestGracefulShutdown:
 # ---------------------------------------------------------------------------
 # CLI SIGKILL matrix
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def cli_workspace(tmp_path_factory):
-    """A generated domain plus a trained model, built once through the
-    real CLI entry point."""
-    root = tmp_path_factory.mktemp("cli-durability")
-    data = root / "data"
-    model = root / "model.lsd"
-    assert main(["generate", "--domain", "real_estate_1",
-                 "--out", str(data), "--listings", "20",
-                 "--seed", "7"]) == 0
-    assert main(["train", "--mediated", str(data / "mediated.dtd"),
-                 "--train", str(data / "homeseekers.com"),
-                 str(data / "yahoo-homes.com"),
-                 "--constraints", str(data / "constraints.txt"),
-                 "--model", str(model), "--max-instances", "20"]) == 0
-    return root
-
 
 def _match_argv(workspace: Path, out: Path, *extra: str) -> list[str]:
     source = workspace / "data" / "greathomes.com"

@@ -1,33 +1,72 @@
-"""Unit tests for the runtime watchdog (:mod:`repro.runtime.
-supervisor`) and the memory-pressure guardrails (:mod:`repro.runtime.
-pressure`), driven tick-by-tick with fake pools and injected RSS
-samples — no timing dependence."""
+"""Tests for the run guardrails: the ``--watchdog`` hung-worker kill and
+stall check and the ``--rss-limit`` memory tiers.
 
+Each guardrail is checked where it takes effect — the process-pool map
+engine (:func:`repro.core.procpool._kill_overdue`), the shard planner
+and the run deadline the constraint search polls — so the unit tests
+drive those checks directly with an injected clock and RSS reader, and
+the end-to-end tests run a real worker pool and the real CLI.
+"""
+
+import json
+import multiprocessing
+import os
+import time
+import types
+
+import numpy as np
 import pytest
 
-from repro.core import featurize
-from repro.core.parallel import SHARD_SCALE, shard_bounds
+from repro.cli import main
+from repro.constraints import FrequencyConstraint
+from repro.core import LSDSystem, SourceSchema
+from repro.core.matching import _emit_degradation_metrics
+from repro.core.parallel import shard_bounds
+from repro.core.procpool import _kill_overdue
+from repro.learners import (ContentMatcher, NaiveBayesLearner, NameMatcher,
+                            XMLLearner)
+from repro.observability import Observer, validate_file
 from repro.observability.metrics import (M_PRESSURE_ACTIONS,
                                          M_PRESSURE_LEVEL,
                                          M_WATCHDOG_KILLS,
-                                         M_WATCHDOG_STALLS,
-                                         MetricsRegistry)
+                                         M_WATCHDOG_STALLS)
 from repro.resilience import ResiliencePolicy
-from repro.runtime import (PressureMonitor, PressureThresholds,
-                           Supervisor)
-from repro.runtime.pressure import TIER_ACTIONS
+from repro.resilience import policy as policy_module
+from repro.resilience.policy import CHECKPOINT_AND_DEGRADE, HALVE_SHARD_GRAIN
+
+from .test_core_system import (GREATHOMES_LISTINGS, GREATHOMES_SCHEMA,
+                               HOMESEEKERS_LISTINGS, HOMESEEKERS_MAPPING,
+                               HOMESEEKERS_SCHEMA, MEDIATED,
+                               REALESTATE_LISTINGS, REALESTATE_MAPPING,
+                               REALESTATE_SCHEMA)
+from .test_runtime_crash_resume import _match_argv
 
 
-@pytest.fixture(autouse=True)
-def _reset_shared_runtime_state():
-    yield
-    SHARD_SCALE.reset()
-    featurize.clear_text_cache()
+@pytest.fixture()
+def clock(monkeypatch):
+    """The policy module's monotonic clock, advanced by hand."""
+    now = [1000.0]
+    monkeypatch.setattr(policy_module, "time",
+                        types.SimpleNamespace(monotonic=lambda: now[0]))
+    return now
+
+
+@pytest.fixture()
+def rss(monkeypatch):
+    """The policy module's RSS reader, set by hand (bytes)."""
+    value = [0]
+    monkeypatch.setattr(policy_module, "read_rss_bytes",
+                        lambda: value[0])
+    return value
+
+
+def _metrics_of(policy):
+    observer = Observer.full()
+    _emit_degradation_metrics(policy.report, observer)
+    return observer.metrics
 
 
 class FakePool:
-    broken = False
-
     def __init__(self, ages):
         self._ages = dict(ages)
         self.killed = []
@@ -41,183 +80,316 @@ class FakePool:
 
 
 # ---------------------------------------------------------------------------
-# supervisor
+# watchdog: hung workers and stalls
 # ---------------------------------------------------------------------------
 
 class TestSupervisor:
+    """Watchdog supervision: the map engine's hung-worker kill and the
+    run deadline's stall check."""
+
     def test_rejects_nonpositive_deadline(self):
         with pytest.raises(ValueError):
-            Supervisor(0)
+            ResiliencePolicy(watchdog=0)
 
     def test_overdue_workers_are_killed_and_recorded(self):
         pool = FakePool({0: 0.5, 1: 3.0, 2: 7.5})
-        policy = ResiliencePolicy()
-        registry = MetricsRegistry()
-        supervisor = Supervisor(2.0, pool_provider=lambda: pool,
-                                policy=policy, registry=registry)
-        killed = supervisor.check_once(now=100.0)
-        assert killed == [1, 2]
+        policy = ResiliencePolicy(watchdog=2.0)
+        timeout = _kill_overdue(pool, 2.0, policy.report)
         assert pool.killed == [1, 2]
-        assert supervisor.kills == [1, 2]
+        # The engine next wakes when the surviving task turns overdue.
+        assert timeout == pytest.approx(1.5)
         kinds = [event["kind"] for event in policy.report.watchdog]
         assert kinds == ["worker_killed", "worker_killed"]
-        assert registry.counter(M_WATCHDOG_KILLS).value == 2
+        assert _metrics_of(policy).counter(M_WATCHDOG_KILLS).value == 2
         assert policy.report.degraded
 
     def test_in_deadline_workers_survive(self):
         pool = FakePool({0: 0.5})
-        supervisor = Supervisor(2.0, pool_provider=lambda: pool)
-        assert supervisor.check_once(now=100.0) == []
+        policy = ResiliencePolicy(watchdog=2.0)
+        assert _kill_overdue(pool, 2.0, policy.report) == \
+            pytest.approx(1.5)
         assert pool.killed == []
+        assert _kill_overdue(FakePool({}), 2.0, policy.report) == 2.0
+        assert policy.report.watchdog == []
 
     def test_broken_or_absent_pool_is_skipped(self):
-        supervisor = Supervisor(1.0, pool_provider=lambda: None)
-        assert supervisor.check_once(now=0.0) == []
-        pool = FakePool({0: 99.0})
-        pool.broken = True
-        supervisor = Supervisor(1.0, pool_provider=lambda: pool)
-        assert supervisor.check_once(now=0.0) == []
-        assert pool.killed == []
+        """The check lives in the pool's map engine: a map that runs
+        serially — no pool, or a broken one — has no worker to kill."""
+        from repro.core.parallel import ParallelExecutor
+        from repro.core.procpool import ProcessTask, WorkerPool
 
-    def test_silence_past_deadline_trips_the_run_deadline(self):
-        policy = ResiliencePolicy()
+        from .test_core_procpool import _fitted_name_matcher
+
+        tasks = [ProcessTask(payload={}, batch=[], fallback=lambda i=i: i)
+                 for i in range(3)]
+        policy = ResiliencePolicy(watchdog=1e-9)
+        serial = ParallelExecutor(workers=2, policy=policy)
+        assert serial.map_profiled(lambda task: task.fallback(),
+                                   tasks) == [0, 1, 2]
+        pool = WorkerPool([_fitted_name_matcher()], workers=1)
+        try:
+            pool.crash_worker(0)
+            broken = ParallelExecutor(workers=2, policy=policy,
+                                      backend="process", pool=pool)
+            assert broken.map_profiled(lambda task: task.fallback(),
+                                       tasks) == [0, 1, 2]
+        finally:
+            pool.shutdown()
+        assert policy.report.watchdog == []
+
+    def test_silence_past_deadline_trips_the_run_deadline(self, clock):
+        policy = ResiliencePolicy(watchdog=5.0)
         deadline = policy.start_deadline()
-        registry = MetricsRegistry()
-        supervisor = Supervisor(5.0, policy=policy, registry=registry)
-        supervisor.note_event("stage_start", {"stage": "predict"})
-        beat = supervisor._last_beat
+        policy.heartbeat("stage_start", {"stage": "predict"})
         assert not deadline.expired()
-        supervisor.check_once(now=beat + 5.5)
+        clock[0] += 5.5
         assert deadline.expired()  # anytime exit forced
         stalls = [event for event in policy.report.watchdog
                   if event["kind"] == "stall"]
         assert len(stalls) == 1
-        assert registry.counter(M_WATCHDOG_STALLS).value == 1
+        assert _metrics_of(policy).counter(M_WATCHDOG_STALLS).value == 1
 
-    def test_stall_records_once_until_a_new_heartbeat(self):
-        policy = ResiliencePolicy()
-        supervisor = Supervisor(5.0, policy=policy)
-        supervisor.note_event("stage_start", {})
-        beat = supervisor._last_beat
-        supervisor.check_once(now=beat + 6.0)
-        supervisor.check_once(now=beat + 7.0)  # still the same stall
+    def test_stall_records_once_until_a_new_heartbeat(self, clock):
+        policy = ResiliencePolicy(watchdog=5.0)
+        first = policy.start_deadline()
+        policy.heartbeat()
+        clock[0] += 6.0
+        assert first.expired()
+        clock[0] += 1.0
+        assert first.expired()  # latched: still the same stall
+        second = policy.start_deadline()
+        assert not second.expired()  # same silent period, no new stall
         assert len(policy.report.watchdog) == 1
-        supervisor.note_event("shard_complete", {})  # progress resumed
-        beat = supervisor._last_beat
-        supervisor.check_once(now=beat + 6.0)  # a second, new stall
+        policy.heartbeat()  # progress resumed
+        clock[0] += 6.0
+        assert second.expired()  # a second, new stall
         assert len(policy.report.watchdog) == 2
 
-    def test_no_heartbeat_ever_means_no_stall(self):
+    def test_no_heartbeat_ever_means_no_stall(self, clock):
         """Without an event stream there is no heartbeat signal; the
-        supervisor must not fabricate stalls from silence it never
-        had a baseline for."""
-        policy = ResiliencePolicy()
-        supervisor = Supervisor(1.0, policy=policy)
-        supervisor.check_once(now=1e9)
+        check must not fabricate stalls from silence it never had a
+        baseline for."""
+        policy = ResiliencePolicy(watchdog=1.0)
+        deadline = policy.start_deadline()
+        clock[0] += 1e9
+        assert not deadline.expired()
         assert policy.report.watchdog == []
 
-    def test_thread_lifecycle_is_idempotent(self):
-        supervisor = Supervisor(5.0, poll=0.01)
-        with supervisor:
-            assert supervisor._thread is not None
-            supervisor.start()  # second start: same thread
-        assert supervisor._thread is None
-        supervisor.stop()  # stop after stop: no-op
+
+class _SleepOnceInWorker(NameMatcher):
+    """Hangs on the first prediction any pool worker makes once
+    ``marker`` is set: the marker file is created exclusively, so
+    exactly one call (in one worker) sleeps; the parent process never
+    does."""
+
+    marker = None
+
+    def predict_scores(self, instances):
+        if self.marker is not None \
+                and multiprocessing.parent_process() is not None:
+            try:
+                os.close(os.open(self.marker,
+                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                time.sleep(60)
+        return super().predict_scores(instances)
+
+
+class TestHungWorker:
+    def test_hung_worker_is_killed_and_its_shard_redispatched(
+            self, tmp_path):
+        """A real 2-worker pool: the worker holding the hung task is
+        killed past the watchdog, its shard re-runs on the survivor, and
+        the mapping and every score row equal the serial run's."""
+        sleepy = _SleepOnceInWorker()
+        system = LSDSystem(
+            MEDIATED,
+            [sleepy, ContentMatcher(), NaiveBayesLearner(), XMLLearner()],
+            constraints=[FrequencyConstraint.at_most_one(label)
+                         for label in MEDIATED.label_space().real_labels()])
+        system.add_training_source(REALESTATE_SCHEMA, REALESTATE_LISTINGS,
+                                   REALESTATE_MAPPING)
+        system.add_training_source(HOMESEEKERS_SCHEMA,
+                                   HOMESEEKERS_LISTINGS,
+                                   HOMESEEKERS_MAPPING)
+        system.train()
+        serial = system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS)
+
+        # Set before the pool starts, so the workers hold it too.
+        sleepy.marker = str(tmp_path / "slept")
+        policy = ResiliencePolicy(watchdog=1.0)
+        system.workers = 2
+        system.policy = policy
+        try:
+            guarded = system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS)
+        finally:
+            system.close_pool()
+        assert (tmp_path / "slept").exists()
+        kinds = [event["kind"] for event in policy.report.watchdog]
+        assert kinds == ["worker_killed"]
+        assert len(policy.report.worker_deaths) == 1
+        assert policy.report.pool_failures == []
+        assert guarded.mapping == serial.mapping
+        assert guarded.tag_scores.keys() == serial.tag_scores.keys()
+        for tag, row in serial.tag_scores.items():
+            assert np.array_equal(guarded.tag_scores[tag], row)
 
 
 # ---------------------------------------------------------------------------
-# memory pressure
+# memory guardrails
 # ---------------------------------------------------------------------------
 
 class TestPressureMonitor:
+    """The RSS tiers: grain halving at plan time, checkpoint-and-degrade
+    in the run deadline."""
+
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):
-            PressureMonitor(0)
+            ResiliencePolicy(rss_limit=0)
 
-    def test_nominal_rss_takes_no_action(self):
-        monitor = PressureMonitor(1000)
-        assert monitor.sample_once(rss_bytes=500) == 0
-        assert monitor.actions == []
+    def test_nominal_rss_takes_no_action(self, rss):
+        rss[0] = 500
+        policy = ResiliencePolicy(rss_limit=1000)
+        assert not policy.memory_pressed(HALVE_SHARD_GRAIN)
+        assert not policy.start_deadline().expired()
+        assert policy.report.pressure_events == []
+        assert not policy.report.degraded
 
-    def test_shed_tier_clears_the_featurize_cache(self):
-        featurize._text_cache["seed"] = ["cached"]
-        monitor = PressureMonitor(1000)
-        assert monitor.sample_once(rss_bytes=850) == 1
-        assert monitor.actions == [TIER_ACTIONS[1]]
-        assert featurize._text_cache == {}
+    def test_reshard_tier_halves_the_shard_grain(self, rss):
+        rss[0] = 920
+        policy = ResiliencePolicy(rss_limit=1000)
+        assert policy.memory_pressed(HALVE_SHARD_GRAIN)
+        assert not policy.start_deadline().expired()  # below 97%
+        assert policy.report.pressure_events == [
+            {"tier": 2, "action": "halve_shard_grain"}]
 
-    def test_reshard_tier_halves_the_shard_grain(self):
-        wide = shard_bounds(10_000)
-        monitor = PressureMonitor(1000)
-        assert monitor.sample_once(rss_bytes=920) == 2
-        assert SHARD_SCALE.factor == 2
-        finer = shard_bounds(10_000)
-        assert len(finer) > len(wide)
-        # Coverage is unchanged — only the grain moved.
-        assert finer[0][0] == 0 and finer[-1][1] == 10_000
-
-    def test_degrade_tier_trips_deadline(self):
-        policy = ResiliencePolicy()
+    def test_degrade_tier_trips_deadline(self, rss):
+        rss[0] = 969
+        policy = ResiliencePolicy(rss_limit=1000)
         deadline = policy.start_deadline()
-        monitor = PressureMonitor(1000, policy=policy)
-        assert monitor.sample_once(rss_bytes=990) == 3
+        assert not deadline.expired()
+        rss[0] = 970  # the 97% watermark
         assert deadline.expired()
+        rss[0] = 0
+        assert deadline.expired()  # latched
+        assert policy.report.pressure_events == [
+            {"tier": 3, "action": "checkpoint_and_degrade"}]
 
-    def test_a_spike_escalates_through_every_tier_in_order(self):
-        policy = ResiliencePolicy()
-        registry = MetricsRegistry()
-        monitor = PressureMonitor(1000, policy=policy,
-                                  registry=registry)
-        monitor.sample_once(rss_bytes=990)
-        assert monitor.actions == [TIER_ACTIONS[1], TIER_ACTIONS[2],
-                                   TIER_ACTIONS[3]]
+    def test_a_spike_escalates_through_every_tier_in_order(self, rss):
+        rss[0] = 990
+        policy = ResiliencePolicy(rss_limit=1000)
+        deadline = policy.start_deadline()
+        assert policy.memory_pressed(HALVE_SHARD_GRAIN)  # plan time
+        assert deadline.expired()  # the search's poll
         assert [e["tier"] for e in policy.report.pressure_events] == \
-            [1, 2, 3]
-        assert registry.counter(M_PRESSURE_ACTIONS).value == 3
-        assert registry.gauge(M_PRESSURE_LEVEL).value == 3.0
+            [2, 3]
+        metrics = _metrics_of(policy)
+        assert metrics.counter(M_PRESSURE_ACTIONS).value == 2
+        assert metrics.gauge(M_PRESSURE_LEVEL).value == 3.0
         assert policy.report.degraded
 
-    def test_tiers_fire_once_while_pressure_stays_high(self):
-        monitor = PressureMonitor(1000)
-        monitor.sample_once(rss_bytes=850)
-        monitor.sample_once(rss_bytes=860)
-        assert monitor.actions == [TIER_ACTIONS[1]]
+    def test_tiers_fire_once_while_pressure_stays_high(self, rss):
+        rss[0] = 990
+        policy = ResiliencePolicy(rss_limit=1000)
+        for _ in range(2):
+            assert policy.memory_pressed(HALVE_SHARD_GRAIN)
+            assert policy.memory_pressed(CHECKPOINT_AND_DEGRADE)
+            assert policy.start_deadline().expired()
+        assert [e["action"] for e in policy.report.pressure_events] == \
+            ["halve_shard_grain", "checkpoint_and_degrade"]
 
-    def test_receding_pressure_rearms_the_tiers(self):
-        monitor = PressureMonitor(1000)
-        monitor.sample_once(rss_bytes=850)
-        monitor.sample_once(rss_bytes=300)  # below the shed watermark
-        monitor.sample_once(rss_bytes=850)  # sawtooth climbs again
-        assert monitor.actions == [TIER_ACTIONS[1], TIER_ACTIONS[1]]
-
-    def test_custom_thresholds(self):
-        monitor = PressureMonitor(
-            1000, thresholds=PressureThresholds(shed=0.5, reshard=0.6,
-                                                degrade=0.7))
-        assert monitor.sample_once(rss_bytes=550) == 1
+    def test_receding_pressure_rearms_the_tiers(self, rss):
+        """The halving tier is checked at every plan: once RSS recedes
+        below its watermark maps go back to the full grain, and a later
+        climb halves them again (the report records the action once)."""
+        policy = ResiliencePolicy(rss_limit=1000)
+        pressed = []
+        for value in (920, 300, 920):
+            rss[0] = value
+            pressed.append(policy.memory_pressed(HALVE_SHARD_GRAIN))
+        assert pressed == [True, False, True]
+        assert len(policy.report.pressure_events) == 1
 
     def test_live_reader_drives_the_default_path(self):
-        monitor = PressureMonitor(1)  # 1 byte: any real RSS is tier 3
-        policy_free_tier = monitor.sample_once()
-        assert policy_free_tier == 3
+        policy = ResiliencePolicy(rss_limit=1)  # any real RSS is >97%
+        assert policy.start_deadline().expired()
 
+    def test_clean_run_emits_no_guardrail_metrics(self):
+        metrics = _metrics_of(ResiliencePolicy(rss_limit=1 << 40))
+        assert M_PRESSURE_LEVEL not in metrics.summary()["gauges"]
+        assert metrics.summary()["counters"] == {}
 
-# ---------------------------------------------------------------------------
-# shard-grain scale
-# ---------------------------------------------------------------------------
 
 class TestShardScale:
-    def test_halve_doubles_factor_up_to_the_cap(self):
-        for expected in (2, 4, 8, 16, 16):
-            assert SHARD_SCALE.halve() == expected
-        SHARD_SCALE.reset()
-        assert SHARD_SCALE.factor == 1
+    """The halved shard grain a pressured plan uses."""
 
     def test_scaled_plans_cover_identically(self):
-        baseline = shard_bounds(997)
-        SHARD_SCALE.halve()
-        finer = shard_bounds(997)
-        flat = [row for start, stop in finer
-                for row in range(start, stop)]
-        assert flat == list(range(997))
-        assert len(finer) >= len(baseline)
+        for n, target in ((997, 2048), (997, 256), (5000, 256)):
+            baseline = shard_bounds(n, target)
+            finer = shard_bounds(n, target, scale=2)
+            flat = [row for start, stop in finer
+                    for row in range(start, stop)]
+            assert flat == list(range(n))
+            assert len(finer) >= len(baseline)
+        assert len(shard_bounds(997, 256, scale=2)) == 8
+        assert len(shard_bounds(997, 256)) == 4
+
+
+# ---------------------------------------------------------------------------
+# end to end through the CLI
+# ---------------------------------------------------------------------------
+
+def _learner_spans(trace_path, learner):
+    spans = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    return sorted(span["name"] for span in spans
+                  if span["name"].startswith(f"learner.{learner}"))
+
+
+class TestRssLimitCli:
+    def test_rss_limit_degrades_to_a_complete_mapping(self, cli_workspace,
+                                                      tmp_path):
+        """A 1 MiB limit: the prediction map is planned at half grain,
+        the search exits on its anytime path, and every source tag is
+        still mapped."""
+        report_path = tmp_path / "guard.json"
+        out = tmp_path / "guard.txt"
+        assert main(_match_argv(cli_workspace, out, "--rss-limit", "1",
+                                "--report-out", str(report_path))) == 0
+        report = validate_file(report_path)  # raises on a violation
+        degradation = report["degradation"]
+        assert degradation["anytime"] is True
+        assert [event["action"] for event in degradation["pressure"]] == \
+            ["halve_shard_grain", "checkpoint_and_degrade"]
+        mapped = {line.split("=")[0].strip()
+                  for line in out.read_text().splitlines()
+                  if "=" in line and not line.startswith("#")}
+        schema = (cli_workspace / "data" / "greathomes.com"
+                  / "schema.dtd").read_text()
+        assert mapped == set(SourceSchema(schema).tags)
+
+    def test_halved_grain_keeps_the_mapping_and_refines_the_plan(
+            self, cli_workspace, tmp_path, rss):
+        """At 92% of the limit the map is planned at half grain: more
+        shards in the trace, the same mapping and report quality."""
+        runs = {}
+        for name, extra in (("plain", ()),
+                            ("halved", ("--rss-limit", "1000"))):
+            rss[0] = int(0.92 * 1000 * (1 << 20))
+            out = tmp_path / f"{name}.txt"
+            trace = tmp_path / f"{name}.jsonl"
+            report = tmp_path / f"{name}.json"
+            assert main(_match_argv(cli_workspace, out, *extra,
+                                    "--trace-out", str(trace),
+                                    "--report-out", str(report))) == 0
+            runs[name] = (out.read_bytes(), json.loads(report.read_text()),
+                          _learner_spans(trace, "content_matcher"))
+        plain, halved = runs["plain"], runs["halved"]
+        assert halved[0] == plain[0]
+        assert halved[1]["mapping"] == plain[1]["mapping"]
+        assert halved[1]["quality"] == plain[1]["quality"]
+        assert halved[1]["degradation"]["pressure"] == [
+            {"tier": 2, "action": "halve_shard_grain"}]
+        assert "anytime" not in halved[1]["degradation"]
+        assert len(halved[2]) > len(plain[2])
