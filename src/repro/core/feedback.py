@@ -69,6 +69,8 @@ class FeedbackSession:
         """User says: ``tag`` does NOT match ``label``."""
         if tag not in self.schema.tags:
             raise KeyError(f"source has no tag {tag!r}")
+        if label not in self.system.space:
+            raise KeyError(f"unknown label {label!r}")
         self.feedback.append(ExclusionConstraint(tag, label))
         self.corrections += 1
         self.result = self._rematch()

@@ -314,3 +314,13 @@ class TestFeedbackSession:
             session.assert_match("nope", "ADDRESS")
         with pytest.raises(KeyError):
             session.assert_match("area", "NOT-A-LABEL")
+
+    def test_rejecting_an_unknown_label_raises(self, system):
+        """An unknown label is refused, as by ``assert_match``: it is
+        neither recorded nor counted as a correction."""
+        session = FeedbackSession(system, GREATHOMES_SCHEMA,
+                                  GREATHOMES_LISTINGS)
+        with pytest.raises(KeyError):
+            session.reject_match("area", "NOT-A-LABEL")
+        assert session.corrections == 0
+        assert session.feedback == []
