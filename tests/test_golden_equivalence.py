@@ -297,8 +297,8 @@ class TestProcessBackendEquivalence:
 
     @pytest.mark.parametrize(
         "workers,max_expansions",
-        [(1, 100_000), (4, 100_000), (4, 3)],
-        ids=["1", "4", "4-budget3"])
+        [(1, 100_000), (4, 100_000), (4, 1)],
+        ids=["1", "4", "4-budget1"])
     def test_process_matches_serial(self, system, workers,
                                     max_expansions):
         """Also with a node budget so small that the constraint search
@@ -312,7 +312,7 @@ class TestProcessBackendEquivalence:
             reference = self._run(system, workers=1, backend="serial")
             run = self._run(system, workers=workers, backend="process")
             assert system.handler.last_stats["anytime"] == \
-                (max_expansions == 3)
+                (max_expansions == 1)
         finally:
             system.handler = handler
         self._assert_identical(run, reference)
