@@ -17,9 +17,12 @@ rows, then times two configurations per size:
 
 Each configuration reports its best round. The benchmark asserts the
 incremental engine reaches the same minimum cost as the seed handler at
-every size (assignments may differ only on exact cost ties) and beats
-the seed by at least 3x at 100 tags. Writes ``BENCH_constraints.json``
-at the repo root, with the ``cpu_count`` of the host that produced it.
+every size (assignments may differ only on exact cost ties), beats the
+seed by at least 3x at 100 tags, and expands at most
+``MAX_NODES_AT_100`` nodes there: 10x under the 10,130 the engine
+expanded with a suffix bound blind to the labels the partial mapping
+had used. Writes ``BENCH_constraints.json`` at the repo root, with the
+``cpu_count`` of the host that produced it.
 
 Environment knobs::
 
@@ -53,6 +56,7 @@ SIZES = [int(s) for s in os.environ.get(
     "LSD_BENCH_CONSTRAINTS_SIZES", "10,25,50,100,200").split(",")]
 ROUNDS = int(os.environ.get("LSD_BENCH_CONSTRAINTS_ROUNDS", "3"))
 MIN_SPEEDUP = 3.0
+MAX_NODES_AT_100 = 1_013
 MAX_EXPANSIONS = 500_000
 
 
@@ -62,14 +66,17 @@ MAX_EXPANSIONS = 500_000
 
 def _seed_find_mapping(handler, scores, space, ctx, extra_constraints=()):
     """The pre-PR ``ConstraintHandler.find_mapping``: same candidate
-    order, same heuristic, but full-scan ``check_partial`` at every node
-    and soft costs only at leaves."""
+    order, a heuristic summing each tag's cheapest candidate, full-scan
+    ``check_partial`` at every node and soft costs only at leaves."""
     hard, soft = split_constraints(
         [*handler.constraints, *extra_constraints])
     tags = handler._tag_order(list(scores), ctx)
     if not tags:
         return Mapping({})
-    candidate_labels = handler._candidates(tags, scores, space, hard)
+    candidate_labels = {
+        tag: [space.label_at(i) for i in chosen]
+        for tag, chosen in zip(tags, handler._candidates(tags, scores,
+                                                         space, hard))}
     log_cost = {
         tag: {
             label: -handler.prob_weight * math.log(
@@ -256,6 +263,7 @@ def _timed(fn, rounds):
 def test_constraints_throughput():
     report_sizes = {}
     speedup_at_100 = None
+    nodes_at_100 = None
 
     for size in SIZES:
         scores, space, ctx, constraints, feedback = _make_instance(size)
@@ -310,6 +318,7 @@ def test_constraints_throughput():
         report_sizes[str(size)] = entry
         if size == 100:
             speedup_at_100 = best["seed"] / best["bnb"]
+            nodes_at_100 = stats["nodes_expanded"]
 
     report = {
         "workload": {
@@ -323,6 +332,7 @@ def test_constraints_throughput():
         "environment": {"cpu_count": os.cpu_count() or 1},
         "sizes": report_sizes,
         "min_speedup_required_at_100": MIN_SPEEDUP,
+        "max_nodes_allowed_at_100": MAX_NODES_AT_100,
     }
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print("\n" + json.dumps(report, indent=2))
@@ -331,3 +341,7 @@ def test_constraints_throughput():
         assert speedup_at_100 >= MIN_SPEEDUP, (
             f"incremental engine only {speedup_at_100:.2f}x faster than "
             f"the seed handler at 100 tags (need {MIN_SPEEDUP}x)")
+    if nodes_at_100 is not None:
+        assert nodes_at_100 <= MAX_NODES_AT_100, (
+            f"{nodes_at_100} nodes expanded at 100 tags "
+            f"(at most {MAX_NODES_AT_100})")
