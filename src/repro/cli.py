@@ -82,7 +82,6 @@ from .observability import (EventStream, Observer, TelemetryServer,
                             with_trace, write_report)
 from .observability.events import (EV_CHECKPOINT, EV_RUN_END,
                                    EV_RUN_START)
-from .observability.metrics import M_INSTANCES
 from .resilience import (FaultInjected, FaultPlan, ResiliencePolicy,
                          ingest_fragments)
 from .xmlio import (INGEST_MODES, parse_dtd, parse_fragments, write_dtd,
@@ -704,8 +703,7 @@ def _run_match(args: argparse.Namespace,
             config=config,
             dataset={"fingerprint": fingerprint,
                      "tags": len(schema.tags),
-                     "instances": obs.metrics.counter(
-                         M_INSTANCES).value,
+                     "instances": result.profile.counters["instances"],
                      "listings": len(listings)},
             result=result, observer=observer)
         if _emit_artifact(
@@ -725,8 +723,7 @@ def _run_match(args: argparse.Namespace,
             host=run_ledger.host_info(backend=backend,
                                       workers=args.workers),
             timings={**result.timings, "total": total_seconds},
-            metrics={"instances": obs.metrics.counter(
-                         M_INSTANCES).value,
+            metrics={"instances": result.profile.counters["instances"],
                      "tags": len(schema.tags)},
             run_id=checkpoint.run_id
             if checkpoint is not None else None,

@@ -67,11 +67,6 @@ import numpy as np
 from ..core.labels import OTHER, LabelSpace
 from ..core.mapping import Mapping
 from ..observability import Observer, resolve_observer
-from ..observability.metrics import (M_CONSTRAINT_LEAF_REJECTS,
-                                     M_CONSTRAINT_NODES,
-                                     M_CONSTRAINT_PRUNE_BOUND,
-                                     M_CONSTRAINT_PRUNE_HARD,
-                                     M_CONSTRAINT_PRUNE_SOFT)
 from .base import (Constraint, HardConstraint, HardEvaluator, MatchContext,
                    SoftConstraint, SoftEvaluator, split_constraints)
 from .feedback import AssignmentConstraint, ExclusionConstraint
@@ -83,15 +78,6 @@ DEFAULT_SOFT_WEIGHTS = {"binary": 1.0, "numeric": 0.5}
 
 _STAT_NAMES = ("nodes_expanded", "prune_bound", "prune_hard",
                "prune_soft_bound", "leaf_hard_rejects")
-
-#: last_stats key -> metric name in the observability catalogue.
-_STAT_METRICS = {
-    "nodes_expanded": M_CONSTRAINT_NODES,
-    "prune_bound": M_CONSTRAINT_PRUNE_BOUND,
-    "prune_hard": M_CONSTRAINT_PRUNE_HARD,
-    "prune_soft_bound": M_CONSTRAINT_PRUNE_SOFT,
-    "leaf_hard_rejects": M_CONSTRAINT_LEAF_REJECTS,
-}
 
 
 def _zero_stats() -> dict:
@@ -643,7 +629,7 @@ class ConstraintHandler:
         vector for that tag. ``extra_constraints`` carries user feedback
         for the current source only (§4.3). ``observer`` records a
         ``search`` span carrying every :attr:`last_stats` entry as an
-        attribute, and the ``constraint.*`` metrics.
+        attribute (the ``constraint.*`` metrics are read off it).
 
         When no complete assignment satisfies the hard constraints
         within budget, the result falls back to the per-tag argmax —
@@ -673,8 +659,6 @@ class ConstraintHandler:
                                          warm_start, snapshot)
             for stat, value in self.last_stats.items():
                 span.set_attribute(stat, value)
-        for stat, metric in _STAT_METRICS.items():
-            obs.metrics.counter(metric).inc(self.last_stats[stat])
         if report is not None and self.last_stats.get("anytime"):
             report.mark_anytime()
         return mapping

@@ -11,7 +11,7 @@ Pipeline for a target source:
 4. hand the per-tag predictions to the constraint handler, which returns
    the least-cost 1-1 mapping (or argmax when no handler is configured).
 
-Throughput engineering (the high-traffic ROADMAP goal):
+Throughput engineering:
 
 * base-learner prediction fans out across a :class:`ParallelExecutor`
   (order-preserving, so any worker count is byte-identical to serial);
@@ -24,8 +24,9 @@ Throughput engineering (the high-traffic ROADMAP goal):
   the :class:`~repro.learners.base.BaseLearner` contract that
   ``predict_scores`` rows depend only on their own instance;
 * every stage is a span of the run's (always recorded) trace;
-  ``MatchResult.profile``, ``MatchResult.timings`` and the stage
-  events' durations are all derived from that one span tree.
+  ``MatchResult.profile``, ``MatchResult.timings``, the stage events'
+  durations and the metrics registry are all derived from that one
+  span tree.
 """
 
 from __future__ import annotations
@@ -44,20 +45,7 @@ from ..observability import (Observer, QualityRecord, StageProfile,
 from ..observability.events import (EV_CHECKPOINT, EV_DEGRADATION,
                                     EV_RESUME, EV_SHARD_COMPLETE,
                                     EV_STAGE_END, EV_STAGE_START)
-from ..observability.metrics import (M_ANYTIME_EXITS, M_CACHE_HIT_RATIO,
-                                     M_CACHE_HITS, M_CACHE_MISSES,
-                                     M_CKPT_STAGES_RESUMED,
-                                     M_CKPT_WRITES, M_COLUMN_SIZE,
-                                     M_FAULTS_FIRED, M_INSTANCES,
-                                     M_LEARNERS_QUARANTINED,
-                                     M_LISTINGS_DROPPED,
-                                     M_LISTINGS_RECOVERED,
-                                     M_POOL_FAILURES, M_PREDICT_LATENCY,
-                                     M_PRESSURE_ACTIONS, M_PRESSURE_LEVEL,
-                                     M_STRUCTURE_PASSES,
-                                     M_STRUCTURE_REPREDICTED, M_TAGS,
-                                     M_TASK_RETRIES, M_WATCHDOG_KILLS,
-                                     M_WATCHDOG_STALLS, SIZE_BUCKETS)
+from ..observability.metrics import record_run
 from ..resilience.faults import FaultInjected
 from ..resilience.policy import (HALVE_SHARD_GRAIN, Deadline,
                                  DegradationReport, ResiliencePolicy,
@@ -149,10 +137,14 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
     the benchmark harness can measure the baseline.
 
     ``observer`` receives trace spans (recorded privately when it keeps
-    no trace: ``MatchResult.profile`` is derived from them), metrics,
-    and (when enabled) per-column quality records. The span tree,
-    metric counts, and quality records are a function of the inputs
-    only — identical at any worker count.
+    no trace: ``MatchResult.profile`` is derived from them), per-column
+    quality records when enabled, and, when it keeps a metrics
+    registry, the finished run's counts, read off the span tree by
+    :func:`~repro.observability.metrics.record_run`. The span tree's
+    shape, the quality records and every count except the featurize
+    cache hits/misses (which describe the process that ran the
+    learners) are a function of the inputs only — identical at any
+    worker count.
 
     ``policy`` arms fault tolerance: a base learner whose prediction
     raises (or times out) is quarantined instead of crashing the run,
@@ -190,14 +182,10 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
         tags = list(columns)
         flat: list[ElementInstance] = []
         slices: dict[str, slice] = {}
-        column_sizes = obs.metrics.histogram(M_COLUMN_SIZE, SIZE_BUCKETS)
         for tag in tags:
             begin = len(flat)
             flat.extend(columns[tag].instances)
             slices[tag] = slice(begin, len(flat))
-            column_sizes.observe(len(columns[tag].instances))
-        obs.metrics.counter(M_INSTANCES).inc(len(flat))
-        obs.metrics.counter(M_TAGS).inc(len(tags))
         match_span.set_attribute("tags", len(tags))
         match_span.set_attribute("instances", len(flat))
 
@@ -232,7 +220,7 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
             if saved_mapping is not None:
                 mapping = Mapping(saved_mapping)
                 events.emit(EV_RESUME, stage="constrain")
-                obs.metrics.counter(M_CKPT_STAGES_RESUMED).inc()
+                constrain_span.set_attribute("checkpoint", "resumed")
             elif handler is None:
                 mapping = Mapping({
                     tag: space.label_at(int(np.argmax(row)))
@@ -251,7 +239,7 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
             if saved_mapping is None and checkpoint is not None \
                     and checkpoint.save_mapping(
                         {tag: mapping.label_of(tag) for tag in mapping}):
-                obs.metrics.counter(M_CKPT_WRITES).inc()
+                constrain_span.set_attribute("checkpoint", "saved")
                 events.emit(EV_CHECKPOINT, stage="constrain")
         events.emit(EV_STAGE_END, stage="constrain",
                     elapsed_seconds=constrain_span.span.elapsed,
@@ -269,16 +257,13 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
         misses -= cache_before[1]
         match_span.set_attribute("cache_hits", hits)
         match_span.set_attribute("cache_misses", misses)
-    obs.metrics.counter(M_CACHE_HITS).inc(hits)
-    obs.metrics.counter(M_CACHE_MISSES).inc(misses)
-    if hits + misses:
-        obs.metrics.gauge(M_CACHE_HIT_RATIO).set(hits / (hits + misses))
-    profile = StageProfile.from_spans(trace.spans, match_span.span_id)
+    spans = trace.spans
+    profile = StageProfile.from_spans(spans, match_span.span_id)
     degradation = policy.finalize() if policy is not None else None
+    if obs.metrics is not None:
+        record_run(obs.metrics, spans, match_span.span_id, columns,
+                   degradation)
     if degradation is not None and degradation.degraded:
-        # Emitted only when non-zero, so a clean run's metric set (and
-        # therefore its report) is byte-identical to a policy-free run.
-        _emit_degradation_metrics(degradation, obs)
         events.emit(EV_DEGRADATION,
                     reason=_degradation_reason(degradation))
     return MatchResult(mapping, tag_scores, space, columns, ctx,
@@ -309,44 +294,6 @@ def _degradation_reason(degradation: DegradationReport) -> str:
         parts.append(f"{len(degradation.fired_faults)} injected "
                      "fault(s) fired")
     return "; ".join(parts) or "degraded"
-
-
-def _emit_degradation_metrics(degradation: DegradationReport,
-                              obs: Observer) -> None:
-    """Fold a run's degradation account into the metrics registry."""
-    metrics = obs.metrics
-    if degradation.quarantines:
-        metrics.counter(M_LEARNERS_QUARANTINED).inc(
-            len(degradation.quarantined_learners))
-    if degradation.retries:
-        metrics.counter(M_TASK_RETRIES).inc(len(degradation.retries))
-    if degradation.pool_failures:
-        metrics.counter(M_POOL_FAILURES).inc(
-            len(degradation.pool_failures))
-    if degradation.anytime:
-        metrics.counter(M_ANYTIME_EXITS).inc()
-    if degradation.fired_faults:
-        metrics.counter(M_FAULTS_FIRED).inc(
-            len(degradation.fired_faults))
-    for kind, name in (("worker_killed", M_WATCHDOG_KILLS),
-                       ("stall", M_WATCHDOG_STALLS)):
-        count = sum(event["kind"] == kind
-                    for event in degradation.watchdog)
-        if count:
-            metrics.counter(name).inc(count)
-    if degradation.pressure_events:
-        metrics.counter(M_PRESSURE_ACTIONS).inc(
-            len(degradation.pressure_events))
-        metrics.gauge(M_PRESSURE_LEVEL).set(float(max(
-            event["tier"] for event in degradation.pressure_events)))
-    recovery = degradation.recovery
-    if recovery is not None:
-        if recovery.recovered:
-            metrics.counter(M_LISTINGS_RECOVERED).inc(
-                len(recovery.recovered))
-        if recovery.dropped:
-            metrics.counter(M_LISTINGS_DROPPED).inc(
-                len(recovery.dropped))
 
 
 # A learner whose prediction raises under an active resilience policy
@@ -384,10 +331,8 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     (spans measured in worker processes replay there too), and shard
     spans carry their shard index in the name (single-shard batches
     keep the legacy ``learner.<name>`` span), so the trace tree is the
-    same at any worker count. Each (learner, shard) task contributes ``len(batch)``
-    observations of its span's mean per-instance time to the
-    prediction-latency histogram — O(learners × shards) observations,
-    not O(instances).
+    same at any worker count. A task that fails marks its span
+    ``error=<exception type>`` on either backend.
 
     With an active ``policy``, a learner whose prediction raises or
     times out in *any* shard comes back as a :class:`TaskFailure`
@@ -396,8 +341,6 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
     The ``learner.predict`` fault site fires once per learner per pass
     (on its first shard), exactly as it did before sharding.
     """
-    latency = obs.metrics.histogram(M_PREDICT_LATENCY)
-
     def predict_with(learner: BaseLearner,
                      batch: list[ElementInstance], shard: int,
                      span_name: str):
@@ -416,10 +359,8 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                     # Quarantine boundary: any learner failure becomes
                     # a sentinel the main thread records in submission
                     # order — degradation, not a crash.
+                    span.set_attribute("error", type(exc).__name__)
                     return TaskFailure.from_exception(exc)
-        if batch:
-            latency.observe(span.span.elapsed / len(batch),
-                            count=len(batch))
         return scores
 
     def duplicate_order(batch: list[ElementInstance]) -> np.ndarray \
@@ -605,9 +546,6 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                 changed = list(range(len(flat)))
             if not changed:
                 break  # no instance saw a new child label
-            obs.metrics.counter(M_STRUCTURE_PASSES).inc()
-            obs.metrics.counter(M_STRUCTURE_REPREDICTED).inc(
-                len(changed))
             pass_span.set_attribute("repredicted", len(changed))
             batch = [flat[i] for i in changed]
             updates = fan_out(batch, structural, "structure")

@@ -69,7 +69,7 @@ from ..observability.metrics import (BYTE_BUCKETS, CPU_BUCKETS,
                                      M_POOL_SHIP_SKIPS, M_POOL_TASKS,
                                      M_POOL_WORKER_CPU,
                                      M_POOL_WORKER_RSS,
-                                     M_POOL_WORKERS, M_PREDICT_LATENCY)
+                                     M_POOL_WORKERS)
 from ..observability.resources import ProcSample, read_proc_self
 from ..resilience.faults import FaultInjected
 from ..resilience.policy import call_with_timeout
@@ -630,9 +630,7 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
     plan = policy.fault_plan if policy is not None else None
     retries = policy.retries if policy is not None else 0
     trace = observer.trace if observer is not None else None
-    metrics = (observer.metrics
-               if observer is not None and observer.metrics.enabled
-               else None)
+    metrics = observer.metrics if observer is not None else None
 
     def run_serial(skip_done=None) -> list:
         """The local path: the executor's own task runner, opening
@@ -665,7 +663,6 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
     failures = [0] * n
     errors: dict[int, BaseException] = {}
     span_events: list[tuple] = []   # (index, attempt_seq, timing, err)
-    latencies: dict[int, float] = {}   # index -> successful elapsed
 
     if not pool.alive:
         executor._note_pool_failure(label)
@@ -711,7 +708,8 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
                     # Gated before dispatch: an empty span, stamped now.
                     stamp = time.time()  # lsd: ignore[wallclock]
                     span_events.append(
-                        (index, failures[index], (stamp, 0.0), None))
+                        (index, failures[index], (stamp, 0.0),
+                         type(exc).__name__))
                     complete(index, TaskFailure.from_exception(exc))
                     return False
             return True
@@ -808,13 +806,11 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
                     _, _tid, value, timing = reply
                     span_events.append((index, failures[index], timing,
                                         None))
-                    if tasks[index].rows:
-                        latencies[index] = timing[1]
                     complete(index, value)
                 elif kind == "failure":
                     _, _tid, error_type, message, timing = reply
                     span_events.append((index, failures[index], timing,
-                                        None))
+                                        error_type))
                     complete(index, TaskFailure(error_type, message))
                 else:  # "error": uncaught worker-side exception
                     _, _tid, shipped, error_type, message, timing = reply
@@ -837,7 +833,8 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
 
     # Deterministic observability replay, in submission order. Spans
     # always replay (workers record theirs regardless of later
-    # failures).
+    # failures); a failed attempt's span carries ``error=<type>``, as
+    # the serial path marks its own.
     if trace is not None:
         for index, _seq, timing, error_type in sorted(
                 span_events, key=lambda event: event[:2]):
@@ -859,12 +856,6 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
             sample = ProcSample.from_dict(worker_resources[worker_id])
             rss_hist.observe(float(sample.rss_bytes))
             cpu_hist.observe(sample.cpu_seconds)
-        # Per-instance prediction latency, read off the replayed spans
-        # exactly as the serial path reads its own.
-        latency = metrics.histogram(M_PREDICT_LATENCY)
-        for index in sorted(latencies):
-            rows = tasks[index].rows
-            latency.observe(latencies[index] / rows, count=rows)
     for index in range(n):
         if index in errors:
             raise errors[index]

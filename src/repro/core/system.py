@@ -17,6 +17,7 @@ from ..learners.base import BaseLearner
 from ..learners.meta import StackingMetaLearner
 from ..observability import Observer, with_trace
 from ..observability.events import EV_STAGE_END, EV_STAGE_START
+from ..observability.metrics import record_run
 from ..resilience.policy import ResiliencePolicy
 from ..xmlio import Element
 from .converter import PredictionConverter
@@ -242,20 +243,23 @@ class LSDSystem:
 
         ``observer`` records the ``train`` span tree (stages ``build``,
         ``fit``, ``cv``; recorded privately when it keeps no trace, as
-        the stage events read their durations from it) and training
-        metrics.
+        the stage events read their durations from it); a metrics
+        registry it keeps receives the finished run's counts, read off
+        that tree.
         """
         if not self.training_sources:
             raise RuntimeError("no training sources added")
         obs = with_trace(observer)
         events = obs.events
         trace = obs.trace
-        with trace.span("train", sources=len(self.training_sources)):
+        with trace.span("train", sources=len(self.training_sources)
+                        ) as train_span:
             events.emit(EV_STAGE_START, stage="build")
             with trace.span("build") as stage_span:
                 instances, labels = build_training_set(
                     self.training_sources, self.space,
                     self.max_instances_per_tag)
+                stage_span.set_attribute("instances", len(instances))
             events.emit(EV_STAGE_END, stage="build",
                         elapsed_seconds=stage_span.span.elapsed,
                         items=len(instances))
@@ -284,6 +288,8 @@ class LSDSystem:
                     executor=self.executor, observer=obs)
             events.emit(EV_STAGE_END, stage="cv",
                         elapsed_seconds=stage_span.span.elapsed)
+        if obs.metrics is not None:
+            record_run(obs.metrics, trace.spans, train_span.span_id)
         self.active_learners = survivors
         # Any live worker pool holds the pre-retrain model; drop it so
         # the next process-backend match rebuilds on the fresh one.

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from ..learners.base import BaseLearner
 from ..learners.meta import StackingMetaLearner, cross_validate_many
 from ..observability import Observer, resolve_observer
-from ..observability.metrics import M_TRAIN_INSTANCES
 from ..resilience.policy import call_with_timeout
 from ..resilience.sites import SITE_LEARNER_FIT
 from ..xmlio import Element
@@ -102,7 +101,6 @@ def train_base_learners(learners: list[BaseLearner],
     names = [learner.name for learner in learners]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate learner names: {names}")
-    obs.metrics.counter(M_TRAIN_INSTANCES).inc(len(instances))
     survivors: list[BaseLearner] = []
     for learner in learners:
         with obs.trace.span(f"fit.{learner.name}",

@@ -24,7 +24,6 @@ from ..core.labels import LabelSpace
 from ..core.parallel import ParallelExecutor, resolve
 from ..core.prediction import normalize_matrix
 from ..observability import Observer, resolve_observer
-from ..observability.metrics import M_CV_TASKS
 from .base import BaseLearner
 
 
@@ -100,7 +99,6 @@ def cross_validate_many(learners: Sequence[BaseLearner],
              for learner in learners
              for fold, (train_idx, held_out)
              in enumerate(zip(train_sets, boundaries))]
-    obs.metrics.counter(M_CV_TASKS).inc(len(tasks))
     with obs.trace.span("folds", folds=folds,
                         learners=len(learners)) as folds_span:
 

@@ -13,14 +13,16 @@ the code grows. The primitives:
   behind ``--profile``, ``MatchResult.timings`` and the report's
   ``stages`` section;
 * :class:`MetricsRegistry` (``metrics``) — named counters, gauges and
-  fixed-bucket histograms with p50/p90/p99 summaries;
+  fixed-bucket histograms with p50/p90/p99 summaries, filled from each
+  finished run's span tree (:func:`~.metrics.record_run`);
 * :class:`QualityRecord` (``quality``) + run reports (``report``) —
   per-column triage data and the one-JSON-per-run artifact written by
   ``--report-out``.
 
 :class:`Observer` bundles the sinks into the single optional handle the
-pipelines accept; its disabled default (:data:`NO_OP`) records spans
-only, into a private per-call collector (:func:`with_trace`).
+pipelines accept; its disabled default (:data:`NO_OP`) keeps no
+registry and records spans only, into a private per-call collector
+(:func:`with_trace`).
 """
 
 from .artifacts import atomic_append_jsonl, atomic_write_text
@@ -29,10 +31,9 @@ from .events import (EVENT_CATALOGUE, NULL_EVENTS, EventStream,
 from .expo import (TelemetryServer, parse_openmetrics,
                    registry_from_summary, render_openmetrics)
 from .metrics import (BYTE_BUCKETS, CATALOGUE, CPU_BUCKETS,
-                      LATENCY_BUCKETS, NULL_METRICS, SIZE_BUCKETS,
-                      Counter, Gauge, Histogram, MetricsRegistry,
-                      NullMetricsRegistry, exponential_buckets,
-                      refresh_derived_gauges)
+                      LATENCY_BUCKETS, SIZE_BUCKETS, Counter, Gauge,
+                      Histogram, MetricsRegistry, exponential_buckets,
+                      record_run)
 from .observer import NO_OP, Observer
 from .observer import resolve as resolve_observer
 from .observer import with_trace
@@ -47,17 +48,17 @@ from .trace import (NULL_TRACE, NullTraceCollector, Span,
 
 __all__ = [
     "BYTE_BUCKETS", "CATALOGUE", "CPU_BUCKETS", "EVENT_CATALOGUE",
-    "LATENCY_BUCKETS", "NULL_EVENTS", "NULL_METRICS", "NULL_TRACE",
+    "LATENCY_BUCKETS", "NULL_EVENTS", "NULL_TRACE",
     "NO_OP", "SIZE_BUCKETS", "Counter", "EventStream", "Gauge",
     "Histogram", "MetricsRegistry", "NullEventStream",
-    "NullMetricsRegistry", "NullTraceCollector", "Observer",
+    "NullTraceCollector", "Observer",
     "ProcSample", "QualityRecord", "Span",
     "StageProfile", "TelemetryServer", "TraceCollector",
     "atomic_append_jsonl", "atomic_write_text", "build_match_report",
     "build_quality_records", "dataset_fingerprint",
     "exponential_buckets", "format_profile_table", "iter_tree",
     "load_report", "load_schema", "parse_openmetrics", "read_events",
-    "read_jsonl", "read_proc_self", "refresh_derived_gauges",
+    "read_jsonl", "read_proc_self", "record_run",
     "registry_from_summary", "render_openmetrics", "render_text",
     "resolve_observer", "validate_events", "validate_file",
     "validate_report", "with_trace", "write_report",

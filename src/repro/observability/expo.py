@@ -31,7 +31,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .metrics import (CATALOGUE, MetricsRegistry, refresh_derived_gauges)
+from .metrics import CATALOGUE, MetricsRegistry
 from .resources import sample_into
 
 #: Every exposed metric name is prefixed with this namespace.
@@ -97,12 +97,9 @@ def render_openmetrics(registry, labels: dict[str, str] | None = None
     """The registry in OpenMetrics text format.
 
     ``labels`` (e.g. a run fingerprint) are attached to every sample.
-    Derived gauges are refreshed first so ratios reflect the summed
-    counters, not the last match recorded. Families render in sorted
-    exposed-name order, so identical registries render
-    byte-identically.
+    Families render in sorted exposed-name order, so identical
+    registries render byte-identically.
     """
-    refresh_derived_gauges(registry)
     labels = dict(labels or {})
     instruments = registry.instruments()
     lines: list[str] = []
@@ -316,6 +313,9 @@ class TelemetryServer:
     Stdlib-only and threaded: request handling reads the live registry
     (every instrument mutation is lock-guarded), so a scrape during a
     run sees a consistent point-in-time snapshot of each instrument.
+    A run's counts land in the registry when its match or training
+    run finishes (:func:`~.metrics.record_run`); until then a scrape
+    shows only the pool and ``proc.*`` telemetry.
     ``port=0`` binds an ephemeral port — read :attr:`port` after
     construction. Use as a context manager or call :meth:`close`.
 

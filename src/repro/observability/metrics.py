@@ -21,15 +21,22 @@ The metric name catalogue used by the pipelines is declared here
 (``M_*`` constants + :data:`CATALOGUE`) so reports, docs and dashboards
 share one vocabulary.
 
-:data:`NULL_METRICS` is the disabled registry: it hands out shared
-no-op instruments, so instrumented code costs one attribute call when
-metrics are off.
+The registry is a view of the span tree (:mod:`.trace`), not a second
+record: the pipelines write no instrument while they run.
+:func:`record_run` folds one finished ``match`` or ``train`` span
+subtree into a registry, so its counts agree with the run's
+:class:`~repro.observability.timers.StageProfile` by construction. Only
+the worker pool's dispatch and resource telemetry (``pool.*``) and the
+scrape-time ``proc.*`` samples, which no span carries, are written
+directly.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from .timers import StageProfile
 
 # ---------------------------------------------------------------------------
 # metric name catalogue
@@ -344,10 +351,6 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
     def counter(self, name: str) -> Counter:
         with self._lock:
             instrument = self._counters.get(name)
@@ -401,79 +404,123 @@ class MetricsRegistry:
                 f"{len(self._histograms)} histograms>")
 
 
-class _NullInstrument:
-    """Shared no-op counter/gauge/histogram."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-    total = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float, count: int = 1) -> None:
-        pass
-
-    def summary(self) -> dict:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """The disabled registry: every instrument is a shared no-op."""
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] | None = None
-                  ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def instruments(self) -> dict[str, dict]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def summary(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-#: The shared disabled registry.
-NULL_METRICS = NullMetricsRegistry()
-
-
 # ---------------------------------------------------------------------------
-# derived gauges
+# the registry as a view of finished runs
 # ---------------------------------------------------------------------------
 
-def refresh_derived_gauges(registry) -> None:
-    """Recompute gauges that are pure functions of counters.
+def record_run(registry: MetricsRegistry, spans: Iterable, root_id: str,
+               columns=None, degradation=None) -> None:
+    """Fold one finished run into ``registry``.
 
-    Gauges are last-writer-wins, so when one registry records several
-    matches the ratio gauge holds only the last match's value while
-    the counters hold the sum. Every consumer that reads a registry
-    (the run report, the OpenMetrics exposition) calls this first so
-    derived values are recomputed from the summed counters. Touches
-    nothing when the inputs were never emitted.
+    ``root_id`` names the run's ``match`` or ``train`` span; ``spans``
+    may hold spans outside its subtree, which are ignored. A match
+    records its :class:`~.timers.StageProfile` counters, the size of
+    each extracted column of ``columns`` (tag -> column), the
+    per-instance latency of every learner span not marked ``error``,
+    the checkpoint outcome its ``constrain`` span carries, and the
+    ``degradation`` report when the run degraded. Counters sum across
+    runs recorded into one registry; the cache hit-ratio gauge is
+    recomputed from the summed counters each time. A training run
+    records its instance and cross-validation task counts.
     """
-    if not registry.enabled:
+    prefix = root_id + "/"
+    subtree = [span for span in spans
+               if span.span_id == root_id
+               or span.span_id.startswith(prefix)]
+    root = next(span for span in subtree if span.span_id == root_id)
+    if root.name == "train":
+        for span in subtree:
+            if span.name == "build":
+                registry.counter(M_TRAIN_INSTANCES).inc(
+                    span.attributes["instances"])
+            elif span.name == "folds":
+                registry.counter(M_CV_TASKS).inc(
+                    span.attributes["folds"] * span.attributes["learners"])
         return
-    counters = registry.instruments()["counters"]
-    hits = counters.get(M_CACHE_HITS)
-    misses = counters.get(M_CACHE_MISSES)
-    total = (hits.value if hits is not None else 0) \
-        + (misses.value if misses is not None else 0)
-    if total:
-        registry.gauge(M_CACHE_HIT_RATIO).set(hits.value / total
-                                              if hits is not None
-                                              else 0.0)
+
+    counters = StageProfile.from_spans(subtree, root_id).counters
+    registry.counter(M_TAGS).inc(counters["tags"])
+    registry.counter(M_INSTANCES).inc(counters["instances"])
+    hits = registry.counter(M_CACHE_HITS)
+    hits.inc(counters["cache_hits"])
+    misses = registry.counter(M_CACHE_MISSES)
+    misses.inc(counters["cache_misses"])
+    if hits.value + misses.value:
+        registry.gauge(M_CACHE_HIT_RATIO).set(
+            hits.value / (hits.value + misses.value))
+    if "structure_passes" in counters:
+        registry.counter(M_STRUCTURE_PASSES).inc(
+            counters["structure_passes"])
+        registry.counter(M_STRUCTURE_REPREDICTED).inc(
+            counters["structure_repredicted"])
+    if "constraint_nodes_expanded" in counters:
+        registry.counter(M_CONSTRAINT_NODES).inc(
+            counters["constraint_nodes_expanded"])
+        registry.counter(M_CONSTRAINT_PRUNE_BOUND).inc(
+            counters["constraint_prune_bound"])
+        registry.counter(M_CONSTRAINT_PRUNE_HARD).inc(
+            counters["constraint_prune_hard"])
+        registry.counter(M_CONSTRAINT_PRUNE_SOFT).inc(
+            counters["constraint_prune_soft_bound"])
+        registry.counter(M_CONSTRAINT_LEAF_REJECTS).inc(
+            counters["constraint_leaf_hard_rejects"])
+
+    sizes = registry.histogram(M_COLUMN_SIZE, SIZE_BUCKETS)
+    for column in (columns or {}).values():
+        sizes.observe(len(column.instances))
+    latency = registry.histogram(M_PREDICT_LATENCY)
+    for span in subtree:
+        attributes = span.attributes
+        if span.name.startswith("learner.") and \
+                attributes.get("instances") and "error" not in attributes:
+            latency.observe(span.elapsed / attributes["instances"],
+                            count=attributes["instances"])
+        elif span.name == "constrain":
+            checkpoint = attributes.get("checkpoint")
+            if checkpoint == "resumed":
+                registry.counter(M_CKPT_STAGES_RESUMED).inc()
+            elif checkpoint == "saved":
+                registry.counter(M_CKPT_WRITES).inc()
+    if degradation is not None and degradation.degraded:
+        # Recorded only when non-zero, so a clean run's metric set (and
+        # therefore its report) is identical to a policy-free run's.
+        record_degradation(registry, degradation)
+
+
+def record_degradation(registry: MetricsRegistry, degradation) -> None:
+    """Fold a run's :class:`~repro.resilience.DegradationReport` into
+    the ``resilience.*`` and ``runtime.*`` guardrail metrics."""
+    if degradation.quarantines:
+        registry.counter(M_LEARNERS_QUARANTINED).inc(
+            len(degradation.quarantined_learners))
+    if degradation.retries:
+        registry.counter(M_TASK_RETRIES).inc(len(degradation.retries))
+    if degradation.pool_failures:
+        registry.counter(M_POOL_FAILURES).inc(
+            len(degradation.pool_failures))
+    if degradation.anytime:
+        registry.counter(M_ANYTIME_EXITS).inc()
+    if degradation.fired_faults:
+        registry.counter(M_FAULTS_FIRED).inc(
+            len(degradation.fired_faults))
+    kills = sum(event["kind"] == "worker_killed"
+                for event in degradation.watchdog)
+    if kills:
+        registry.counter(M_WATCHDOG_KILLS).inc(kills)
+    stalls = sum(event["kind"] == "stall"
+                 for event in degradation.watchdog)
+    if stalls:
+        registry.counter(M_WATCHDOG_STALLS).inc(stalls)
+    if degradation.pressure_events:
+        registry.counter(M_PRESSURE_ACTIONS).inc(
+            len(degradation.pressure_events))
+        registry.gauge(M_PRESSURE_LEVEL).set(float(max(
+            event["tier"] for event in degradation.pressure_events)))
+    recovery = degradation.recovery
+    if recovery is not None:
+        if recovery.recovered:
+            registry.counter(M_LISTINGS_RECOVERED).inc(
+                len(recovery.recovered))
+        if recovery.dropped:
+            registry.counter(M_LISTINGS_DROPPED).inc(
+                len(recovery.dropped))

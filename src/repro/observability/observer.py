@@ -2,9 +2,10 @@
 
 Pipelines take a single optional ``observer`` argument instead of
 separate tracer/metrics/quality parameters. A disabled observer (the
-default, :data:`NO_OP`) makes metric hooks no-op calls. Spans are
-always recorded by matching and training (:func:`with_trace`), since
-every stage timing is derived from them;
+default, :data:`NO_OP`) keeps no metrics registry, so no run is
+recorded into one. Spans are always recorded by matching and training
+(:func:`with_trace`), since every stage timing and every registry
+count is derived from them;
 ``benchmarks/test_observability_overhead.py`` pins that cost below 3%
 of the fastest matching run.
 """
@@ -12,7 +13,7 @@ of the fastest matching run.
 from __future__ import annotations
 
 from .events import NULL_EVENTS, EventStream, NullEventStream
-from .metrics import NULL_METRICS, MetricsRegistry, NullMetricsRegistry
+from .metrics import MetricsRegistry
 from .trace import NULL_TRACE, NullTraceCollector, TraceCollector
 
 
@@ -31,13 +32,12 @@ class Observer:
 
     def __init__(self,
                  trace: TraceCollector | NullTraceCollector | None = None,
-                 metrics: MetricsRegistry | NullMetricsRegistry | None
-                 = None,
+                 metrics: MetricsRegistry | None = None,
                  collect_quality: bool = False,
                  events: EventStream | NullEventStream | None = None
                  ) -> None:
         self.trace = trace if trace is not None else NULL_TRACE
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = metrics
         self.collect_quality = collect_quality
         self.events = events if events is not None else NULL_EVENTS
 
@@ -50,7 +50,7 @@ class Observer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [
             "trace" if self.trace.enabled else "",
-            "metrics" if self.metrics.enabled else "",
+            "metrics" if self.metrics is not None else "",
             "quality" if self.collect_quality else "",
             "events" if self.events.enabled else "",
         ]

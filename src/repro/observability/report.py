@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .artifacts import atomic_write_text
-from .metrics import refresh_derived_gauges
 
 REPORT_SCHEMA_VERSION = 1
 REPORT_KIND = "lsd-run-report"
@@ -57,17 +56,14 @@ def build_match_report(*, config: dict, dataset: dict, result,
     ``result`` is a :class:`~repro.core.matching.MatchResult` (only its
     ``profile``, ``quality``, ``mapping`` and ``degradation``
     attributes are touched, so tests can pass any stand-in).
-    ``observer`` contributes the metrics summary when it carries an
-    enabled registry. A ``degradation`` section appears only when the
+    ``observer`` contributes the metrics summary when it keeps a
+    registry. A ``degradation`` section appears only when the
     run actually degraded (quarantines, salvaged listings, retries,
     anytime exits…), so a clean run's report is byte-identical to one
     produced without any resilience policy.
     """
     metrics = {"counters": {}, "gauges": {}, "histograms": {}}
-    if observer is not None and observer.metrics.enabled:
-        # Gauges are last-writer-wins; recompute derived gauges (cache
-        # hit ratio) from the summed counters before reporting.
-        refresh_derived_gauges(observer.metrics)
+    if observer is not None and observer.metrics is not None:
         metrics = observer.metrics.summary()
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -102,8 +102,6 @@ def read_rss_bytes() -> int:
 
 def sample_into(registry, sample: ProcSample | None = None) -> None:
     """Publish one snapshot to the ``proc.*`` gauges."""
-    if not registry.enabled:
-        return
     if sample is None:
         sample = read_proc_self()
     registry.gauge(M_PROC_RSS).set(float(sample.rss_bytes))

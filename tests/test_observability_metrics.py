@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.observability import (NULL_METRICS, Counter, Gauge, Histogram,
+from repro.observability import (Counter, Gauge, Histogram,
                                  MetricsRegistry, exponential_buckets)
 from repro.observability.metrics import CATALOGUE
 
@@ -127,14 +127,3 @@ class TestRegistry:
         for name, (kind, description) in CATALOGUE.items():
             assert kind in ("counter", "gauge", "histogram"), name
             assert description
-
-
-class TestNullRegistry:
-    def test_disabled_and_inert(self):
-        assert not NULL_METRICS.enabled
-        NULL_METRICS.counter("c").inc(5)
-        NULL_METRICS.gauge("g").set(1.0)
-        NULL_METRICS.histogram("h").observe(0.5)
-        assert NULL_METRICS.counter("c").value == 0
-        assert NULL_METRICS.summary() == {
-            "counters": {}, "gauges": {}, "histograms": {}}

@@ -8,9 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.observability import (Observer, parse_openmetrics,
-                                 refresh_derived_gauges,
-                                 render_openmetrics)
+from repro.observability import parse_openmetrics, render_openmetrics
 from repro.observability import ledger as run_ledger
 from repro.observability.artifacts import (atomic_append_jsonl,
                                            atomic_write_text)
@@ -24,8 +22,7 @@ from repro.observability.expo import (TelemetryServer, exposition_name,
                                       format_value, registry_from_summary,
                                       samples_for)
 from repro.observability.expo import main as expo_main
-from repro.observability.metrics import (M_CACHE_HIT_RATIO, M_CACHE_HITS,
-                                         M_CACHE_MISSES, MetricsRegistry)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability import resources
 from repro.observability.resources import (ProcSample, read_proc_self,
                                            read_rss_bytes, sample_into)
@@ -145,11 +142,6 @@ class TestRenderOpenMetrics:
         family_names = [line.split()[2] for line in text.splitlines()
                         if line.startswith("# TYPE")]
         assert family_names == sorted(family_names)
-
-    def test_disabled_registry_renders_eof_only_families(self):
-        from repro.observability.metrics import NullMetricsRegistry
-        text = render_openmetrics(NullMetricsRegistry())
-        assert text.endswith("# EOF\n")
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +310,6 @@ class TestResources:
         ((_, _, value),) = samples_for(families, "proc.rss_bytes")
         assert value == 2.0
         assert registry.summary()["gauges"]["proc.rss_bytes"] == 2.0
-
-    def test_sampler_is_inert_on_a_disabled_registry(self, monkeypatch):
-        def unexpected():
-            raise AssertionError("a disabled registry must not read /proc")
-
-        monkeypatch.setattr(resources, "read_proc_self", unexpected)
-        observer = Observer()  # default: everything disabled
-        sample_into(observer.metrics)
-        with TelemetryServer(observer.metrics):
-            pass
-        assert observer.metrics.summary()["gauges"] == {}
 
     def test_saved_report_endpoint_keeps_its_recorded_gauges(self):
         registry = MetricsRegistry()
@@ -550,51 +531,3 @@ class TestLedger:
         run_ledger.append_entry(_entry(2.0, created=3.0), path)
         ok, _ = run_ledger.check_ledger(path, max_slowdown=3.0)
         assert ok
-
-
-# ---------------------------------------------------------------------------
-# the cache-hit-ratio gauge of a registry shared by several matches
-# ---------------------------------------------------------------------------
-
-class TestCacheHitRatioRefresh:
-    def test_two_matches_then_refresh_recomputes_from_counters(self):
-        """Each match sets the ratio gauge for its own lookups while the
-        hit/miss counters sum over both, so after the second match the
-        gauge holds only that match's ratio — refresh_derived_gauges
-        must recompute it from the summed counters."""
-        from repro.core import featurize
-        from repro.xmlio import parse_fragments
-
-        from .test_core_matching_edge import SOURCE, trained_system
-
-        system = trained_system()
-        listings = parse_fragments(
-            "<l><a>alpha apple</a><b>berry</b></l>" * 3)
-        featurize.clear_text_cache()
-        observer = Observer.full()
-        system.match(SOURCE, listings, observer=observer)
-        system.match(SOURCE, listings, observer=observer)  # warm cache
-        registry = observer.metrics
-        hits = registry.counter(M_CACHE_HITS).value
-        misses = registry.counter(M_CACHE_MISSES).value
-        assert misses > 0
-        # The second match found everything cached: its gauge lies
-        # about the run as a whole.
-        assert registry.gauge(M_CACHE_HIT_RATIO).value == 1.0
-        refresh_derived_gauges(registry)
-        assert registry.gauge(M_CACHE_HIT_RATIO).value == \
-            pytest.approx(hits / (hits + misses))
-
-    def test_refresh_is_a_no_op_without_cache_traffic(self):
-        registry = MetricsRegistry()
-        refresh_derived_gauges(registry)
-        assert M_CACHE_HIT_RATIO not in registry.summary()["gauges"]
-
-    def test_render_openmetrics_refreshes_before_exposing(self):
-        registry = MetricsRegistry()
-        registry.counter(M_CACHE_HITS).inc(3)
-        registry.counter(M_CACHE_MISSES).inc(1)
-        registry.gauge(M_CACHE_HIT_RATIO).set(0.0)  # stale
-        families = parse_openmetrics(render_openmetrics(registry))
-        ((_, _, value),) = samples_for(families, M_CACHE_HIT_RATIO)
-        assert value == pytest.approx(0.75)

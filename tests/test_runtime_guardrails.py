@@ -20,16 +20,16 @@ import pytest
 from repro.cli import main
 from repro.constraints import FrequencyConstraint
 from repro.core import LSDSystem, SourceSchema
-from repro.core.matching import _emit_degradation_metrics
 from repro.core.parallel import shard_bounds
 from repro.core.procpool import _kill_overdue
 from repro.learners import (ContentMatcher, NaiveBayesLearner, NameMatcher,
                             XMLLearner)
-from repro.observability import Observer, validate_file
+from repro.observability import MetricsRegistry, validate_file
 from repro.observability.metrics import (M_PRESSURE_ACTIONS,
                                          M_PRESSURE_LEVEL,
                                          M_WATCHDOG_KILLS,
-                                         M_WATCHDOG_STALLS)
+                                         M_WATCHDOG_STALLS,
+                                         record_degradation)
 from repro.resilience import ResiliencePolicy
 from repro.resilience import policy as policy_module
 from repro.resilience.policy import CHECKPOINT_AND_DEGRADE, HALVE_SHARD_GRAIN
@@ -61,9 +61,9 @@ def rss(monkeypatch):
 
 
 def _metrics_of(policy):
-    observer = Observer.full()
-    _emit_degradation_metrics(policy.report, observer)
-    return observer.metrics
+    registry = MetricsRegistry()
+    record_degradation(registry, policy.report)
+    return registry
 
 
 class FakePool:
