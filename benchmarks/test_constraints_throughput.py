@@ -21,8 +21,10 @@ every size (assignments may differ only on exact cost ties), beats the
 seed by at least 3x at 100 tags, and expands at most
 ``MAX_NODES_AT_100`` nodes there: 10x under the 10,130 the engine
 expanded with a suffix bound blind to the labels the partial mapping
-had used. Writes ``BENCH_constraints.json`` at the repo root, with the
-``cpu_count`` of the host that produced it.
+had used. Writes its report, with the ``cpu_count`` of the host that
+produced it, to ``.lsd/bench_constraints.json`` (gitignored); the
+committed ``BENCH_constraints.json`` is a recorded result that a run
+never rewrites.
 
 Environment knobs::
 
@@ -50,8 +52,8 @@ from repro.constraints import (AssignmentConstraint, ConstraintHandler,
 from repro.constraints.base import split_constraints
 from repro.core import LabelSpace, Mapping, SourceSchema
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / \
-    "BENCH_constraints.json"
+REPORT_PATH = Path(__file__).resolve().parent.parent / ".lsd" / \
+    "bench_constraints.json"
 SIZES = [int(s) for s in os.environ.get(
     "LSD_BENCH_CONSTRAINTS_SIZES", "10,25,50,100,200").split(",")]
 ROUNDS = int(os.environ.get("LSD_BENCH_CONSTRAINTS_ROUNDS", "3"))
@@ -334,7 +336,8 @@ def test_constraints_throughput():
         "min_speedup_required_at_100": MIN_SPEEDUP,
         "max_nodes_allowed_at_100": MAX_NODES_AT_100,
     }
-    BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    REPORT_PATH.parent.mkdir(parents=True, exist_ok=True)
+    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print("\n" + json.dumps(report, indent=2))
 
     if speedup_at_100 is not None:

@@ -16,7 +16,9 @@ span tree. This benchmark pins the cost of that always-on recording:
    asserts outputs identical to the observer-less call and to the
    observed one.
 
-Writes ``BENCH_observability.json`` at the repo root.
+Writes its report to ``.lsd/bench_observability.json`` (gitignored);
+the committed ``BENCH_observability.json`` is a recorded result that a
+run never rewrites.
 
 Environment knobs::
 
@@ -38,8 +40,8 @@ from repro.datasets import load_domain
 from repro.evaluation import SystemConfig, build_system
 from repro.observability import NO_OP, Observer, StageProfile, with_trace
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / \
-    "BENCH_observability.json"
+REPORT_PATH = Path(__file__).resolve().parent.parent / ".lsd" / \
+    "bench_observability.json"
 N_LISTINGS = int(os.environ.get("LSD_BENCH_OBS_LISTINGS", "50"))
 ROUNDS = int(os.environ.get("LSD_BENCH_OBS_ROUNDS", "3"))
 MAX_OVERHEAD = 0.03
@@ -126,7 +128,8 @@ def test_always_on_span_overhead():
         "span_overhead": round(overhead, 5),
         "max_allowed": MAX_OVERHEAD,
     }
-    BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    REPORT_PATH.parent.mkdir(parents=True, exist_ok=True)
+    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print("\n" + json.dumps(report, indent=2))
 
     assert overhead < MAX_OVERHEAD, (

@@ -1,7 +1,7 @@
 """OpenMetrics exposition: render, parse, and serve the metrics registry.
 
-This is the seam ROADMAP item 1's matching service mounts: a
-:class:`~repro.observability.metrics.MetricsRegistry` rendered in the
+The module renders a
+:class:`~repro.observability.metrics.MetricsRegistry` in the
 OpenMetrics / Prometheus text format (``# HELP`` / ``# TYPE`` comments
 from the documented :data:`~repro.observability.metrics.CATALOGUE`,
 escaped label values, cumulative histogram buckets with ``_sum`` /
