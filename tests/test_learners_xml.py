@@ -146,3 +146,51 @@ class TestXMLLearnerVsNaiveBayes:
         instance = nested_instance(CONTACT_XML, CHILD_LABELS)
         off = structure_tokens(instance, include_structure=False)
         assert off == ["gail", "murphi", "max", "realtor"]
+
+
+def _state(learner):
+    return (list(learner.vocabulary.items()),
+            learner._log_prior.tobytes(), learner._log_likelihood.tobytes())
+
+
+class TestFitTokenReuse:
+    """A fit keeps each walk's tokens on the instance; a later fit
+    reuses them only while the walk's key (skeleton, child labels,
+    ``include_structure``) still holds."""
+
+    def test_relabelled_instances_refit_like_fresh_ones(self):
+        instances, labels = training_set(figure7_training())
+        XMLLearner().fit(instances, labels, SPACE)
+        relabel = {"name": "OFFICE-NAME", "firm": "AGENT-NAME"}
+        for instance in instances:
+            if instance.child_labels:
+                instance.child_labels = dict(relabel)
+        refit = XMLLearner()
+        refit.fit(instances, labels, SPACE)
+
+        fresh, _ = training_set(figure7_training())
+        for instance in fresh:
+            if instance.child_labels:
+                instance.child_labels = dict(relabel)
+        expected = XMLLearner()
+        expected.fit(fresh, labels, SPACE)
+        assert _state(refit) == _state(expected)
+
+    def test_structure_flag_is_part_of_the_key(self):
+        instances, labels = training_set(figure7_training())
+        XMLLearner().fit(instances, labels, SPACE)
+        reused = XMLLearner(include_structure=False)
+        reused.fit(instances, labels, SPACE)
+        fresh, _ = training_set(figure7_training())
+        expected = XMLLearner(include_structure=False)
+        expected.fit(fresh, labels, SPACE)
+        assert _state(reused) == _state(expected)
+
+    def test_prediction_keeps_no_tokens(self):
+        instances, labels = training_set(figure7_training())
+        learner = XMLLearner()
+        learner.fit(instances, labels, SPACE)
+        queries, _ = training_set(figure7_training())
+        learner.predict_scores(queries)
+        assert not any("structure_tokens" in q.feature_cache
+                       for q in queries)
