@@ -1,12 +1,11 @@
 """Project-specific static analysis and dynamic sanitizers.
 
-The static half is an AST-based lint framework (:mod:`.engine`) with a
-rule set encoding this codebase's real invariants — determinism
-(:mod:`.rules_determinism`), parallel-map hygiene
-(:mod:`.rules_concurrency`), the base-learner contract
-(:mod:`.rules_learners`), observability hygiene
-(:mod:`.rules_observability`) and exception hygiene
-(:mod:`.rules_exceptions`) — plus inline ``# lsd: ignore[rule]``
+The static half is an AST-based lint framework (:mod:`.engine`) with
+rules for the invariants the test suite does not pin — set-order and
+OS-entropy nondeterminism (:mod:`.rules_determinism`), the metric,
+event and fault-site catalogues and unclosed spans
+(:mod:`.rules_observability`, :mod:`.rules_resilience`) and exception
+hygiene (:mod:`.rules_exceptions`) — plus inline ``# lsd: ignore[rule]``
 suppressions and a checked-in baseline (:mod:`.findings`).
 
 The dynamic half (:mod:`.sanitizer`) shakes the documented benign-race

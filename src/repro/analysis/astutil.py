@@ -15,29 +15,6 @@ def dotted(node: ast.AST) -> str | None:
     return None
 
 
-def root_name(node: ast.AST) -> str | None:
-    """The base Name of an Attribute/Subscript chain (``a`` for
-    ``a.b[0].c``), else None."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
-def chain_parts(node: ast.AST) -> list[str]:
-    """All dotted-name components of an Attribute/Subscript chain
-    (``["a", "b", "c"]`` for ``a.b[0].c``) — used to match allowlisted
-    names wherever they appear in the chain."""
-    parts: list[str] = []
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        if isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    parts.reverse()
-    return parts
-
-
 def call_arg_string(node: ast.Call, index: int = 0) -> str | None:
     """The ``index``-th positional argument if it is a string literal."""
     if len(node.args) > index:

@@ -1,7 +1,6 @@
 """``lsd-lint``: the command-line front end of :mod:`repro.analysis`.
 
-Lint mode (the default) runs the per-file rule set over the given
-paths::
+Lint mode (the default) runs the rule set over the given paths::
 
     lsd-lint src tests benchmarks
     lsd-lint --write-baseline src        # accept current findings
@@ -10,24 +9,14 @@ paths::
     lsd-lint --select 'metric-*' src     # glob over rule ids
     lsd-lint --list-rules
 
-Flow mode runs the interprocedural ``flow-*`` rules instead — it
-builds the project call graph once, runs the determinism / worker-
-purity / fault-escape lattices over it, and gates against its own
-baseline (``analysis-flow-baseline.txt``)::
-
-    lsd-lint --flow src
-    lsd-lint --flow --dump-callgraph callgraph.json src
-    lsd-lint --flow --dump-callgraph callgraph.dot src
-
 Sanitize mode runs the dynamic harnesses instead::
 
     lsd-lint --sanitize                  # cache shaker + determinism
     lsd-lint --sanitize --iterations 50 --workers 4
 
 Exit codes: 0 clean, 1 findings (or sanitizer divergence), 2 usage
-errors. The baseline defaults to ``analysis-baseline.txt``
-(``analysis-flow-baseline.txt`` under ``--flow``) when that file
-exists in the working directory.
+errors. The baseline defaults to ``analysis-baseline.txt`` when that
+file exists in the working directory.
 """
 
 from __future__ import annotations
@@ -36,15 +25,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import (all_rules, analyze_sources, get_rules,
-                     iter_python_files, load_source)
+from .engine import all_rules, analyze_paths, get_rules
 from .findings import Baseline, findings_to_json
 
 #: The conventional checked-in baseline filename.
 DEFAULT_BASELINE = "analysis-baseline.txt"
-
-#: The separate baseline the interprocedural gate runs against.
-DEFAULT_FLOW_BASELINE = "analysis-flow-baseline.txt"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,18 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select", metavar="RULES", default=None,
         help="comma-separated rule ids or glob patterns to run "
-             "(e.g. 'flow-*,metric-*'; default: all per-file rules)")
+             "(e.g. 'metric-*,blind-except'; default: all rules)")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule set and exit")
-    parser.add_argument(
-        "--flow", action="store_true",
-        help="run the interprocedural flow-* rules (call-graph "
-             "reachability) instead of the per-file rule set")
-    parser.add_argument(
-        "--dump-callgraph", metavar="FILE", default=None,
-        help="write the project call graph (.dot suffix for GraphViz, "
-             "anything else for JSON with resolution stats)")
     parser.add_argument(
         "--sanitize", action="store_true",
         help="run the dynamic sanitizers instead of the lint rules")
@@ -101,9 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _list_rules() -> int:
     for rule in all_rules():
-        kind = "flow" if rule.requires_flow else "file"
-        print(f"{rule.id:28} {rule.severity:8} {kind:5} "
-              f"{rule.description}")
+        print(f"{rule.id:28} {rule.severity:8} {rule.description}")
     return 0
 
 
@@ -118,8 +93,7 @@ def _sanitize(args: argparse.Namespace) -> int:
 
 
 def _resolve_baseline(args: argparse.Namespace) -> tuple[Baseline, Path]:
-    default = DEFAULT_FLOW_BASELINE if args.flow else DEFAULT_BASELINE
-    path = Path(args.baseline) if args.baseline else Path(default)
+    path = Path(args.baseline or DEFAULT_BASELINE)
     if args.no_baseline:
         return Baseline(), path
     if path.exists():
@@ -144,36 +118,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     select = args.select.split(",") if args.select else None
     try:
-        if args.flow:
-            rules = get_rules(select or ["flow-*"])
-        else:
-            rules = get_rules(select)
+        rules = get_rules(select)
     except ValueError as exc:
         print(f"lsd-lint: {exc}", file=sys.stderr)
         return 2
     baseline, baseline_path = _resolve_baseline(args)
 
-    sources = [load_source(path)
-               for path in iter_python_files(paths)]
-    graph = None
-    if args.dump_callgraph or any(rule.requires_flow
-                                  for rule in rules):
-        from .flow.callgraph import build_graph
-        graph = build_graph([source for source in sources
-                             if source.tree is not None])
-    result = analyze_sources(sources, rules=rules, baseline=baseline,
-                             graph=graph)
-
-    if args.dump_callgraph:
-        out = Path(args.dump_callgraph)
-        assert graph is not None
-        out.write_text(graph.to_dot() if out.suffix == ".dot"
-                       else graph.to_json())
-        stats = graph.stats()
-        print(f"lsd-lint: call graph -> {out} "
-              f"({stats['functions']} functions, "
-              f"{stats['edges']} edges, resolution "
-              f"{stats['resolution_ratio']:.1%})")
+    result = analyze_paths(paths, rules=rules, baseline=baseline)
 
     if args.write_baseline:
         accepted = Baseline.from_findings(
@@ -185,16 +136,11 @@ def main(argv: list[str] | None = None) -> int:
 
     for finding in result.findings:
         print(finding.render())
-        if finding.chain:
-            print(f"    via {' -> '.join(finding.chain)}")
     print(result.summary_line())
     if args.json:
-        extra = {"callgraph": graph.stats()} if graph is not None \
-            else None
         Path(args.json).write_text(
             findings_to_json(result.findings,
-                             baselined=len(result.accepted),
-                             extra=extra))
+                             baselined=len(result.accepted)))
     return 0 if result.ok else 1
 
 

@@ -3,15 +3,15 @@
 Rules are small classes with a stable ``id``; each sees either one
 parsed file at a time (:meth:`Rule.check_file`) or the whole analyzed
 file set at once (:meth:`Rule.check_project`, for cross-file invariants
-like the metric catalogue and the learner class hierarchy). The engine
-parses every ``*.py`` file once into a :class:`SourceFile` (AST + raw
-lines + suppression map) and fans the rule set over them.
+like the metric, event and fault-site catalogues). The engine parses
+every ``*.py`` file once into a :class:`SourceFile` (AST + raw lines +
+suppression map) and fans the rule set over them.
 
 Suppressions are inline comments on the flagged line::
 
-    x = time.time()  # lsd: ignore[wallclock]
-    y = risky()      # lsd: ignore[rule-a,rule-b]
-    z = hack()       # lsd: ignore
+    x = list(set(y))  # lsd: ignore[set-iteration]
+    y = risky()       # lsd: ignore[rule-a,rule-b]
+    z = hack()        # lsd: ignore
 
 A bare ``ignore`` suppresses every rule on that line; the bracketed form
 suppresses only the listed rule ids. Findings surviving suppression are
@@ -25,12 +25,9 @@ import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .findings import Baseline, Finding, sort_findings
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .flow.callgraph import CallGraph
 
 #: Matches an inline suppression comment; group 1 is the optional
 #: bracketed rule list.
@@ -119,8 +116,8 @@ class SourceFile:
 
     def in_package(self, *parts: str) -> bool:
         """Whether any path component equals one of ``parts`` — the
-        hook rules use to scope themselves (e.g. the wallclock rule is
-        silent inside ``observability`` and ``benchmarks``)."""
+        hook rules use to scope themselves (e.g. the catalogue rules
+        accept scratch names inside ``tests`` and ``benchmarks``)."""
         components = set(Path(self.display).parts)
         return bool(components.intersection(parts))
 
@@ -143,10 +140,6 @@ class Rule:
     id: str = ""
     severity: str = "error"
     description: str = ""
-    #: Flow rules need the shared call graph; the engine builds it once
-    #: per run iff at least one selected rule sets this, and plain
-    #: ``get_rules()`` leaves such rules out of the default set.
-    requires_flow: bool = False
 
     def check_file(self, source: SourceFile) -> Iterable[Finding]:
         """Per-file findings (the common case)."""
@@ -155,12 +148,6 @@ class Rule:
     def check_project(self,
                       sources: Sequence[SourceFile]) -> Iterable[Finding]:
         """Whole-file-set findings (cross-file invariants)."""
-        return ()
-
-    def check_flow(self, graph: "CallGraph",
-                   sources: Sequence[SourceFile]) -> Iterable[Finding]:
-        """Interprocedural findings over the shared call graph (only
-        called on rules with ``requires_flow``)."""
         return ()
 
     def finding(self, source: SourceFile, node: ast.AST | int,
@@ -197,21 +184,15 @@ def rule_ids() -> list[str]:
     return list(_REGISTRY)
 
 
-def get_rules(select: Iterable[str] | None = None, *,
-              include_flow: bool = False) -> list[Rule]:
+def get_rules(select: Iterable[str] | None = None) -> list[Rule]:
     """The rule set, optionally narrowed by ``select``.
 
     ``select`` entries are exact rule ids or glob patterns
-    (``flow-*``, ``metric-*``); each entry must match at least one
-    registered rule. Without ``select``, flow rules are excluded
-    unless ``include_flow`` — the per-file gate and the flow gate run
-    against separate baselines. An explicit ``select`` can always name
-    flow rules.
+    (``metric-*``); each entry must match at least one registered rule.
     """
     rules = all_rules()
     if select is None:
-        return [rule for rule in rules
-                if include_flow or not rule.requires_flow]
+        return rules
     ids = [rule.id for rule in rules]
     wanted: set[str] = set()
     unknown: list[str] = []
@@ -235,10 +216,8 @@ def get_rules(select: Iterable[str] | None = None, *,
 
 def _load_rule_modules() -> None:
     """Import the rule modules (registration happens on import)."""
-    from . import (rules_concurrency, rules_determinism,  # noqa: F401
-                   rules_exceptions, rules_learners,
+    from . import (rules_determinism, rules_exceptions,  # noqa: F401
                    rules_observability, rules_resilience)
-    from .flow import rules_flow  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +256,6 @@ class AnalysisResult:
     accepted: list[Finding] = field(default_factory=list)   # baselined
     files: int = 0
     rules: int = 0
-    #: The shared call-graph artifact, when any flow rule ran.
-    graph: "CallGraph | None" = None
 
     @property
     def ok(self) -> bool:
@@ -295,14 +272,8 @@ class AnalysisResult:
 
 def analyze_sources(sources: Sequence[SourceFile],
                     rules: Sequence[Rule] | None = None,
-                    baseline: Baseline | None = None,
-                    graph: "CallGraph | None" = None) -> AnalysisResult:
-    """Run ``rules`` over parsed sources; split against ``baseline``.
-
-    When any rule sets ``requires_flow``, the project call graph is
-    built once (or taken from ``graph`` if the caller already built
-    one, e.g. for ``--dump-callgraph``) and shared by every flow rule.
-    """
+                    baseline: Baseline | None = None) -> AnalysisResult:
+    """Run ``rules`` over parsed sources; split against ``baseline``."""
     rules = list(get_rules() if rules is None else rules)
     raw: list[Finding] = []
     for source in sources:
@@ -318,14 +289,6 @@ def analyze_sources(sources: Sequence[SourceFile],
     for rule in rules:
         raw.extend(rule.check_project(parsed))
 
-    flow_rules = [rule for rule in rules if rule.requires_flow]
-    if flow_rules:
-        if graph is None:
-            from .flow.callgraph import build_graph
-            graph = build_graph(parsed)
-        for rule in flow_rules:
-            raw.extend(rule.check_flow(graph, parsed))
-
     by_display = {source.display: source for source in sources}
     visible = [finding for finding in raw
                if not (finding.path in by_display
@@ -333,14 +296,12 @@ def analyze_sources(sources: Sequence[SourceFile],
                            finding))]
     new, accepted = (baseline or Baseline()).split(visible)
     return AnalysisResult(sort_findings(new), accepted,
-                          files=len(sources), rules=len(rules),
-                          graph=graph)
+                          files=len(sources), rules=len(rules))
 
 
 def analyze_paths(paths: Sequence[str | Path],
                   rules: Sequence[Rule] | None = None,
-                  baseline: Baseline | None = None,
-                  graph: "CallGraph | None" = None) -> AnalysisResult:
+                  baseline: Baseline | None = None) -> AnalysisResult:
     """Load every Python file under ``paths`` and analyze it."""
     sources = [load_source(path) for path in iter_python_files(paths)]
-    return analyze_sources(sources, rules, baseline, graph)
+    return analyze_sources(sources, rules, baseline)

@@ -39,11 +39,6 @@ class Finding:
     rule: str
     message: str
     severity: str = "error"
-    #: Interprocedural evidence: the call chain (entry-point qualname
-    #: first) a flow rule walked to reach the flagged statement. Empty
-    #: for per-file findings. Not part of :attr:`key` — refactors that
-    #: reroute intermediate hops must not invalidate the baseline.
-    chain: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
@@ -60,22 +55,18 @@ class Finding:
                 f"[{self.rule}] {self.message}")
 
     def as_dict(self) -> dict:
-        data = {
+        return {
             "path": self.path,
             "line": self.line,
             "rule": self.rule,
             "message": self.message,
             "severity": self.severity,
         }
-        if self.chain:
-            data["chain"] = list(self.chain)
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Finding":
         return cls(data["path"], data["line"], data["rule"],
-                   data["message"], data.get("severity", "error"),
-                   tuple(data.get("chain", ())))
+                   data["message"], data.get("severity", "error"))
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:
@@ -85,13 +76,8 @@ def sort_findings(findings: list[Finding]) -> list[Finding]:
 
 
 def findings_to_json(findings: list[Finding], *,
-                     baselined: int = 0,
-                     extra: dict | None = None) -> str:
-    """The JSON artifact uploaded by CI: findings plus a summary.
-
-    ``extra`` merges additional top-level sections into the payload —
-    the flow runner passes ``{"callgraph": graph.stats()}`` so the
-    resolution ratio travels with the findings it qualifies."""
+                     baselined: int = 0) -> str:
+    """The JSON artifact uploaded by CI: findings plus a summary."""
     payload = {
         "findings": [f.as_dict() for f in sort_findings(findings)],
         "summary": {
@@ -101,8 +87,6 @@ def findings_to_json(findings: list[Finding], *,
             "by_severity": dict(Counter(f.severity for f in findings)),
         },
     }
-    if extra:
-        payload.update(extra)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

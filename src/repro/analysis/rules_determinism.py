@@ -1,118 +1,29 @@
-"""Determinism rules.
+"""Determinism rule.
 
 The repo's headline guarantee — byte-identical matching output at any
 ``--workers`` count, and reproducible experiments at a fixed seed —
-only holds while no code path consults an unseeded RNG, the wall clock,
-or the iteration order of a set. These rules flag each of those at the
-call site.
-
-The detection logic is exposed as node-level scanners
-(:func:`iter_wallclock_calls`, :func:`iter_unseeded_random`,
-:func:`iter_set_order`) so the interprocedural determinism lattice
-(:mod:`repro.analysis.flow.lattice`) can run the identical checks over
-a single function body instead of a whole file.
+only holds while no code path lets the iteration order of a set, or
+OS entropy, into its output. Both change from one interpreter run to
+the next (set order with ``PYTHONHASHSEED``), and a code path whose
+order matters only on some inputs passes every test that never feeds
+it those inputs, so ``set-iteration`` flags each at the call site.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .astutil import dotted, names_imported_from
 from .engine import Rule, SourceFile, register
 from .findings import Finding
 
-#: ``random`` module functions drawing from the *global* (unseeded) RNG.
-_GLOBAL_RANDOM_FUNCS = {
-    "random", "randint", "randrange", "randbytes", "getrandbits",
-    "choice", "choices", "shuffle", "sample", "uniform", "triangular",
-    "betavariate", "expovariate", "gammavariate", "gauss",
-    "lognormvariate", "normalvariate", "vonmisesvariate",
-    "paretovariate", "weibullvariate",
-}
+#: OS-entropy reads: no seed pins them.
+_ENTROPY_CALLS = {"os.urandom", "uuid.uuid1", "uuid.uuid4"}
 
-#: Wall-clock reads; each maps to the dotted call spelling.
-_WALLCLOCK_CALLS = {
-    "time.time", "time.time_ns", "time.perf_counter",
-    "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-    "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
-}
-
-#: Other nondeterministic entropy reads the flow lattice also treats
-#: as determinism-taint sources.
-_ENTROPY_CALLS = {"os.urandom", "urandom", "uuid.uuid1", "uuid.uuid4"}
-
-
-# ---------------------------------------------------------------------------
-# node-level scanners (shared with the flow lattices)
-# ---------------------------------------------------------------------------
-
-def iter_wallclock_calls(nodes: Iterable[ast.AST]
-                         ) -> Iterator[tuple[ast.AST, str]]:
-    """``(call, message)`` for every wall-clock read among ``nodes``."""
-    for node in nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted(node.func)
-        if name in _WALLCLOCK_CALLS:
-            yield node, (f"{name}() reads the wall clock outside "
-                         f"repro.observability; route timing through "
-                         f"the observability layer")
-
-
-def iter_entropy_calls(nodes: Iterable[ast.AST]
-                       ) -> Iterator[tuple[ast.AST, str]]:
-    """``(call, message)`` for OS-entropy reads (``os.urandom``,
-    ``uuid.uuid1/4``) — determinism-taint sources for the flow lattice
-    only; the per-file wallclock rule does not flag them."""
-    for node in nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted(node.func)
-        if name in _ENTROPY_CALLS:
-            yield node, f"{name}() draws OS entropy into the run"
-
-
-def iter_unseeded_random(nodes: Iterable[ast.AST],
-                         from_random: dict[str, str]
-                         ) -> Iterator[tuple[ast.AST, str]]:
-    """``(call, message)`` for every unseeded-RNG use among ``nodes``.
-
-    ``from_random`` is the module's ``from random import ...`` alias
-    map (:func:`~repro.analysis.astutil.names_imported_from`).
-    """
-    for node in nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted(node.func)
-        if name is None:
-            continue
-        seeded = bool(node.args or node.keywords)
-        if name.startswith("random."):
-            func = name.split(".", 1)[1]
-            if func in _GLOBAL_RANDOM_FUNCS:
-                yield node, (f"{name}() uses the global unseeded RNG; "
-                             f"use random.Random(seed)")
-            elif func == "Random" and not seeded:
-                yield node, ("random.Random() without a seed is "
-                             "nondeterministic; pass an explicit seed")
-        elif from_random.get(name) == "Random" and not seeded:
-            yield node, (f"{name}() without a seed is nondeterministic;"
-                         f" pass an explicit seed")
-        elif from_random.get(name) in _GLOBAL_RANDOM_FUNCS:
-            yield node, (f"{name}() draws from the global unseeded "
-                         f"RNG; use random.Random(seed)")
-        elif name in ("np.random.default_rng",
-                      "numpy.random.default_rng"):
-            if not seeded:
-                yield node, (f"{name}() without a seed is "
-                             f"nondeterministic; pass an explicit seed")
-        elif name.startswith(("np.random.", "numpy.random.")):
-            yield node, (f"{name}() uses numpy's legacy global RNG; "
-                         f"use np.random.default_rng(seed)")
+#: Wrapping calls that preserve the set's (arbitrary) iteration order.
+_ORDER_SENSITIVE_WRAPPERS = {"list", "tuple", "enumerate", "iter",
+                             "join"}
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -123,92 +34,61 @@ def _is_set_expr(node: ast.AST) -> bool:
             and node.func.id in ("set", "frozenset"))
 
 
-#: Wrapping calls that preserve the set's (arbitrary) iteration order.
-_ORDER_SENSITIVE_WRAPPERS = {"list", "tuple", "enumerate", "iter",
-                             "join"}
-
-#: Order-insensitive consumers — reducing a set with these is fine.
-_ORDER_FREE_WRAPPERS = {"sorted", "len", "sum", "min", "max", "any",
-                        "all", "set", "frozenset"}
-
-
-def iter_set_order(nodes: Iterable[ast.AST]
-                   ) -> Iterator[tuple[ast.AST, str]]:
-    """``(node, message)`` for every order-sensitive set iteration."""
-    for node in nodes:
-        if isinstance(node, ast.For) and _is_set_expr(node.iter):
-            yield node.iter, ("for-loop over a set has arbitrary "
-                              "order; iterate sorted(...) instead")
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp,
-                               ast.DictComp)):
-            for comp in node.generators:
-                if _is_set_expr(comp.iter):
-                    yield comp.iter, ("comprehension over a set "
-                                      "produces arbitrary order; "
-                                      "iterate sorted(...) instead")
-        elif isinstance(node, ast.Call) and \
-                isinstance(node.func, (ast.Name, ast.Attribute)):
-            func = node.func.id if isinstance(node.func, ast.Name) \
-                else node.func.attr
-            if func in _ORDER_SENSITIVE_WRAPPERS and node.args and \
-                    _is_set_expr(node.args[0]):
-                yield node, (f"{func}(set) captures the set's "
-                             f"arbitrary order; use sorted(...)")
-
-
-# ---------------------------------------------------------------------------
-# the per-file rules
-# ---------------------------------------------------------------------------
-
-@register
-class UnseededRandomRule(Rule):
-    """No unseeded randomness anywhere: every RNG must take an explicit
-    seed, or two runs of the same command stop agreeing."""
-
-    id = "unseeded-random"
-    severity = "error"
-    description = ("calls to the global random module RNG, or RNG "
-                   "constructors without an explicit seed")
-
-    def check_file(self, source: SourceFile) -> Iterable[Finding]:
-        assert source.tree is not None
-        from_random = names_imported_from(source.tree, "random")
-        for node, message in iter_unseeded_random(
-                ast.walk(source.tree), from_random):
-            yield self.finding(source, node, message)
-
-
-@register
-class WallclockRule(Rule):
-    """Wall-clock reads stay inside the observability layer (which
-    exists to time things) and the benchmarks; anywhere else they leak
-    nondeterminism into pipeline output."""
-
-    id = "wallclock"
-    severity = "warning"
-    description = ("wall-clock reads (time.time/perf_counter/"
-                   "datetime.now) outside observability and benchmarks")
-
-    def check_file(self, source: SourceFile) -> Iterable[Finding]:
-        if source.in_package("observability", "benchmarks"):
-            return
-        assert source.tree is not None
-        for node, message in iter_wallclock_calls(
-                ast.walk(source.tree)):
-            yield self.finding(source, node, message)
+def _entropy_names(tree: ast.Module) -> dict[str, str]:
+    """Local call spelling -> ``module.function`` for every entropy
+    read, including ``from os import urandom``-style imports."""
+    names = {name: name for name in _ENTROPY_CALLS}
+    for module in ("os", "uuid"):
+        for local, original in names_imported_from(tree, module).items():
+            if f"{module}.{original}" in _ENTROPY_CALLS:
+                names[local] = f"{module}.{original}"
+    return names
 
 
 @register
 class SetIterationRule(Rule):
     """Iterating a set feeds its arbitrary order into whatever consumes
-    the loop — wrap in ``sorted(...)`` before anything ordered sees it."""
+    the loop — wrap in ``sorted(...)`` before anything ordered sees it.
+    OS entropy (``os.urandom``, ``uuid.uuid1/4``) differs on every run,
+    so it is flagged wherever it is read."""
 
     id = "set-iteration"
     severity = "warning"
-    description = ("iteration over a set feeding ordered output; "
-                   "wrap the set in sorted(...)")
+    description = ("iteration over a set feeding ordered output (wrap "
+                   "the set in sorted(...)), or an OS-entropy read "
+                   "(os.urandom, uuid.uuid1/uuid4)")
 
     def check_file(self, source: SourceFile) -> Iterable[Finding]:
         assert source.tree is not None
-        for node, message in iter_set_order(ast.walk(source.tree)):
-            yield self.finding(source, node, message)
+        entropy = _entropy_names(source.tree)
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.For) and _is_set_expr(node.iter):
+                yield self.finding(
+                    source, node.iter, "for-loop over a set has "
+                    "arbitrary order; iterate sorted(...) instead")
+            elif isinstance(node, (ast.ListComp, ast.GeneratorExp,
+                                   ast.DictComp)):
+                for comp in node.generators:
+                    if _is_set_expr(comp.iter):
+                        yield self.finding(
+                            source, comp.iter, "comprehension over a "
+                            "set produces arbitrary order; iterate "
+                            "sorted(...) instead")
+            elif isinstance(node, ast.Call):
+                yield from self._check_call(source, node, entropy)
+
+    def _check_call(self, source: SourceFile, node: ast.Call,
+                    entropy: dict[str, str]) -> Iterable[Finding]:
+        name = dotted(node.func)
+        if name in entropy:
+            yield self.finding(
+                source, node, f"{entropy[name]}() draws OS entropy "
+                f"into the run; derive it from the run's inputs")
+        elif isinstance(node.func, (ast.Name, ast.Attribute)):
+            func = node.func.id if isinstance(node.func, ast.Name) \
+                else node.func.attr
+            if func in _ORDER_SENSITIVE_WRAPPERS and node.args and \
+                    _is_set_expr(node.args[0]):
+                yield self.finding(
+                    source, node, f"{func}(set) captures the set's "
+                    f"arbitrary order; use sorted(...)")

@@ -1,9 +1,9 @@
 """Dynamic sanitizers: cache-race shaking and a determinism differ.
 
-The static rules (:mod:`repro.analysis.rules_concurrency`) allowlist the
-featurize caches as *documented benign races* — concurrent fillers
-compute identical values from immutable inputs, so last-write-wins is
-claimed correct. That claim is dynamic, so it gets a dynamic check:
+The featurize caches are *documented benign races*: concurrent
+fillers compute identical values from immutable inputs, so
+last-write-wins is claimed correct. That claim is dynamic, so it gets
+a dynamic check:
 
 * :func:`shake_caches` hammers ``pipeline_tokens`` / ``content_tokens``
   from many threads under a tiny cache capacity (forcing the

@@ -718,7 +718,7 @@ def _run_match(args: argparse.Namespace,
         entry = run_ledger.build_entry(
             label=args.ledger_label,
             fingerprint=fingerprint,
-            created=time.time(),  # lsd: ignore[wallclock]
+            created=time.time(),
             config={"workers": args.workers, "backend": backend},
             host=run_ledger.host_info(backend=backend,
                                       workers=args.workers),

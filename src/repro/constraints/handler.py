@@ -478,7 +478,7 @@ class _DfsEngine:
             # The checkpoint snapshot callback; it only reads the
             # incumbent and writes through the atomic
             # artifact layer, so it cannot perturb the search.
-            snap()  # lsd: ignore[flow-unresolved-hot-call]
+            snap()
         self._nodes += 1
         inc = self.incumbent
         path = self.path

@@ -161,8 +161,10 @@ class ProcessTask:
 # ---------------------------------------------------------------------------
 
 #: ``kind -> handler(state, task)``. Handlers run inside
-#: worker processes: module-level writes there never reach the parent,
-#: which the ``process-unsafe-state`` lint rule enforces statically.
+#: worker processes: module-level writes there never reach the parent.
+#: ``tests/test_observability_pipeline.py::TestOneInstrumentationSpine::
+#: test_serial_and_process_views_agree`` fails on a count kept that way,
+#: because the process run's counters stop matching the serial run's.
 _TASK_HANDLERS: dict[str, Callable] = {}
 
 
@@ -226,8 +228,8 @@ def _run_task(state: _WorkerState, task_id: int, task: dict) -> tuple:
     reply shape — consumers that unpack positionally keep working, and
     the parent surfaces the snapshots as ``pool.*`` metrics.
     """
-    start = time.time()  # lsd: ignore[wallclock]
-    t0 = time.perf_counter()  # lsd: ignore[wallclock]
+    start = time.time()
+    t0 = time.perf_counter()
     try:
         handler = _TASK_HANDLERS[task["kind"]]
         outcome = handler(state, task)
@@ -235,7 +237,7 @@ def _run_task(state: _WorkerState, task_id: int, task: dict) -> tuple:
         # The catch-all that keeps the worker loop alive: the parent
         # decides (retry budget, submission-order raise) — a worker
         # only reports.
-        timing = (start, time.perf_counter() - t0)  # lsd: ignore[wallclock]
+        timing = (start, time.perf_counter() - t0)
         try:
             pickle.dumps(exc)
             shipped: BaseException | None = exc
@@ -245,7 +247,7 @@ def _run_task(state: _WorkerState, task_id: int, task: dict) -> tuple:
                  str(exc), timing)
         return reply + ((read_proc_self().as_dict(),)
                         if task.get("sample") else ())
-    timing = (start, time.perf_counter() - t0)  # lsd: ignore[wallclock]
+    timing = (start, time.perf_counter() - t0)
     if outcome[0] == "failure":
         reply = ("failure", task_id, outcome[1], outcome[2], timing)
     else:
@@ -459,7 +461,7 @@ class WorkerPool:
                 from exc
         # Watchdog telemetry (liveness deadline), never pipeline output.
         self._dispatched[worker_id] = \
-            time.monotonic()  # lsd: ignore[wallclock]
+            time.monotonic()
 
     def wait(self, timeout: float | None = None) -> list[tuple]:
         """Block until something happens; one event per entry.
@@ -511,7 +513,7 @@ class WorkerPool:
         watchdog check compares these against its deadline; pure
         telemetry, never pipeline output.
         """
-        now = time.monotonic()  # lsd: ignore[wallclock]
+        now = time.monotonic()
         return {worker_id: now - stamp
                 for worker_id, stamp in list(self._dispatched.items())}
 
@@ -706,7 +708,7 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
                     plan.fire(*task.fire)
                 except FaultInjected as exc:
                     # Gated before dispatch: an empty span, stamped now.
-                    stamp = time.time()  # lsd: ignore[wallclock]
+                    stamp = time.time()
                     span_events.append(
                         (index, failures[index], (stamp, 0.0),
                          type(exc).__name__))
@@ -723,7 +725,7 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
     outstanding: dict[int, int] = {}
     # Telemetry only, never pipeline output: enqueue stamps feed the
     # queue-wait histogram, last-seen worker snapshots the pool gauges.
-    queued_at = {index: time.perf_counter()  # lsd: ignore[wallclock]
+    queued_at = {index: time.perf_counter()
                  for index in pending}
     worker_resources: dict[int, dict] = {}
 
@@ -738,7 +740,7 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
                 payload["sample"] = True
                 metrics.counter(M_POOL_TASKS).inc()
                 metrics.histogram(M_POOL_QUEUE_WAIT).observe(
-                    time.perf_counter()  # lsd: ignore[wallclock]
+                    time.perf_counter()
                     - queued_at[index])
             pool.submit(worker_id, index, payload)
             outstanding[worker_id] = index
@@ -788,7 +790,7 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
                                                       lost)
                         pending.appendleft(lost)
                         queued_at[lost] = \
-                            time.perf_counter()  # lsd: ignore[wallclock]
+                            time.perf_counter()
                     for idle_id in pool.worker_ids():
                         if idle_id not in outstanding:
                             feed(idle_id)
@@ -821,7 +823,7 @@ def run_process_map(executor, tasks: list[ProcessTask], label: str,
                     if note_failure(index, error):
                         pending.append(index)
                         queued_at[index] = \
-                            time.perf_counter()  # lsd: ignore[wallclock]
+                            time.perf_counter()
                 feed(worker_id)
     except PoolBrokenError:
         # A genuine crash: stop the survivors immediately, record the

@@ -45,11 +45,11 @@ def call_with_timeout(fn, args=(), timeout: float | None = None):
         # handoff: ``outcome`` is fresh per call and only read after
         # join() on the caller's thread.
         try:
-            outcome["value"] = fn(*args)  # lsd: ignore[flow-worker-shared-write]
+            outcome["value"] = fn(*args)
         except BaseException as exc:  # lsd: ignore[blind-except]
             # Transported across the thread boundary and re-raised on
             # the caller's thread below — nothing is swallowed.
-            outcome["error"] = exc  # lsd: ignore[flow-worker-shared-write]
+            outcome["error"] = exc
 
     thread = threading.Thread(target=runner, daemon=True)
     thread.start()
@@ -88,7 +88,7 @@ class Deadline:
         self._tripped = False
         self._guard = guard
         self._start = None if seconds is None else \
-            time.monotonic()  # lsd: ignore[wallclock]
+            time.monotonic()
 
     @property
     def active(self) -> bool:
@@ -107,7 +107,7 @@ class Deadline:
             return 0.0
         if self._start is None:
             return None
-        elapsed = time.monotonic() - self._start  # lsd: ignore[wallclock]
+        elapsed = time.monotonic() - self._start
         return self.seconds - elapsed
 
     def expired(self) -> bool:
@@ -360,7 +360,7 @@ class ResiliencePolicy:
         """Progress-event listener (``EventStream.listener``): any
         emitted event proves the pipeline is alive and opens a new
         silent period for the stall check."""
-        self._last_beat = time.monotonic()  # lsd: ignore[wallclock]
+        self._last_beat = time.monotonic()
         self._stalled = False
 
     def memory_pressed(self, tier: tuple[int, float, str]) -> bool:
@@ -385,7 +385,7 @@ class ResiliencePolicy:
         beat = self._last_beat
         if self.watchdog is None or beat is None or self._stalled:
             return False
-        silent = time.monotonic() - beat  # lsd: ignore[wallclock]
+        silent = time.monotonic() - beat
         if silent <= self.watchdog:
             return False
         self._stalled = True

@@ -4,9 +4,8 @@
 import ast
 import textwrap
 
-from repro.analysis.astutil import (call_arg_string, chain_parts,
-                                    contains_raise, dotted,
-                                    names_imported_from, root_name)
+from repro.analysis.astutil import (call_arg_string, contains_raise,
+                                    dotted, names_imported_from)
 
 
 def _expr(code: str) -> ast.AST:
@@ -25,28 +24,6 @@ class TestDotted:
 
     def test_call_is_not_a_name(self):
         assert dotted(_expr("f()")) is None
-
-
-class TestRootName:
-    def test_plain_name(self):
-        assert root_name(_expr("a")) == "a"
-
-    def test_attribute_and_subscript_chain(self):
-        assert root_name(_expr("a.b[0].c")) == "a"
-
-    def test_call_base_has_no_root(self):
-        assert root_name(_expr("f().b")) is None
-
-
-class TestChainParts:
-    def test_mixed_chain_lists_components_in_order(self):
-        assert chain_parts(_expr("a.b[0].c")) == ["a", "b", "c"]
-
-    def test_plain_name(self):
-        assert chain_parts(_expr("a")) == ["a"]
-
-    def test_call_base_yields_attrs_only(self):
-        assert chain_parts(_expr("f().b.c")) == ["b", "c"]
 
 
 class TestCallArgString:

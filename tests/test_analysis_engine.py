@@ -14,11 +14,9 @@ from repro.analysis.engine import (SourceFile, analyze_paths,
 from repro.analysis.findings import (Baseline, Finding, findings_to_json,
                                      sort_findings)
 
-WALLCLOCK_BAD = """\
-import time
-
-def stamp():
-    return time.time()
+SET_ORDER_BAD = """\
+def labels(xs):
+    return list(set(xs))
 """
 
 CLEAN = """\
@@ -35,98 +33,92 @@ def _source(code: str, display: str = "src/repro/example.py"
 class TestSuppressions:
     def test_bracketed_suppression_silences_listed_rule(self):
         source = _source("""\
-            import time
-            t = time.time()  # lsd: ignore[wallclock]
+            t = list(set(xs))  # lsd: ignore[set-iteration]
             """)
         result = analyze_sources([source],
-                                 rules=get_rules(["wallclock"]))
+                                 rules=get_rules(["set-iteration"]))
         assert result.findings == []
 
     def test_bare_ignore_silences_every_rule(self):
         source = _source("""\
-            import time, random
-            t = time.time(); random.random()  # lsd: ignore
+            try: pass
+            except Exception: t = list(set(xs))  # lsd: ignore
             """)
         result = analyze_sources(
-            [source], rules=get_rules(["wallclock", "unseeded-random"]))
+            [source], rules=get_rules(["set-iteration", "blind-except"]))
         assert result.findings == []
 
     def test_unrelated_rule_id_does_not_suppress(self):
         source = _source("""\
-            import time
-            t = time.time()  # lsd: ignore[blind-except]
+            t = list(set(xs))  # lsd: ignore[blind-except]
             """)
         result = analyze_sources([source],
-                                 rules=get_rules(["wallclock"]))
+                                 rules=get_rules(["set-iteration"]))
         assert len(result.findings) == 1
 
     def test_suppression_is_line_scoped(self):
         source = _source("""\
-            import time
-            a = time.time()  # lsd: ignore[wallclock]
-            b = time.time()
+            a = list(set(xs))  # lsd: ignore[set-iteration]
+            b = list(set(xs))
             """)
         result = analyze_sources([source],
-                                 rules=get_rules(["wallclock"]))
-        assert [f.line for f in result.findings] == [3]
+                                 rules=get_rules(["set-iteration"]))
+        assert [f.line for f in result.findings] == [2]
 
     def test_closing_paren_comment_covers_the_statement(self):
         # The finding is reported at the call's first line; the
         # suppression sits two lines down on the closing paren.
         source = _source("""\
-            import time
-            t = time.time(
+            t = list(set(
                 # spread over lines
-            )  # lsd: ignore[wallclock]
+                xs))  # lsd: ignore[set-iteration]
             """)
         result = analyze_sources([source],
-                                 rules=get_rules(["wallclock"]))
+                                 rules=get_rules(["set-iteration"]))
         assert result.findings == []
 
     def test_decorator_line_comment_covers_the_def_header(self):
         source = _source("""\
-            @property  # lsd: ignore[wallclock]
+            @property  # lsd: ignore[set-iteration]
             def f(self):
                 pass
             """)
         # The span runs from the decorator through the def header but
         # stops before the body.
-        assert source.suppressions.get(1) == {"wallclock"}
-        assert source.suppressions.get(2) == {"wallclock"}
+        assert source.suppressions.get(1) == {"set-iteration"}
+        assert source.suppressions.get(2) == {"set-iteration"}
         assert source.suppressions.get(3) is None
 
     def test_span_does_not_leak_into_compound_body(self):
         source = _source("""\
-            import time
             if (True
-                    or False):  # lsd: ignore[wallclock]
-                t = time.time()
+                    or False):  # lsd: ignore[set-iteration]
+                t = list(set(xs))
             """)
         result = analyze_sources([source],
-                                 rules=get_rules(["wallclock"]))
-        assert [f.line for f in result.findings] == [4]
+                                 rules=get_rules(["set-iteration"]))
+        assert [f.line for f in result.findings] == [3]
 
     def test_bare_ignore_dominates_merged_span(self):
         source = _source("""\
-            import time
-            t = max(  # lsd: ignore[wallclock]
-                time.time(),
+            t = max(  # lsd: ignore[set-iteration]
+                list(set(xs)),
             )  # lsd: ignore
             """)
         # The bare ignore and the listed one merge over the statement's
         # span; bare wins, silencing every rule on every covered line.
+        assert source.suppressions.get(1) == set()
         assert source.suppressions.get(2) == set()
-        assert source.suppressions.get(3) == set()
         result = analyze_sources([source],
-                                 rules=get_rules(["wallclock"]))
+                                 rules=get_rules(["set-iteration"]))
         assert result.findings == []
 
 
 class TestBaseline:
     def _findings(self):
         return [
-            Finding("src/a.py", 3, "wallclock", "msg one", "warning"),
-            Finding("src/a.py", 9, "wallclock", "msg one", "warning"),
+            Finding("src/a.py", 3, "set-iteration", "msg one", "warning"),
+            Finding("src/a.py", 9, "set-iteration", "msg one", "warning"),
             Finding("src/b.py", 1, "blind-except", "msg two"),
         ]
 
@@ -149,8 +141,9 @@ class TestBaseline:
 
     def test_line_shifts_do_not_invalidate_entries(self):
         baseline = Baseline.from_findings(
-            [Finding("src/a.py", 3, "wallclock", "msg one", "warning")])
-        shifted = [Finding("src/a.py", 77, "wallclock", "msg one",
+            [Finding("src/a.py", 3, "set-iteration", "msg one",
+                     "warning")])
+        shifted = [Finding("src/a.py", 77, "set-iteration", "msg one",
                            "warning")]
         new, accepted = baseline.split(shifted)
         assert new == [] and len(accepted) == 1
@@ -183,13 +176,13 @@ class TestFindings:
 
     def test_json_artifact_summary(self):
         payload = json.loads(findings_to_json(
-            [Finding("a.py", 1, "wallclock", "m", "warning"),
+            [Finding("a.py", 1, "set-iteration", "m", "warning"),
              Finding("a.py", 2, "blind-except", "n")],
             baselined=3))
         assert payload["summary"]["total"] == 2
         assert payload["summary"]["baselined"] == 3
         assert payload["summary"]["by_rule"] == \
-            {"wallclock": 1, "blind-except": 1}
+            {"set-iteration": 1, "blind-except": 1}
         assert payload["summary"]["by_severity"] == \
             {"warning": 1, "error": 1}
 
@@ -218,13 +211,8 @@ class TestDiscoveryAndParseErrors:
 
     def test_rule_registry_is_complete(self):
         assert set(rule_ids()) == {
-            "unseeded-random", "wallclock", "set-iteration",
-            "process-unsafe-state", "learner-contract",
-            "metric-catalogue", "event-catalogue", "span-unclosed",
-            "blind-except", "fault-site-catalogue",
-            "flow-nondeterministic-path", "flow-worker-shared-write",
-            "flow-fault-unhandled", "flow-unresolved-hot-call",
-            "flow-observer-gap"}
+            "set-iteration", "blind-except", "span-unclosed",
+            "metric-catalogue", "event-catalogue", "fault-site-catalogue"}
 
     def test_unknown_rule_selection_raises(self):
         with pytest.raises(ValueError, match="unknown rule"):
@@ -233,11 +221,8 @@ class TestDiscoveryAndParseErrors:
     def test_glob_selection_expands_over_rule_ids(self):
         assert {rule.id for rule in get_rules(["metric-*"])} == \
             {"metric-catalogue"}
-        flow = {rule.id for rule in get_rules(["flow-*"])}
-        assert flow == {
-            "flow-nondeterministic-path", "flow-worker-shared-write",
-            "flow-fault-unhandled", "flow-unresolved-hot-call",
-            "flow-observer-gap"}
+        assert {rule.id for rule in get_rules(["*-catalogue"])} == {
+            "metric-catalogue", "event-catalogue", "fault-site-catalogue"}
 
     def test_glob_matching_nothing_raises(self):
         with pytest.raises(ValueError, match="unknown rule"):
@@ -256,10 +241,10 @@ class TestCli:
         assert "clean" in capsys.readouterr().out
 
     def test_findings_exit_one_and_render(self, tmp_path, capsys):
-        path = self._write(tmp_path, "bad.py", WALLCLOCK_BAD)
+        path = self._write(tmp_path, "bad.py", SET_ORDER_BAD)
         assert lint_main([str(path), "--no-baseline"]) == 1
         out = capsys.readouterr().out
-        assert "[wallclock]" in out and "finding" in out
+        assert "[set-iteration]" in out and "finding" in out
 
     def test_missing_path_exits_two(self, tmp_path):
         assert lint_main([str(tmp_path / "nope")]) == 2
@@ -269,16 +254,16 @@ class TestCli:
         assert lint_main([str(path), "--select", "bogus"]) == 2
 
     def test_select_narrows_the_rule_set(self, tmp_path):
-        path = self._write(tmp_path, "bad.py", WALLCLOCK_BAD)
+        path = self._write(tmp_path, "bad.py", SET_ORDER_BAD)
         assert lint_main([str(path), "--no-baseline",
                           "--select", "blind-except"]) == 0
 
     def test_select_glob_pattern(self, tmp_path):
-        path = self._write(tmp_path, "bad.py", WALLCLOCK_BAD)
+        path = self._write(tmp_path, "bad.py", SET_ORDER_BAD)
         assert lint_main([str(path), "--no-baseline",
                           "--select", "metric-*"]) == 0
         assert lint_main([str(path), "--no-baseline",
-                          "--select", "wall*"]) == 1
+                          "--select", "set-*"]) == 1
 
     def test_unknown_glob_exits_two(self, tmp_path):
         path = self._write(tmp_path, "clean.py", CLEAN)
@@ -289,20 +274,18 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in rule_ids():
             assert rule_id in out
-        # Per-file and flow rules are labelled as such.
-        assert " file " in out and " flow " in out
 
     def test_json_artifact_written(self, tmp_path):
-        path = self._write(tmp_path, "bad.py", WALLCLOCK_BAD)
+        path = self._write(tmp_path, "bad.py", SET_ORDER_BAD)
         artifact = tmp_path / "findings.json"
         assert lint_main([str(path), "--no-baseline",
                           "--json", str(artifact)]) == 1
         payload = json.loads(artifact.read_text())
         assert payload["summary"]["total"] == 1
-        assert payload["findings"][0]["rule"] == "wallclock"
+        assert payload["findings"][0]["rule"] == "set-iteration"
 
     def test_write_baseline_then_gate_passes(self, tmp_path, capsys):
-        path = self._write(tmp_path, "bad.py", WALLCLOCK_BAD)
+        path = self._write(tmp_path, "bad.py", SET_ORDER_BAD)
         baseline = tmp_path / "baseline.txt"
         baseline.write_text("")
         assert lint_main([str(path), "--baseline", str(baseline),
@@ -312,7 +295,7 @@ class TestCli:
         assert lint_main([str(path), "--baseline",
                           str(baseline)]) == 0
         # ...but a fresh violation still fails it.
-        path.write_text(WALLCLOCK_BAD + "\nstamp2 = time.time()\n")
+        path.write_text(SET_ORDER_BAD + "\nagain = list(set([1]))\n")
         assert lint_main([str(path), "--baseline",
                           str(baseline)]) == 1
 
@@ -331,9 +314,9 @@ class TestCli:
     def test_repro_analyze_forwards_verbatim(self, tmp_path, capsys):
         from repro.cli import main as repro_main
 
-        path = self._write(tmp_path, "bad.py", WALLCLOCK_BAD)
+        path = self._write(tmp_path, "bad.py", SET_ORDER_BAD)
         assert repro_main(["analyze", "--list-rules"]) == 0
         capsys.readouterr()
         assert repro_main(["analyze", str(path),
                            "--no-baseline"]) == 1
-        assert "[wallclock]" in capsys.readouterr().out
+        assert "[set-iteration]" in capsys.readouterr().out

@@ -22,70 +22,6 @@ def lint_project(files: list[tuple[str, str]], rule: str) -> list:
     return analyze_sources(sources, rules=get_rules([rule])).findings
 
 
-class TestUnseededRandom:
-    def test_global_rng_flagged(self):
-        findings = lint("""\
-            import random
-            x = random.random()
-            random.shuffle([1, 2])
-            """, "unseeded-random")
-        assert len(findings) == 2
-        assert all(f.rule == "unseeded-random" for f in findings)
-
-    def test_unseeded_constructors_flagged(self):
-        findings = lint("""\
-            import random
-            import numpy as np
-            a = random.Random()
-            b = np.random.default_rng()
-            """, "unseeded-random")
-        assert len(findings) == 2
-
-    def test_from_import_forms_flagged(self):
-        findings = lint("""\
-            from random import Random, shuffle
-            r = Random()
-            shuffle([1, 2])
-            """, "unseeded-random")
-        assert len(findings) == 2
-
-    def test_legacy_numpy_global_rng_flagged(self):
-        findings = lint("""\
-            import numpy as np
-            x = np.random.rand(3)
-            """, "unseeded-random")
-        assert len(findings) == 1
-        assert "legacy" in findings[0].message
-
-    def test_seeded_rngs_clean(self):
-        assert lint("""\
-            import random
-            import numpy as np
-            a = random.Random(7)
-            b = np.random.default_rng(0)
-            c = a.random()
-            """, "unseeded-random") == []
-
-
-class TestWallclock:
-    CODE = """\
-        import time
-        t = time.time()
-        d = time.perf_counter()
-        """
-
-    def test_wallclock_flagged_in_pipeline_code(self):
-        findings = lint(self.CODE, "wallclock",
-                        display="src/repro/core/example.py")
-        assert len(findings) == 2
-        assert findings[0].severity == "warning"
-
-    def test_observability_and_benchmarks_exempt(self):
-        for display in ("src/repro/observability/example.py",
-                        "benchmarks/example.py"):
-            assert lint(self.CODE, "wallclock", display=display) == []
-
-
 class TestSetIteration:
     def test_for_loop_over_set_flagged(self):
         findings = lint("""\
@@ -107,6 +43,14 @@ class TestSetIteration:
                 return list(set(xs)), ", ".join({"a", "b"})
             """, "set-iteration")
         assert len(findings) == 2
+        # OS entropy varies run to run just like set order.
+        findings = lint("""\
+            import os, uuid
+            from uuid import uuid1 as stamp
+            ids = uuid.uuid4(), stamp(), os.urandom(8), uuid.UUID(int=7)
+            """, "set-iteration")
+        assert [f.message.split("(")[0] for f in findings] == \
+            ["os.urandom", "uuid.uuid1", "uuid.uuid4"]
 
     def test_sorted_and_reductions_clean(self):
         assert lint("""\
@@ -115,198 +59,6 @@ class TestSetIteration:
                     print(x)
                 return sum(set(xs)), len({1, 2}), max(set(xs))
             """, "set-iteration") == []
-
-
-class TestProcessUnsafeState:
-    def test_handler_writing_module_dict_flagged(self):
-        findings = lint("""\
-            results = {}
-
-            @task_handler("predict")
-            def handle(state, task, profile):
-                results[task["id"]] = task
-                return task
-            """, "process-unsafe-state")
-        assert len(findings) == 1
-        assert "never sees the write" in findings[0].message
-
-    def test_one_hop_helper_global_counter_flagged(self):
-        findings = lint("""\
-            seen = 0
-
-            def bump():
-                global seen
-                seen += 1
-
-            @procpool.task_handler("predict")
-            def handle(state, task, profile):
-                bump()
-                return task
-            """, "process-unsafe-state")
-        assert len(findings) == 1
-        assert "global" in findings[0].message
-
-    def test_mutating_method_on_closure_flagged(self):
-        findings = lint("""\
-            log = []
-
-            @task_handler("score")
-            def handle(state, task, profile):
-                log.append(task)
-                return task
-            """, "process-unsafe-state")
-        assert len(findings) == 1
-        assert "log.append" in findings[0].message
-
-    def test_state_param_writes_clean(self):
-        assert lint("""\
-            @task_handler("predict")
-            def handle(state, task, profile):
-                state.batches[task["batch"]] = task["rows"]
-                local = []
-                local.append(task)
-                return local
-            """, "process-unsafe-state") == []
-
-    def test_registry_write_in_decorator_itself_clean(self):
-        # The @task_handler registration write runs at import time in
-        # every process — it is not worker-side mutation.
-        assert lint("""\
-            _TASK_HANDLERS = {}
-
-            def task_handler(kind):
-                def decorate(fn):
-                    _TASK_HANDLERS[kind] = fn
-                    return fn
-                return decorate
-
-            @task_handler("predict")
-            def handle(state, task, profile):
-                return task
-            """, "process-unsafe-state") == []
-
-    def test_benign_cache_allowlisted(self):
-        assert lint("""\
-            _text_cache = {}
-
-            @task_handler("predict")
-            def handle(state, task, profile):
-                _text_cache[task["text"]] = task["tokens"]
-                return _text_cache[task["text"]]
-            """, "process-unsafe-state") == []
-
-    def test_undecorated_function_ignored(self):
-        assert lint("""\
-            results = {}
-
-            def handle(state, task, profile):
-                results[task["id"]] = task
-                return task
-            """, "process-unsafe-state") == []
-
-
-BASE = """\
-    class BaseLearner:
-        def fit(self, instances, labels):
-            raise NotImplementedError
-
-        def predict_scores(self, instances):
-            raise NotImplementedError
-
-        def clone(self):
-            raise NotImplementedError
-    """
-
-
-class TestLearnerContract:
-    def test_complete_learner_clean(self):
-        assert lint_project([
-            ("src/repro/learners/base.py", BASE),
-            ("src/repro/learners/good.py", """\
-                class Good(BaseLearner):
-                    name = "good"
-
-                    def fit(self, instances, labels):
-                        return self
-
-                    def predict_scores(self, instances):
-                        return []
-
-                    def clone(self):
-                        return Good()
-                """),
-        ], "learner-contract") == []
-
-    def test_missing_methods_and_name_flagged(self):
-        findings = lint_project([
-            ("src/repro/learners/base.py", BASE),
-            ("src/repro/learners/bad.py", """\
-                class Bad(BaseLearner):
-                    def fit(self, instances, labels):
-                        return self
-                """),
-        ], "learner-contract")
-        messages = " ".join(f.message for f in findings)
-        assert "predict_scores" in messages
-        assert "clone" in messages
-        assert "'name'" in messages
-
-    def test_corpus_mutation_flagged(self):
-        findings = lint_project([
-            ("src/repro/learners/base.py", BASE),
-            ("src/repro/learners/mutator.py", """\
-                class Mutator(BaseLearner):
-                    name = "mutator"
-
-                    def fit(self, instances, labels):
-                        instances.sort()
-                        labels[0] = None
-                        return self
-
-                    def predict_scores(self, instances):
-                        return []
-
-                    def clone(self):
-                        return Mutator()
-                """),
-        ], "learner-contract")
-        assert len(findings) == 2
-        assert all("training corpus" in f.message for f in findings)
-
-    def test_abstract_intermediate_exempt(self):
-        assert lint_project([
-            ("src/repro/learners/base.py", BASE),
-            ("src/repro/learners/middle.py", """\
-                import abc
-
-                class Middle(BaseLearner):
-                    @abc.abstractmethod
-                    def extra(self):
-                        ...
-                """),
-        ], "learner-contract") == []
-
-    def test_contract_inherited_through_chain(self):
-        """A subclass of a concrete learner inherits the contract."""
-        assert lint_project([
-            ("src/repro/learners/base.py", BASE),
-            ("src/repro/learners/tower.py", """\
-                class Complete(BaseLearner):
-                    name = "complete"
-
-                    def fit(self, instances, labels):
-                        return self
-
-                    def predict_scores(self, instances):
-                        return []
-
-                    def clone(self):
-                        return Complete()
-
-                class Derived(Complete):
-                    name = "derived"
-                """),
-        ], "learner-contract") == []
 
 
 METRICS = """\

@@ -262,12 +262,12 @@ class TestEvaluate:
 
 
 class TestArtifactFaultDegradation:
-    """Regression for the ``flow-fault-unhandled`` finding on the
-    ``artifact.write`` site: before the fix, no transitive caller of
-    ``atomic_write_text`` handled ``FaultInjected``, so an injected
-    artifact-write fault crashed an otherwise-successful run with a raw
-    traceback. The CLI must absorb the failure, warn, and record it in
-    the degradation report instead."""
+    """Regression for the ``artifact.write`` fault site: before the
+    fix, no transitive caller of ``atomic_write_text`` handled
+    ``FaultInjected``, so an injected artifact-write fault crashed an
+    otherwise-successful run with a raw traceback. The CLI must absorb
+    the failure, warn, and record it in the degradation report
+    instead."""
 
     def test_report_write_fault_degrades_not_crashes(
             self, generated, model, tmp_path, capsys):

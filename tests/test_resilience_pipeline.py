@@ -117,6 +117,43 @@ class TestExecutorResilience:
             dict(baseline.mapping.items())
 
 
+class TestWorkerProcessKill:
+    """The ``worker.process`` site hard-kills a live pool worker before
+    the predict map dispatches anything: the map finishes serially, the
+    pool is retired, and the output is the serial run's."""
+
+    @staticmethod
+    def run(trained, workers):
+        from repro.observability import Observer
+        system, domain = trained
+        source = domain.sources[2]
+        system.workers = workers
+        system.policy = ResiliencePolicy(fault_plan=plan_of(
+            {"site": "worker.process", "key": "predict",
+             "action": "raise"}))
+        try:
+            return system.match(source.schema, source.listings(N_LISTINGS),
+                                observer=Observer.full())
+        finally:
+            system.policy = None
+            system.workers = 1
+            system.close_pool()
+
+    def test_killed_worker_falls_back_to_serial_output(self, trained):
+        killed = self.run(trained, workers=2)
+        serial = self.run(trained, workers=1)
+        # At workers=1 there is no process to kill.
+        assert not serial.degradation.degraded
+        assert "predict" in killed.degradation.as_dict()["pool_failures"]
+        assert dict(killed.mapping.items()) == dict(serial.mapping.items())
+        assert set(killed.tag_scores) == set(serial.tag_scores)
+        for tag, row in serial.tag_scores.items():
+            assert np.array_equal(killed.tag_scores[tag], row), tag
+        assert serial.quality
+        assert [record.as_dict() for record in killed.quality] == \
+            [record.as_dict() for record in serial.quality]
+
+
 class TestAnytimeSearch:
     def test_search_fault_forces_best_so_far(self, trained):
         policy = ResiliencePolicy(fault_plan=plan_of(
