@@ -656,7 +656,7 @@ def _run_match(args: argparse.Namespace,
 
     degradation = result.degradation
     if degradation is not None and degradation.degraded:
-        print("DEGRADED RUN: " + _degradation_summary(degradation),
+        print("DEGRADED RUN: " + degradation.summary(),
               file=sys.stderr)
     print(f"proposed mappings for {args.schema.name}:")
     for tag in sorted(result.mapping.tags()):
@@ -738,41 +738,6 @@ def _run_match(args: argparse.Namespace,
     _finish_telemetry(args, events, server, policy.fault_plan,
                       policy.report)
     return 0
-
-
-def _degradation_summary(degradation) -> str:
-    """One terminal line naming everything the run absorbed."""
-    parts: list[str] = []
-    quarantined = degradation.quarantined_learners
-    if quarantined:
-        parts.append("quarantined learners: " + ", ".join(quarantined))
-    recovery = degradation.recovery
-    if recovery is not None and not recovery.ok:
-        parts.append(f"listings recovered={len(recovery.recovered)} "
-                     f"dropped={len(recovery.dropped)}")
-    if degradation.retries:
-        parts.append(f"task retries: {len(degradation.retries)}")
-    if degradation.pool_failures:
-        parts.append("pool fell back to serial: "
-                     + ", ".join(sorted(set(degradation.pool_failures))))
-    if degradation.worker_deaths:
-        parts.append(f"worker deaths: {len(degradation.worker_deaths)}")
-    if degradation.watchdog:
-        kinds = sorted({event["kind"] for event in degradation.watchdog})
-        parts.append("watchdog: " + ", ".join(kinds))
-    if degradation.pressure_events:
-        actions = sorted({event["action"]
-                          for event in degradation.pressure_events})
-        parts.append("memory pressure: " + ", ".join(actions))
-    if degradation.anytime:
-        parts.append("anytime search exit")
-    if degradation.fired_faults:
-        parts.append(f"injected faults: {len(degradation.fired_faults)}")
-    if degradation.artifact_failures:
-        lost = sorted({f["artifact"] for f in
-                       degradation.artifact_failures})
-        parts.append("artifacts not written: " + ", ".join(lost))
-    return "; ".join(parts) if parts else "degraded"
 
 
 def _parse_feedback(item: str) -> tuple[str, str]:

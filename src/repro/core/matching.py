@@ -265,35 +265,12 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
                    degradation)
     if degradation is not None and degradation.degraded:
         events.emit(EV_DEGRADATION,
-                    reason=_degradation_reason(degradation))
+                    reason=degradation.summary())
     return MatchResult(mapping, tag_scores, space, columns, ctx,
                        profile, quality,
                        degradation=degradation,
                        anytime=degradation.anytime
                        if degradation is not None else False)
-
-
-def _degradation_reason(degradation: DegradationReport) -> str:
-    """A one-line human summary for the degradation progress event."""
-    parts = []
-    if degradation.quarantines:
-        parts.append(f"{len(degradation.quarantined_learners)} "
-                     "learner(s) quarantined")
-    if degradation.retries:
-        parts.append(f"{len(degradation.retries)} task retries")
-    if degradation.pool_failures:
-        parts.append("worker pool fell back to serial")
-    if degradation.anytime:
-        parts.append("constraint search ended early by deadline")
-    recovery = degradation.recovery
-    if recovery is not None and (recovery.recovered or
-                                 recovery.dropped):
-        parts.append(f"listings recovered={len(recovery.recovered)} "
-                     f"dropped={len(recovery.dropped)}")
-    if degradation.fired_faults:
-        parts.append(f"{len(degradation.fired_faults)} injected "
-                     "fault(s) fired")
-    return "; ".join(parts) or "degraded"
 
 
 # A learner whose prediction raises under an active resilience policy

@@ -267,7 +267,7 @@ def corrupt_text(text: str, style: str, rng: random.Random) -> str:
 
     The damage is always *inside* the listing (the opening start tag
     survives) so the tolerant chunker still isolates the listing and
-    the recovering parser has something to repair.
+    lenient mode has something to repair.
     """
     if style not in CORRUPTION_STYLES:
         raise ValueError(f"unknown corruption style {style!r}")

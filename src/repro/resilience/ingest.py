@@ -1,12 +1,11 @@
 """Fault-aware listing ingestion.
 
-Bridges :mod:`repro.xmlio.recovery` and the fault injector: listings
-are chunked, each chunk passes through the :data:`SITE_INGEST_CHUNK`
-fault site (keyed by its listing index, so corruption is independent
-of read order), and the surviving text is parsed under the policy's
-ingestion mode. Without an armed ingest fault this delegates straight
-to :func:`repro.xmlio.recovery.read_fragments`, keeping the no-plan
-path identical to plain recovery ingestion.
+Bridges :mod:`repro.xmlio.recovery` and the fault injector: each chunk
+passes through the :data:`SITE_INGEST_CHUNK` fault site (keyed by its
+listing index, so corruption is independent of read order) on its way
+into :func:`repro.xmlio.recovery.read_fragments`' chunk loop, which
+parses the surviving text under the policy's ingestion mode. Without an
+armed ingest fault this is plain :func:`read_fragments`.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 from .faults import FaultInjected, FaultPlan
 from .sites import SITE_INGEST_CHUNK
 from ..xmlio.errors import SourceLocation
-from ..xmlio.parser import parse_fragments
-from ..xmlio.recovery import (Fragment, RecoveryLog, parse_chunk,
-                              read_fragments, split_fragments)
+from ..xmlio.recovery import Fragment, RecoveryLog, read_fragments
 from ..xmlio.tree import Element
 
 
@@ -34,39 +31,28 @@ def ingest_fragments(text: str, mode: str = "strict",
     """
     if plan is None or not plan.targets_site(SITE_INGEST_CHUNK):
         return read_fragments(text, mode, keep_whitespace)
-    log = RecoveryLog()
-    roots: list[Element] = []
-    for index, fragment in enumerate(split_fragments(text)):
+
+    def damage(index: int, fragment: Fragment, log: RecoveryLog) \
+            -> str | None:
+        if fragment.kind != "element":
+            return fragment.text
         location = SourceLocation(fragment.line, fragment.column)
-        chunk_text = fragment.text
-        if fragment.kind == "element":
-            try:
-                chunk_text, style = plan.corrupt(
-                    SITE_INGEST_CHUNK, str(index), chunk_text)
-            except FaultInjected as exc:
-                if mode == "strict":
-                    raise
-                log.record("injected-fault",
-                           f"listing unreadable: {exc}", location, index)
-                log.dropped.append(index)
-                log.record("dropped-listing",
-                           "listing dropped (injected ingest fault)",
-                           location, index)
-                continue
-            if style is not None:
-                log.record("injected-fault",
-                           f"listing corrupted by fault plan "
-                           f"(style: {style})", location, index)
-        damaged = Fragment(chunk_text, fragment.line, fragment.column,
-                           fragment.kind)
-        roots.extend(parse_chunk(damaged, mode, log, index,
-                                 keep_whitespace=keep_whitespace))
-    if not roots:
-        if mode == "strict":
-            # No listing chunk at all: fail as the plain parse fails.
-            return parse_fragments(text, keep_whitespace=keep_whitespace), \
-                log
-        log.record("no-elements",
-                   "no listings could be parsed from the input",
-                   SourceLocation(1, 1))
-    return roots, log
+        try:
+            chunk, style = plan.corrupt(SITE_INGEST_CHUNK, str(index),
+                                        fragment.text)
+        except FaultInjected as exc:
+            if mode == "strict":
+                raise
+            log.record("injected-fault", f"listing unreadable: {exc}",
+                       location, index)
+            log.dropped.append(index)
+            log.record("dropped-listing",
+                       "listing dropped (injected ingest fault)",
+                       location, index)
+            return None
+        if style is not None:
+            log.record("injected-fault", f"listing corrupted by fault plan "
+                       f"(style: {style})", location, index)
+        return chunk
+
+    return read_fragments(text, mode, keep_whitespace, damage)

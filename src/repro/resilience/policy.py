@@ -235,6 +235,38 @@ class DegradationReport:
                     or (self.recovery is not None
                         and not self.recovery.ok))
 
+    def summary(self) -> str:
+        """One line naming everything the run absorbed."""
+        parts: list[str] = []
+        quarantined = self.quarantined_learners
+        if quarantined:
+            parts.append("quarantined learners: " + ", ".join(quarantined))
+        if self.recovery is not None and not self.recovery.ok:
+            parts.append(f"listings recovered={len(self.recovery.recovered)} "
+                         f"dropped={len(self.recovery.dropped)}")
+        if self.retries:
+            parts.append(f"task retries: {len(self.retries)}")
+        if self.pool_failures:
+            parts.append("pool fell back to serial: "
+                         + ", ".join(sorted(set(self.pool_failures))))
+        if self.worker_deaths:
+            parts.append(f"worker deaths: {len(self.worker_deaths)}")
+        if self.watchdog:
+            kinds = sorted({event["kind"] for event in self.watchdog})
+            parts.append("watchdog: " + ", ".join(kinds))
+        if self.pressure_events:
+            actions = sorted({event["action"]
+                              for event in self.pressure_events})
+            parts.append("memory pressure: " + ", ".join(actions))
+        if self.anytime:
+            parts.append("anytime search exit")
+        if self.fired_faults:
+            parts.append(f"injected faults: {len(self.fired_faults)}")
+        if self.artifact_failures:
+            lost = sorted({f["artifact"] for f in self.artifact_failures})
+            parts.append("artifacts not written: " + ", ".join(lost))
+        return "; ".join(parts) if parts else "degraded"
+
     def as_dict(self) -> dict:
         """JSON form for the run report; only non-empty parts appear."""
         out: dict = {}

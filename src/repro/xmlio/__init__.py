@@ -10,7 +10,9 @@ Public surface:
 * :func:`write_element` / :func:`write_document` / :func:`write_dtd` —
   serialization.
 * :func:`read_fragments` / :class:`RecoveryLog` — error-recovering
-  ingestion (``strict`` / ``lenient`` / ``salvage`` modes).
+  ingestion (``strict`` / ``lenient`` / ``salvage`` modes). One parser
+  serves all three: every well-formedness violation goes through one
+  method, whose effect the mode decides, so each listing is parsed once.
 """
 
 from .dtd import (Any, AttributeDecl, Choice, ContentModel, DTD,
@@ -18,10 +20,8 @@ from .dtd import (Any, AttributeDecl, Choice, ContentModel, DTD,
 from .errors import (DTDSyntaxError, SourceLocation, UNKNOWN_LOCATION,
                      ValidationError, XMLError, XMLSyntaxError)
 from .parser import parse_document, parse_element, parse_fragments
-from .recovery import (Fragment, INGEST_MODES, RecoveringParser,
-                       RecoveryEvent, RecoveryLog, read_fragments,
-                       split_fragments)
-from .paths import PathSyntaxError, select, select_one, select_text
+from .recovery import (Fragment, INGEST_MODES, RecoveryEvent, RecoveryLog,
+                       read_fragments, split_fragments)
 from .tree import Document, Element, Text, element, from_pairs
 from .validator import is_valid, validate
 from .writer import (escape_attribute, escape_text, write_content_model,
@@ -30,13 +30,11 @@ from .writer import (escape_attribute, escape_text, write_content_model,
 __all__ = [
     "Any", "AttributeDecl", "Choice", "ContentModel", "DTD", "Document",
     "DTDSyntaxError", "Element", "ElementDecl", "Empty", "Fragment",
-    "INGEST_MODES", "NameRef", "PCData", "PathSyntaxError",
-    "RecoveringParser", "RecoveryEvent", "RecoveryLog", "Sequence",
-    "SourceLocation", "Text", "UNKNOWN_LOCATION", "ValidationError",
-    "XMLError", "XMLSyntaxError", "element", "escape_attribute",
-    "escape_text", "from_pairs", "is_valid", "parse_document",
-    "parse_dtd", "parse_element", "parse_fragments", "read_fragments",
-    "select", "select_one", "select_text", "split_fragments",
-    "validate", "write_content_model", "write_document", "write_dtd",
-    "write_element",
+    "INGEST_MODES", "NameRef", "PCData", "RecoveryEvent", "RecoveryLog",
+    "Sequence", "SourceLocation", "Text", "UNKNOWN_LOCATION",
+    "ValidationError", "XMLError", "XMLSyntaxError", "element",
+    "escape_attribute", "escape_text", "from_pairs", "is_valid",
+    "parse_document", "parse_dtd", "parse_element", "parse_fragments",
+    "read_fragments", "split_fragments", "validate", "write_content_model",
+    "write_document", "write_dtd", "write_element",
 ]

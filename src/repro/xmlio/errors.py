@@ -72,6 +72,8 @@ class XMLSyntaxError(XMLError):
 
     def __init__(self, message: str, line: int | None = None,
                  column: int | None = None) -> None:
+        #: The message without the location suffix.
+        self.reason = message
         self.location = _normalize(line, column)
         self.line = self.location.line if self.location.known else line
         self.column = self.location.column if self.location.known \

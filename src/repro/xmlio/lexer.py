@@ -6,9 +6,10 @@ primitive consumes a whole run — a slice, an anchored regex match, or a
 jump to the next occurrence of a pattern — never one character per
 Python call. ``line``/``column`` are not tracked while scanning: they
 are computed on demand by bisecting an index of the text's newlines,
-built the first time a position is asked for. Both
-:mod:`repro.xmlio.parser` and :mod:`repro.xmlio.dtd` build on it so
-position reporting is consistent across the substrate.
+built the first time a position is asked for. :mod:`repro.xmlio.parser`,
+the listing chunker in :mod:`repro.xmlio.recovery` and
+:mod:`repro.xmlio.dtd` all build on it, so position reporting is
+consistent across the substrate.
 """
 
 from __future__ import annotations
@@ -40,7 +41,15 @@ NAME_CHARS = re.compile(_char_class(_NAME_BODY) + "*")
 WHITESPACE = re.compile(r"\s*")
 #: A run of character data up to the next markup or entity reference.
 CHAR_DATA = re.compile(r"[^<&]+")
+#: The start of a top-level construct: a start tag, a comment, a
+#: processing instruction or a markup declaration.
+FRAGMENT_START = re.compile(f"<(?:[!?]|{NAME.pattern})")
+#: Where a skipped markup declaration has to look again.
+_DECL_MARK = re.compile("['\"\\[\\]>]")
 _NEWLINE = re.compile("\n")
+#: The body of a character reference: ``#`` and ASCII decimal digits, or
+#: ``#x`` and hex digits (XML's ``CharRef``).
+_CHAR_REF = re.compile("#(?:([0-9]+)|x([0-9a-fA-F]+))")
 
 #: The five predefined XML entities.
 PREDEFINED_ENTITIES = {
@@ -83,18 +92,19 @@ class Scanner:
     # ------------------------------------------------------------------
     # position
     # ------------------------------------------------------------------
-    def location(self) -> SourceLocation:
-        """The 1-based (line, column) of the cursor."""
+    def location(self, pos: int | None = None) -> SourceLocation:
+        """The 1-based (line, column) of the cursor, or of ``pos``."""
+        if pos is None:
+            pos = self.pos
         newlines = self._newlines
         if newlines is None:
             newlines = self._newlines = [
                 match.start() for match in _NEWLINE.finditer(self.text)]
-        before = bisect_left(newlines, self.pos)
+        before = bisect_left(newlines, pos)
         if before == 0:
-            return SourceLocation(self.start_line,
-                                  self.start_column + self.pos)
+            return SourceLocation(self.start_line, self.start_column + pos)
         return SourceLocation(self.start_line + before,
-                              self.pos - newlines[before - 1])
+                              pos - newlines[before - 1])
 
     @property
     def line(self) -> int:
@@ -184,6 +194,28 @@ class Scanner:
         self.pos = index + len(terminator)
         return chunk
 
+    def skip_past(self, terminator: str) -> None:
+        """Consume through ``terminator``, or to EOF if it never appears."""
+        index = self.text.find(terminator, self.pos)
+        self.pos = len(self.text) if index < 0 else index + len(terminator)
+
+    def skip_markup_decl(self) -> None:
+        """Consume the ``<!...>`` declaration at the cursor, honouring
+        quotes and ``[...]``; one that never closes runs to EOF."""
+        self.pos += 2
+        depth = 0
+        while (mark := self.skip_to(_DECL_MARK)) is not None:
+            ch = mark.group()
+            self.pos += 1
+            if ch in ("'", '"'):
+                self.skip_past(ch)
+            elif ch == "[":
+                depth += 1
+            elif ch == "]":
+                depth -= 1
+            elif ch == ">" and depth <= 0:
+                return
+
     def read_quoted(self) -> str:
         """Consume a single- or double-quoted literal; return its body."""
         quote = self.peek()
@@ -193,26 +225,27 @@ class Scanner:
         return self.read_until(quote)
 
 
-def decode_entity(name: str, scanner: Scanner | None = None) -> str:
+def decode_entity(name: str) -> str | None:
     """Resolve an entity reference body (the part between ``&`` and ``;``).
 
     Supports the five predefined entities plus decimal (``#65``) and hex
-    (``#x41``) character references.
+    (``#x41``) character references to an XML ``Char``; anything else
+    is ``None``.
     """
-    if name.startswith("#x") or name.startswith("#X"):
-        try:
-            return chr(int(name[2:], 16))
-        except ValueError:
-            pass
-    elif name.startswith("#"):
-        try:
-            return chr(int(name[1:]))
-        except ValueError:
-            pass
-    elif name in PREDEFINED_ENTITIES:
+    if name in PREDEFINED_ENTITIES:
         return PREDEFINED_ENTITIES[name]
-    if scanner is not None:
-        raise scanner.error(f"unknown entity reference &{name};")
-    # No scanner context: still report a (nominal) position so every
-    # XMLSyntaxError carries a usable location.
-    raise XMLSyntaxError(f"unknown entity reference &{name};", 1, 1)
+    match = _CHAR_REF.fullmatch(name)
+    if match is None:
+        return None
+    decimal, hexadecimal = match.groups()
+    if decimal is not None:
+        # int() refuses decimal strings over 4,300 digits; any value
+        # past the last Char (7 digits) is out of range anyway.
+        decimal = decimal.lstrip("0")
+        code = int(decimal or "0") if len(decimal) <= 7 else -1
+    else:
+        code = int(hexadecimal, 16)
+    if code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF \
+            or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF:
+        return chr(code)
+    return None

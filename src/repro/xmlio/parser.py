@@ -13,16 +13,38 @@ The parser produces the :class:`repro.xmlio.tree.Document` /
 :class:`repro.xmlio.tree.Element` model. Whitespace-only text between
 elements is dropped by default (``keep_whitespace=True`` keeps it), which is
 the behaviour LSD wants when reading data listings.
+
+One grammar serves every ingestion mode of :mod:`repro.xmlio.recovery`.
+Each well-formedness violation goes through :meth:`_Parser._violation`:
+``strict`` raises :class:`~repro.xmlio.errors.XMLSyntaxError` there;
+otherwise the first violation records ``malformed-listing``, after which
+``salvage`` abandons the chunk and ``lenient`` returns, so the code after
+the call applies the least surprising repair (auto-close unbalanced tags,
+keep undeclared entity references as literal text, treat stray markup as
+character data) and records it.
 """
 
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
-from .lexer import CHAR_DATA, Scanner, decode_entity, is_name_start
+from .errors import SourceLocation, XMLSyntaxError
+from .lexer import (CHAR_DATA, FRAGMENT_START, NAME, Scanner,
+                    decode_entity, is_name_start)
 from .tree import Document, Element
 
+if TYPE_CHECKING:
+    from .recovery import RecoveryLog
+
 _BRACKET = re.compile(r"[\[\]]")
+#: An unquoted attribute value: up to whitespace, ``<``, ``>`` or ``/>``.
+_UNQUOTED_VALUE = re.compile(r"(?:[^\s<>/]|/(?!>))*")
+#: A character that cannot appear in an entity-reference body.
+_NOT_ENTITY_BODY = re.compile(r"[<&\"'\s]")
+#: A repair keeps an undeclared entity reference only if its body is
+#: shorter than this; otherwise the ``&`` is literal character data.
+_MAX_ENTITY = 32
 
 
 def parse_document(text: str, keep_whitespace: bool = False) -> Document:
@@ -51,67 +73,112 @@ class _Parser:
     """Internal recursive-descent machinery; use the module functions."""
 
     def __init__(self, text: str, keep_whitespace: bool = False,
-                 start_line: int = 1, start_column: int = 1) -> None:
+                 start_line: int = 1, start_column: int = 1,
+                 mode: str = "strict", log: RecoveryLog | None = None,
+                 listing: int | None = None) -> None:
         self.scanner = Scanner(text, start_line, start_column)
         self.keep_whitespace = keep_whitespace
+        self.mode = mode
+        self.log = log
+        self.listing = listing
+        #: Index in ``log.events`` where this parse's repairs begin;
+        #: ``None`` as long as the input is well-formed.
+        self.first_repair: int | None = None
         self.doctype_name: str | None = None
         self.internal_subset: str | None = None
         self.version: str | None = None
         self.encoding: str | None = None
 
     # ------------------------------------------------------------------
+    # violations and repairs
+    # ------------------------------------------------------------------
+    def _violation(self, message: str,
+                   location: SourceLocation | None = None) -> None:
+        """Every well-formedness violation passes through here.
+
+        ``strict`` raises it. In the other modes the first violation
+        records ``malformed-listing``; ``salvage`` then raises too (its
+        chunk driver drops the listing) and ``lenient`` returns to the
+        caller, which applies and records the repair.
+        """
+        if location is None:
+            location = self.scanner.location()
+        if self.mode != "strict" and self.first_repair is None:
+            self.log.record("malformed-listing",
+                            f"listing is not well-formed: {message}",
+                            location, self.listing)
+            self.first_repair = len(self.log.events)
+        if self.mode != "lenient":
+            raise XMLSyntaxError(message, location.line, location.column)
+
+    def _repair(self, kind: str, message: str,
+                location: SourceLocation | None = None) -> None:
+        """Record a repair, at the cursor unless ``location`` is given."""
+        if location is None:
+            location = self.scanner.location()
+        self.log.record(kind, message, location, self.listing)
+
+    # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
     def parse_document(self) -> Document:
+        scanner = self.scanner
         self._parse_prolog()
+        if not (scanner.peek() == "<" and is_name_start(scanner.peek(1))):
+            self._not_an_element()
         root = self._parse_element()
         self._skip_misc()
-        if not self.scanner.at_end:
-            raise self.scanner.error("content after the root element")
+        if not scanner.at_end:
+            self._violation("content after the root element")
         return Document(root, self.doctype_name, self.version,
                         self.encoding, self.internal_subset)
 
     def parse_fragments(self) -> list[Element]:
+        scanner = self.scanner
         self._parse_prolog()
         roots: list[Element] = []
         while True:
             self._skip_misc()
-            if self.scanner.at_end:
+            if scanner.at_end:
                 break
-            roots.append(self._parse_element())
+            if scanner.peek() == "<" and is_name_start(scanner.peek(1)):
+                roots.append(self._parse_element())
+            else:
+                self._skip_stray()
         if not roots:
-            raise self.scanner.error("no elements found")
+            self._violation("no elements found")
         return roots
 
     # ------------------------------------------------------------------
-    # prolog
+    # prolog and top-level misc
     # ------------------------------------------------------------------
     def _parse_prolog(self) -> None:
         scanner = self.scanner
         scanner.skip_whitespace()
         if scanner.looking_at("<?xml"):
-            self._parse_xml_declaration()
+            scanner.advance(len("<?xml"))
+            body = self._until("?>", "XML declaration")
+            try:
+                pairs = _parse_pseudo_attributes(body)
+            except XMLSyntaxError as exc:
+                self._violation(exc.reason, exc.location)
+                pairs = []
+            for key, value in pairs:
+                if key == "version":
+                    self.version = value
+                elif key == "encoding":
+                    self.encoding = value
         while True:
-            scanner.skip_whitespace()
-            if scanner.looking_at("<!--"):
-                self._skip_comment()
-            elif scanner.looking_at("<?"):
-                scanner.advance(2)
-                scanner.read_until("?>")
-            elif scanner.looking_at("<!DOCTYPE"):
+            self._skip_misc()
+            if not scanner.looking_at("<!DOCTYPE"):
+                return
+            start = scanner.pos
+            try:
                 self._parse_doctype()
-            else:
-                break
-
-    def _parse_xml_declaration(self) -> None:
-        scanner = self.scanner
-        scanner.expect("<?xml")
-        body = scanner.read_until("?>")
-        for key, value in _parse_pseudo_attributes(body):
-            if key == "version":
-                self.version = value
-            elif key == "encoding":
-                self.encoding = value
+            except XMLSyntaxError as exc:
+                self._violation(exc.reason, exc.location)
+                scanner.pos = start
+                scanner.skip_markup_decl()
 
     def _parse_doctype(self) -> None:
         scanner = self.scanner
@@ -119,19 +186,14 @@ class _Parser:
         scanner.skip_whitespace()
         self.doctype_name = scanner.read_name()
         scanner.skip_whitespace()
-        # Optional external identifier (SYSTEM/PUBLIC) — recorded but unused.
-        if scanner.looking_at("SYSTEM"):
-            scanner.advance(len("SYSTEM"))
-            scanner.skip_whitespace()
-            scanner.read_quoted()
-            scanner.skip_whitespace()
-        elif scanner.looking_at("PUBLIC"):
-            scanner.advance(len("PUBLIC"))
-            scanner.skip_whitespace()
-            scanner.read_quoted()
-            scanner.skip_whitespace()
-            scanner.read_quoted()
-            scanner.skip_whitespace()
+        # Optional external identifier (SYSTEM/PUBLIC) — read but unused.
+        for keyword, literals in (("SYSTEM", 1), ("PUBLIC", 2)):
+            if scanner.looking_at(keyword):
+                scanner.advance(len(keyword))
+                for _ in range(literals):
+                    scanner.skip_whitespace()
+                    scanner.read_quoted()
+                scanner.skip_whitespace()
         if scanner.peek() == "[":
             scanner.advance()
             start = scanner.pos
@@ -149,131 +211,312 @@ class _Parser:
             scanner.skip_whitespace()
         scanner.expect(">")
 
+    def _skip_misc(self) -> None:
+        """Skip whitespace, comments and processing instructions."""
+        scanner = self.scanner
+        while True:
+            scanner.skip_whitespace()
+            if scanner.looking_at("<!--"):
+                self._comment()
+            elif scanner.looking_at("<?"):
+                scanner.advance(2)
+                self._until("?>", "processing instruction")
+            else:
+                return
+
+    def _skip_stray(self) -> None:
+        """Skip top-level content that does not start an element."""
+        scanner = self.scanner
+        start = scanner.pos
+        self._not_an_element()
+        if scanner.looking_at("<!"):
+            scanner.skip_markup_decl()
+            message = "markup declaration between listings skipped"
+        else:
+            scanner.skip_to(FRAGMENT_START)
+            junk = clip(scanner.text[start:scanner.pos])
+            message = f"content {junk!r} outside any element skipped"
+        self._repair("stray-markup", message, scanner.location(start))
+
+    def _not_an_element(self) -> None:
+        """The violation for markup at the cursor that is not a start
+        tag where one is due."""
+        scanner = self.scanner
+        if scanner.peek() != "<":
+            found = scanner.peek() or "<end of input>"
+            self._violation(f"expected '<', found {found!r}")
+        else:
+            found = scanner.peek(1) or "<end of input>"
+            self._violation(f"expected a name, found {found!r}",
+                            scanner.location(scanner.pos + 1))
+
     # ------------------------------------------------------------------
     # elements
     # ------------------------------------------------------------------
     def _parse_element(self) -> Element:
+        """Parse the element whose start tag is at the cursor, its
+        descendants held on an explicit stack of open elements."""
         scanner = self.scanner
-        location = scanner.location()
-        scanner.expect("<")
-        tag = scanner.read_name()
-        attributes = self._parse_attributes()
-        if scanner.looking_at("/>"):
-            scanner.advance(2)
-            node = Element(tag, attributes)
-            node.source_location = location
-            return node
-        scanner.expect(">")
-        node = Element(tag, attributes)
-        node.source_location = location
-        self._parse_content(node)
-        scanner.expect("</")
-        end_tag = scanner.read_name()
-        if end_tag != tag:
-            raise scanner.error(
-                f"mismatched end tag </{end_tag}> for <{tag}>")
-        scanner.skip_whitespace()
-        scanner.expect(">")
-        return node
-
-    def _parse_attributes(self) -> dict[str, str]:
-        scanner = self.scanner
-        attributes: dict[str, str] = {}
-        while True:
-            skipped = scanner.skip_whitespace()
-            ch = scanner.peek()
-            if ch in (">", "/") or scanner.at_end:
-                return attributes
-            if not skipped:
-                raise scanner.error("expected whitespace before attribute")
-            if not is_name_start(ch):
-                raise scanner.error(f"unexpected character {ch!r} in tag")
-            name = scanner.read_name()
-            scanner.skip_whitespace()
-            scanner.expect("=")
-            scanner.skip_whitespace()
-            raw = scanner.read_quoted()
-            if name in attributes:
-                raise scanner.error(f"duplicate attribute {name!r}")
-            attributes[name] = _decode_text(raw, scanner)
-
-    def _parse_content(self, node: Element) -> None:
-        scanner = self.scanner
+        root, empty = self._parse_start_tag()
+        if empty:
+            return root
+        stack = [root]
         buffer: list[str] = []
+        keep_whitespace = self.keep_whitespace
 
         def flush() -> None:
             if not buffer:
                 return
             text = "".join(buffer)
             buffer.clear()
-            if not self.keep_whitespace and not text.strip():
-                return
-            node.append_text(text)
+            if keep_whitespace or text.strip():
+                stack[-1].append_text(text)
 
-        while True:
+        while stack:
             run = scanner.consume(CHAR_DATA)
             if run:
                 buffer.append(run)
             if scanner.at_end:
-                raise scanner.error(f"unterminated element <{node.tag}>")
+                self._violation(f"unterminated element <{stack[-1].tag}>")
+                flush()
+                for node in reversed(stack):
+                    self._repair("auto-closed", f"auto-closed <{node.tag}> "
+                                 "still open at end of input")
+                break
             if scanner.looking_at("</"):
+                self._parse_end_tag(stack, flush)
+            elif scanner.looking_at("<!--"):
                 flush()
-                return
-            if scanner.looking_at("<!--"):
-                flush()
-                self._skip_comment()
+                self._comment()
             elif scanner.looking_at("<![CDATA["):
                 scanner.advance(len("<![CDATA["))
-                buffer.append(scanner.read_until("]]>"))
+                buffer.append(self._until("]]>", "CDATA section"))
             elif scanner.looking_at("<?"):
                 flush()
                 scanner.advance(2)
-                scanner.read_until("?>")
-            elif scanner.peek() == "<":
+                self._until("?>", "processing instruction")
+            elif scanner.peek() != "<":  # "&"
+                buffer.append(self._reference())
+            elif is_name_start(scanner.peek(1)):
                 flush()
-                node.append(self._parse_element())
-            else:  # "&"
-                scanner.advance()
-                name = scanner.read_until(";")
-                buffer.append(decode_entity(name, scanner))
-
-    # ------------------------------------------------------------------
-    # misc
-    # ------------------------------------------------------------------
-    def _skip_comment(self) -> None:
-        self.scanner.expect("<!--")
-        body = self.scanner.read_until("-->")
-        if "--" in body:
-            raise self.scanner.error("'--' is not allowed inside a comment")
-
-    def _skip_misc(self) -> None:
-        scanner = self.scanner
-        while True:
-            scanner.skip_whitespace()
-            if scanner.looking_at("<!--"):
-                self._skip_comment()
-            elif scanner.looking_at("<?"):
-                scanner.advance(2)
-                scanner.read_until("?>")
+                child, empty = self._parse_start_tag()
+                stack[-1].append(child)
+                if not empty:
+                    stack.append(child)
             else:
-                return
+                self._not_an_element()
+                self._repair("stray-markup",
+                             "stray '<' treated as character data")
+                buffer.append(scanner.advance())
+        return root
 
+    def _parse_start_tag(self) -> tuple[Element, bool]:
+        """Parse the start tag at the cursor (a ``<`` and a name start);
+        return the element and whether the tag was self-closing."""
+        scanner = self.scanner
+        location = scanner.location()
+        scanner.pos += 1  # "<"
+        tag = scanner.consume(NAME)
+        node = Element(tag)
+        node.source_location = location
+        while True:
+            skipped = scanner.skip_whitespace()
+            ch = scanner.peek()
+            if ch == ">":
+                scanner.pos += 1
+                return node, False
+            if scanner.looking_at("/>"):
+                scanner.pos += 2
+                return node, True
+            if not ch:
+                self._violation("expected '>', found '<end of input>'")
+                self._repair("unterminated", f"start tag <{tag}> not closed "
+                             "before end of input", location)
+                return node, False
+            if ch == "/":
+                self._violation("expected '>', found '/'")
+            elif not skipped:
+                self._violation("expected whitespace before attribute")
+            elif not is_name_start(ch):
+                self._violation(f"unexpected character {ch!r} in tag")
+            if ch == "<":
+                self._repair("unterminated", f"start tag <{tag}> not closed "
+                             "before the next tag", location)
+                return node, False
+            if not is_name_start(ch):
+                self._repair("malformed-attribute", f"unexpected character "
+                             f"{ch!r} in <{tag}> start tag skipped")
+                scanner.advance()
+                continue
+            if not skipped:
+                self._repair("malformed-attribute", "missing whitespace "
+                             f"before attribute in <{tag}>")
+            self._parse_attribute(tag, node.attributes)
 
-def _decode_text(raw: str, scanner: Scanner) -> str:
-    """Resolve entity references inside an attribute value."""
-    out: list[str] = []
-    i = 0
-    while (amp := raw.find("&", i)) >= 0:
-        end = raw.find(";", amp + 1)
+    def _parse_attribute(self, tag: str, attributes: dict[str, str]) -> None:
+        scanner = self.scanner
+        name = scanner.consume(NAME)
+        scanner.skip_whitespace()
+        if scanner.peek() != "=":
+            found = scanner.peek() or "<end of input>"
+            self._violation(f"expected '=', found {found!r}")
+            self._repair("malformed-attribute", f"attribute {name!r} in "
+                         f"<{tag}> has no value; treated as empty")
+            raw = ""
+        else:
+            scanner.advance()
+            scanner.skip_whitespace()
+            quote = scanner.peek()
+            if quote in ("'", '"'):
+                scanner.advance()
+                raw = self._until(quote, f"value of attribute {name!r}")
+            else:
+                self._violation("expected a quoted literal")
+                self._repair("malformed-attribute", "unquoted value for "
+                             f"attribute {name!r} in <{tag}>")
+                raw = scanner.consume(_UNQUOTED_VALUE)
+        duplicate = name in attributes
+        if duplicate:
+            self._violation(f"duplicate attribute {name!r}")
+        value = self._attribute_text(raw)
+        if duplicate:
+            self._repair("malformed-attribute",
+                         f"duplicate attribute {name!r} in <{tag}> ignored")
+        else:
+            attributes[name] = value
+
+    def _parse_end_tag(self, stack: list[Element], flush) -> None:
+        """Parse the end tag at the cursor, closing what it names."""
+        scanner = self.scanner
+        start = scanner.pos
+        scanner.pos += 2  # "</"
+        name = scanner.consume(NAME)
+        if not name:
+            found = scanner.peek() or "<end of input>"
+            self._violation(f"expected a name, found {found!r}")
+            self._repair("stray-markup", "malformed end tag treated as "
+                         "character data", scanner.location(start))
+            flush()
+            stack[-1].append_text("</")
+            return
+        open_tag = stack[-1].tag
+        if name != open_tag:
+            self._violation(f"mismatched end tag </{name}> for <{open_tag}>")
+        scanner.skip_whitespace()
+        if scanner.peek() == ">":
+            scanner.pos += 1
+        else:
+            found = scanner.peek() or "<end of input>"
+            self._violation(f"expected '>', found {found!r}")
+            junk = scanner.location()
+            self._until(">", f"end tag </{name}>")
+            self._repair("stray-markup",
+                         f"junk inside end tag </{name}> skipped", junk)
+        if name == open_tag:
+            flush()
+            stack.pop()
+            return
+        location = scanner.location(start)
+        if all(node.tag != name for node in stack):
+            self._repair("stray-end-tag", f"ignored end tag </{name}> "
+                         "that matches no open element", location)
+            return
+        flush()
+        while stack[-1].tag != name:
+            self._repair("auto-closed", f"auto-closed <{stack.pop().tag}> "
+                         f"at mismatched end tag </{name}>", location)
+        stack.pop()
+
+    # ------------------------------------------------------------------
+    # entity references
+    # ------------------------------------------------------------------
+    def _reference(self) -> str:
+        """Resolve the entity reference whose ``&`` is at the cursor."""
+        scanner = self.scanner
+        start = scanner.pos
+        scanner.advance()
+        end = scanner.text.find(";", scanner.pos)
+        body = scanner.text[scanner.pos:end] if end >= 0 else ""
+        value = decode_entity(body)
+        if value is not None:
+            scanner.pos = end + 1
+            return value
         if end < 0:
-            raise scanner.error("unterminated entity reference")
-        out.append(raw[i:amp])
-        out.append(decode_entity(raw[amp + 1:end], scanner))
-        i = end + 1
-    if not out:
-        return raw
-    out.append(raw[i:])
-    return "".join(out)
+            self._violation("unterminated construct, expected ';'")
+        else:
+            self._violation(f"unknown entity reference &{body};",
+                            scanner.location(end + 1))
+        location = scanner.location(start)
+        if not _plausible_entity(body):
+            self._repair("skipped-entity", "malformed entity reference "
+                         "treated as literal '&'", location)
+            return "&"
+        scanner.pos = end + 1
+        self._repair("skipped-entity", f"undeclared entity &{body}; kept "
+                     "as literal text", location)
+        return f"&{body};"
+
+    def _attribute_text(self, raw: str) -> str:
+        """Resolve the entity references inside an attribute value."""
+        out: list[str] = []
+        i = 0
+        while (amp := raw.find("&", i)) >= 0:
+            out.append(raw[i:amp])
+            end = raw.find(";", amp + 1)
+            body = raw[amp + 1:end] if end >= 0 else ""
+            value = decode_entity(body)
+            i = end + 1
+            if value is None:
+                self._violation("unterminated entity reference" if end < 0
+                                else f"unknown entity reference &{body};")
+                if not _plausible_entity(body):
+                    self._repair("skipped-entity", "malformed entity "
+                                 "reference in attribute value kept "
+                                 "literally")
+                    value = "&"
+                    i = amp + 1
+                else:
+                    self._repair("skipped-entity", f"undeclared entity "
+                                 f"&{body}; in attribute value kept "
+                                 "literally")
+                    value = f"&{body};"
+            out.append(value)
+        if not out:
+            return raw
+        out.append(raw[i:])
+        return "".join(out)
+
+    # ------------------------------------------------------------------
+    # comments and terminated constructs
+    # ------------------------------------------------------------------
+    def _comment(self) -> None:
+        scanner = self.scanner
+        start = scanner.pos
+        scanner.advance(len("<!--"))
+        if "--" in self._until("-->", "comment"):
+            self._violation("'--' is not allowed inside a comment")
+            self._repair("malformed-comment", "'--' inside a comment kept",
+                         scanner.location(start))
+
+    def _until(self, terminator: str, what: str) -> str:
+        """Consume through ``terminator``; return the text before it.
+        The repair for a missing terminator consumes the rest."""
+        scanner = self.scanner
+        index = scanner.text.find(terminator, scanner.pos)
+        if index < 0:
+            self._violation(f"unterminated construct, expected {terminator!r}")
+            self._repair("unterminated",
+                         f"unterminated {what} consumed to end of input")
+            index = len(scanner.text)
+        body = scanner.text[scanner.pos:index]
+        scanner.pos = min(index + len(terminator), len(scanner.text))
+        return body
+
+
+def _plausible_entity(body: str) -> bool:
+    """True if ``body`` could be an entity-reference body."""
+    return 0 < len(body) < _MAX_ENTITY and \
+        _NOT_ENTITY_BODY.search(body) is None
 
 
 def _parse_pseudo_attributes(body: str) -> list[tuple[str, str]]:
@@ -289,3 +532,11 @@ def _parse_pseudo_attributes(body: str) -> list[tuple[str, str]]:
         scanner.expect("=")
         scanner.skip_whitespace()
         pairs.append((name, scanner.read_quoted()))
+
+
+def clip(text: str, limit: int = 30) -> str:
+    """``text`` with whitespace runs collapsed, cut to ``limit`` chars."""
+    text = " ".join(text.split())
+    if len(text) <= limit:
+        return text
+    return text[:limit] + "..."

@@ -228,6 +228,21 @@ class TestErrors:
         ])
         assert code == 2
 
+    def test_out_of_range_character_reference(self, generated, model,
+                                              tmp_path, capsys):
+        listings = tmp_path / "listings.xml"
+        listings.write_text("<house>\n<price>&#99999999999;</price>"
+                            "</house>\n")
+        code = main([
+            "match", "--model", str(model),
+            "--schema", str(generated / "greathomes.com" / "schema.dtd"),
+            "--listings", str(listings),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown entity reference &#99999999999; (line 2" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_bad_mapping_file(self, generated, tmp_path, capsys):
         source = tmp_path / "src"
         source.mkdir()

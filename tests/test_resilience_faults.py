@@ -186,6 +186,23 @@ class TestDegradationReport:
         entries = report.as_dict()["retries"]
         assert [entry["task"] for entry in entries] == [1, 3]
 
+    def test_summary_names_every_degradation(self):
+        report = DegradationReport()
+        assert report.summary() == "degraded"
+        report.quarantine("nb", "predict", "boom", "ValueError")
+        report.retried("predict", 1, 2, True)
+        report.pool_failed("predict")
+        report.worker_died("predict", 0, 1)
+        report.watchdog_event("stall", "no events")
+        report.pressure(1, "halve_shard_grain")
+        report.mark_anytime()
+        report.artifact_failed("report", "disk full")
+        assert report.summary() == (
+            "quarantined learners: nb; task retries: 1; pool fell back "
+            "to serial: predict; worker deaths: 1; watchdog: stall; "
+            "memory pressure: halve_shard_grain; anytime search exit; "
+            "artifacts not written: report")
+
     def test_every_site_is_catalogued(self):
         from repro.resilience import (SITE_EXECUTOR_POOL,
                                       SITE_LEARNER_FIT,

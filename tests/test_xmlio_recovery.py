@@ -1,8 +1,16 @@
 """Tests for error-recovering XML ingestion (lenient/salvage modes)."""
 
-import pytest
+import functools
+import random
 
-from repro.xmlio import parse_fragments, write_element
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.datasets import load_domain
+from repro.datasets.registry import DOMAIN_NAMES
+from repro.resilience.faults import CORRUPTION_STYLES, corrupt_text
+from repro.xmlio import parse_element, parse_fragments, write_element
 from repro.xmlio.errors import XMLSyntaxError
 from repro.xmlio.recovery import (INGEST_MODES, RecoveryLog,
                                   read_fragments, split_fragments)
@@ -119,6 +127,24 @@ class TestSalvageMode:
         assert any(event.kind == "no-elements" for event in log.events)
 
 
+def test_each_listing_is_parsed_once(monkeypatch):
+    """A malformed listing is read once, not strictly and then again
+    to repair it: one scanner for the chunker, one per listing."""
+    from repro.xmlio.lexer import Scanner
+    texts = []
+    init = Scanner.__init__
+
+    def counting_init(self, text, *args):
+        texts.append(text)
+        init(self, text, *args)
+
+    monkeypatch.setattr(Scanner, "__init__", counting_init)
+    for mode in ("lenient", "salvage"):
+        texts.clear()
+        read_fragments(UNBALANCED, mode)
+        assert len(texts) == 1 + 3, mode
+
+
 class TestRecoveryLog:
     def test_as_dict_shape(self):
         _, log = read_fragments(UNBALANCED, "lenient")
@@ -152,3 +178,105 @@ class TestSplitFragments:
     def test_stray_content_is_its_own_fragment(self):
         fragments = split_fragments("junk <a>1</a>")
         assert [f.kind for f in fragments] == ["stray", "element"]
+
+
+class TestCharacterReferences:
+    """Only XML's ``CharRef`` forms naming an XML ``Char`` resolve."""
+
+    REJECTED = ["#99999999999", "#x+41", "# 65", "#1_0", "#\u0663",
+                "#X41", "#0", "#xD800", "#xFFFE", "#x110000",
+                "#" + "1" * 5000]
+    ACCEPTED = {"#65": "A", "#x41": "A", "#x2014": "\u2014",
+                "#0000065": "A", "#9": "\t", "#x10FFFF": "\U0010ffff"}
+
+    @pytest.mark.parametrize("body", REJECTED, ids=range(len(REJECTED)))
+    def test_strict_rejects(self, body):
+        for markup in (f"<t>&{body};</t>", f'<t a="&{body};"/>'):
+            with pytest.raises(XMLSyntaxError,
+                               match="unknown entity reference"):
+                parse_element(markup)
+
+    @pytest.mark.parametrize("body", REJECTED, ids=range(len(REJECTED)))
+    def test_lenient_keeps_the_reference_as_text(self, body):
+        roots, log = read_fragments(f"<t>&{body};</t><u>ok</u>",
+                                    "lenient")
+        assert roots[0].text_content() == f"&{body};"
+        assert roots[1].text_content() == "ok"
+        assert log.recovered == [0] and log.clean == [1]
+        assert "skipped-entity" in log.counts()
+
+    @pytest.mark.parametrize("body", REJECTED, ids=range(len(REJECTED)))
+    def test_salvage_drops_the_listing(self, body):
+        roots, log = read_fragments(f'<t a="&{body};"/><u>ok</u>',
+                                    "salvage")
+        assert [root.tag for root in roots] == ["u"]
+        assert log.dropped == [0]
+
+    def test_accepted_references(self):
+        for body, char in self.ACCEPTED.items():
+            for mode in INGEST_MODES:
+                roots, log = read_fragments(
+                    f'<t a="[&{body};]">[&{body};]</t>', mode)
+                assert roots[0].immediate_text() == f"[{char}]"
+                assert roots[0].attributes["a"] == f"[{char}]"
+                assert log.ok
+
+
+# ---------------------------------------------------------------------------
+# never raise: arbitrary text and damaged listings of every domain
+# ---------------------------------------------------------------------------
+#: Tokens weighted towards markup, so random texts hit every repair.
+TOKENS = list("<>&;#/!?[]\"'\n") + [
+    "a", "b", " ", "=", "x", "9", "<a>", "</a>", "<b ", "/>", "&amp;",
+    "&#", "&#x", "99999999999", "<!--", "-->", "<![CDATA[", "]]>", "<?",
+    "?>", "<!DOCTYPE", "\u00e9"]
+arbitrary_texts = st.lists(st.sampled_from(TOKENS), max_size=60).map(
+    "".join)
+
+@functools.cache
+def written_listings(domain):
+    """Two listings of each source of ``domain``, as ``lsd generate``
+    writes them."""
+    return [write_element(listing, indent=2)
+            for source in load_domain(domain).sources
+            for listing in source.listings(2)]
+
+
+def check_never_raises(text):
+    """Lenient and salvage return; their events sit inside the input;
+    strict raises nothing but XMLSyntaxError. Returns the results."""
+    results = {}
+    try:
+        results["strict"] = read_fragments(text, "strict")
+    except XMLSyntaxError:
+        pass
+    last_line = text.count("\n") + 1
+    for mode in INGEST_MODES[1:]:
+        roots, log = results[mode] = read_fragments(text, mode)
+        for event in log.events:
+            assert 1 <= event.location.line <= last_line, event
+            assert event.location.column >= 1, event
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_texts)
+@example("<t>&#99999999999;</t>")
+@example('<t a="&#x+41;">&# 65;</t>&#1_0;<u>&#\u0663;')
+def test_arbitrary_text_never_raises(text):
+    check_never_raises(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DOMAIN_NAMES), st.integers(0, 9),
+       st.sampled_from(CORRUPTION_STYLES), st.integers(0, 2 ** 16))
+def test_damaged_listings_never_raise(domain, first, style, seed):
+    listings = written_listings(domain)[first:first + 3]
+    clean = "\n".join(listings) + "\n"
+    results = check_never_raises(clean)
+    trees = [[write_element(root) for root in results[mode][0]]
+             for mode in INGEST_MODES]
+    assert trees[0] == trees[1] == trees[2]
+    assert all(results[mode][1].ok for mode in INGEST_MODES)
+    damaged = [corrupt_text(listings[0], style, random.Random(seed))]
+    check_never_raises("\n".join(damaged + listings[1:]) + "\n")

@@ -1,7 +1,7 @@
 """Golden parse fixture for the XML substrate: inputs, dumps, and writer.
 
-``tests/data/xmlio_golden.json`` records what the parser, the recovering
-parser and the DTD parser produce for a fixed set of inputs: every
+``tests/data/xmlio_golden.json`` records what the XML parser, in each
+ingestion mode, and the DTD parser produce for a fixed set of inputs: every
 element tree (tag, attributes, children, ``source_location``), every
 :class:`~repro.xmlio.recovery.RecoveryLog`, and every syntax error's
 message, line and column. ``tests/test_xmlio_golden.py`` replays the
@@ -36,7 +36,7 @@ LISTINGS_PER_SOURCE = 2
 
 #: Every malformed input of ``test_xmlio_parser.py`` and
 #: ``test_xmlio_recovery.py``, plus inputs that reach the remaining
-#: repair paths of the recovering parser and the chunker.
+#: repair paths of lenient mode and the chunker.
 MALFORMED = [
     # test_xmlio_parser.py
     "<a>",
