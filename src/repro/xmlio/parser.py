@@ -157,9 +157,10 @@ class _Parser:
         scanner.skip_whitespace()
         if scanner.looking_at("<?xml"):
             scanner.advance(len("<?xml"))
+            start = scanner.location()
             body = self._until("?>", "XML declaration")
             try:
-                pairs = _parse_pseudo_attributes(body)
+                pairs = _parse_pseudo_attributes(body, start)
             except XMLSyntaxError as exc:
                 self._violation(exc.reason, exc.location)
                 pairs = []
@@ -519,9 +520,11 @@ def _plausible_entity(body: str) -> bool:
         _NOT_ENTITY_BODY.search(body) is None
 
 
-def _parse_pseudo_attributes(body: str) -> list[tuple[str, str]]:
-    """Parse ``key="value"`` pairs inside an XML declaration body."""
-    scanner = Scanner(body)
+def _parse_pseudo_attributes(body: str, start: SourceLocation
+                             ) -> list[tuple[str, str]]:
+    """Parse ``key="value"`` pairs inside an XML declaration body that
+    begins at ``start``."""
+    scanner = Scanner(body, start.line, start.column)
     pairs: list[tuple[str, str]] = []
     while True:
         scanner.skip_whitespace()

@@ -139,6 +139,15 @@ class TestErrors:
         with pytest.raises(XMLSyntaxError):
             parse_document(bad)
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("<?xml version=1.0?><r/>", 1, 15),
+        ("<?xml\n  version=1.0?><r/>", 2, 11),
+    ])
+    def test_declaration_error_is_file_absolute(self, text, line, column):
+        with pytest.raises(XMLSyntaxError) as excinfo:
+            parse_document(text)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
     def test_error_carries_position(self):
         with pytest.raises(XMLSyntaxError) as excinfo:
             parse_document("<a>\n<b></c>\n</a>")
