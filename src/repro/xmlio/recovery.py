@@ -145,10 +145,11 @@ def split_fragments(text: str) -> list[Fragment]:
             break
         location = scanner.location()
         start = scanner.pos
-        if scanner.looking_at("<!--"):
-            scanner.skip_past("-->")
-        elif scanner.looking_at("<?"):
-            scanner.skip_past("?>")
+        if scanner.looking_at("<!--") or scanner.looking_at("<?"):
+            if not _skip_misc(scanner):
+                fragments.append(Fragment(text[start:scanner.pos],
+                                          location.line, location.column,
+                                          "stray"))
         elif scanner.looking_at("<!"):
             scanner.skip_markup_decl()
         elif scanner.peek() == "<" and is_name_start(scanner.peek(1)):
@@ -162,6 +163,19 @@ def split_fragments(text: str) -> list[Fragment]:
                 fragments.append(Fragment(chunk, location.line,
                                           location.column, "stray"))
     return fragments
+
+
+def _skip_misc(scanner: Scanner) -> bool:
+    """Advance past the comments and processing instructions at the
+    cursor, by the parser's own grammar; False if one is malformed.
+
+    A malformed one becomes a stray fragment, so lenient and salvage
+    record what strict rejects.
+    """
+    probe = _Parser("", mode="lenient", log=RecoveryLog())
+    probe.scanner = scanner
+    probe._skip_misc()
+    return probe.first_repair is None
 
 
 def _consume_element(scanner: Scanner) -> None:

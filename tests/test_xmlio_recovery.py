@@ -112,6 +112,30 @@ class TestLenientMode:
         assert entry["listing"] == 1
 
 
+class TestTopLevelMisc:
+    """A malformed comment or processing instruction between listings
+    is recorded, not skipped silently: strict rejects it."""
+
+    @pytest.mark.parametrize("text, tags", [
+        ("<!-->\n<a>1</a>", []),
+        ("<a>1</a><!-- x -- y --><b/>", ["a", "b"]),
+        ("<a>1</a>\n<?pi\n<b/>", ["a"]),
+    ])
+    @pytest.mark.parametrize("mode", ["lenient", "salvage"])
+    def test_recorded(self, text, tags, mode):
+        with pytest.raises(XMLSyntaxError):
+            read_fragments(text, "strict")
+        roots, log = read_fragments(text, mode)
+        assert [root.tag for root in roots] == tags
+        assert "stray-markup" in log.counts()
+
+    def test_well_formed_ones_stay_silent(self):
+        roots, log = read_fragments(
+            "<?pi x?><a>1</a><!-- ok --><!----><b/>", "lenient")
+        assert [root.tag for root in roots] == ["a", "b"]
+        assert log.ok
+
+
 class TestSalvageMode:
     def test_drops_malformed_keeps_siblings(self):
         roots, log = read_fragments(UNBALANCED, "salvage")
