@@ -9,6 +9,15 @@ Pickle is the serialisation layer: the whole system in one pickle
 stream, behind a format header that guards against loading files
 produced by incompatible library versions.
 
+Format version 2 stores each training source's listings as one compact
+XML string (see :class:`~repro.core.training.TrainingSource`) instead
+of as ``Element`` trees. Matching never reads the training listings;
+only retraining (:meth:`LSDSystem.confirm_and_learn`) and readers of
+``training_sources`` do, and they parse the string on first use. So a
+load unpickles a few large strings instead of hundreds of thousands of
+small tree objects, and never parses a listing. Version-1 files are
+refused; retrain to get a version-2 file.
+
 .. warning:: as with any pickle-based format, only load model files you
    trust.
 """
@@ -21,7 +30,7 @@ from pathlib import Path
 from .system import LSDSystem
 
 #: Bumped whenever the on-disk layout changes incompatibly.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _MAGIC = "repro-lsd"
 
 #: What ``pickle.load`` raises on corrupt or incompatible input:

@@ -31,11 +31,8 @@ from .training import (TrainingSource, build_training_set,
                        train_base_learners, train_meta_learner)
 
 
-#: Per-run execution settings: never pickled with the model, and
-#: ignored when an older model file carries them.
+#: Per-run execution settings: never pickled with the model.
 _RUN_SETTINGS = ("workers", "backend")
-#: State older model files carry that no longer exists.
-_RETIRED_STATE = ("train_profile",)
 
 
 class LSDSystem:
@@ -144,8 +141,7 @@ class LSDSystem:
         and — for the process backend — the lazily built worker pool.
         """
         pool = self._ensure_pool() if self.backend == "process" else None
-        return ParallelExecutor(self.workers,
-                                getattr(self, "policy", None),
+        return ParallelExecutor(self.workers, self.policy,
                                 backend=self.backend, pool=pool)
 
     def _ensure_pool(self):
@@ -167,23 +163,22 @@ class LSDSystem:
             self.close_pool()
             return None
         pool_size = max(1, min(workers, os.cpu_count() or 1))
-        pool = getattr(self, "_procpool", None)
+        pool = self._procpool
         if pool is not None and (not pool.alive
                                  or pool.size != pool_size):
             self.close_pool()
             pool = None
         if pool is None:
             from .procpool import WorkerPool
-            learners = getattr(self, "active_learners", None) \
-                or self.learners
-            pool = WorkerPool(learners, pool_size)
+            pool = WorkerPool(self.active_learners or self.learners,
+                              pool_size)
             self._procpool = pool
         return pool
 
     def close_pool(self) -> None:
         """Shut down the worker-process pool, if one is live. Safe to
         call at any time; the next process-backend run rebuilds it."""
-        pool = getattr(self, "_procpool", None)
+        pool = self._procpool
         if pool is not None:
             pool.shutdown()
         self._procpool = None
@@ -200,12 +195,8 @@ class LSDSystem:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Model files written before the execution settings were
-        # dropped carry them (``backend="thread"`` among them); a
-        # loaded model always starts serial on the default backend.
-        self.__dict__.update(
-            {key: value for key, value in state.items()
-             if key not in _RUN_SETTINGS + _RETIRED_STATE})
+        # A loaded model always starts serial on the default backend.
+        self.__dict__.update(state)
         self.workers = 1
         self.backend = "process"
 
@@ -270,7 +261,7 @@ class LSDSystem:
             with trace.span("fit") as stage_span:
                 survivors = train_base_learners(
                     self.learners, instances, labels, self.space,
-                    observer=obs, policy=getattr(self, "policy", None))
+                    observer=obs, policy=self.policy)
                 if not survivors:
                     raise RuntimeError(
                         "every base learner failed to train")
@@ -321,15 +312,14 @@ class LSDSystem:
         if isinstance(schema, str):
             schema = SourceSchema(schema)
         score_filter = self.pruner.prune_scores if self.pruner else None
-        # Quarantined-at-fit learners stay out of the matching ensemble
-        # (getattr: models pickled before active_learners existed).
-        learners = getattr(self, "active_learners", None) or self.learners
+        # Quarantined-at-fit learners stay out of the matching ensemble.
+        learners = self.active_learners or self.learners
         return match_source(
             schema, listings, learners, self.meta, self.converter,
             self.handler, self.space, extra_constraints,
             self.max_instances_per_tag, score_filter=score_filter,
             executor=self.executor, observer=observer,
-            policy=getattr(self, "policy", None),
+            policy=self.policy,
             checkpoint=checkpoint)
 
     def confirm_and_learn(self, schema: SourceSchema | str,

@@ -16,14 +16,12 @@ Steps, as in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..learners.base import BaseLearner
 from ..learners.meta import StackingMetaLearner, cross_validate_many
 from ..observability import Observer, resolve_observer
 from ..resilience.policy import call_with_timeout
 from ..resilience.sites import SITE_LEARNER_FIT
-from ..xmlio import Element
+from ..xmlio import Element, parse_fragments, write_element
 from .instance import (ElementInstance, extract_columns, fill_child_labels)
 from .labels import OTHER, LabelSpace
 from .mapping import Mapping
@@ -31,21 +29,51 @@ from .parallel import ParallelExecutor, resolve
 from .schema import SourceSchema
 
 
-@dataclass
 class TrainingSource:
-    """One user-mapped source: schema + extracted listings + 1-1 mapping."""
+    """One user-mapped source: schema + extracted listings + 1-1 mapping.
 
-    schema: SourceSchema
-    listings: list[Element]
-    mapping: Mapping
+    A pickled source carries its listings as one compact XML string
+    (:func:`~repro.xmlio.write_element`), not as ``Element`` trees: one
+    string pickles and unpickles as a single object. The string is
+    parsed back the first time :attr:`listings` is read, so loading a
+    saved model and matching with it never parses a listing.
+    """
 
-    def __post_init__(self) -> None:
-        unknown = [tag for tag in self.mapping.tags()
-                   if tag not in self.schema.tags]
+    def __init__(self, schema: SourceSchema, listings: list[Element],
+                 mapping: Mapping) -> None:
+        unknown = [tag for tag in mapping.tags() if tag not in schema.tags]
         if unknown:
             raise ValueError(
                 f"mapping mentions tags not in schema "
-                f"{self.schema.name!r}: {unknown}")
+                f"{schema.name!r}: {unknown}")
+        self.schema = schema
+        self.mapping = mapping
+        self._listings: list[Element] | None = list(listings)
+        #: The listings as written XML while they are unparsed.
+        self._listings_xml: str | None = None
+
+    @property
+    def listings(self) -> list[Element]:
+        if self._listings is None:
+            # keep_whitespace: whitespace-only text written from a
+            # listing is the listing's own, not indentation.
+            self._listings = parse_fragments(
+                self._listings_xml, keep_whitespace=True) \
+                if self._listings_xml else []
+            self._listings_xml = None
+        return self._listings
+
+    def __getstate__(self) -> dict:
+        xml = self._listings_xml
+        if xml is None:
+            xml = "".join(write_element(listing)
+                          for listing in self._listings)
+        return {"schema": self.schema, "mapping": self.mapping,
+                "_listings_xml": xml}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._listings = None
 
 
 def build_training_set(sources: list[TrainingSource],

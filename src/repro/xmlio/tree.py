@@ -47,14 +47,12 @@ class Element:
         self.parent: Element | None = None
         #: Where the element's start tag sat in the parsed source
         #: (:class:`~repro.xmlio.errors.SourceLocation`), or ``None``
-        #: for programmatically built trees. Read through
-        #: :meth:`location` — trees unpickled from models saved before
-        #: this slot existed leave it unset entirely.
+        #: for programmatically built trees.
         self.source_location = None
 
     def location(self):
         """The element's source position, or ``None`` when unknown."""
-        return getattr(self, "source_location", None)
+        return self.source_location
 
     # ------------------------------------------------------------------
     # construction
