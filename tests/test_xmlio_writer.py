@@ -22,16 +22,15 @@ tag_names = st.text(alphabet=string.ascii_lowercase + "-",
                     min_size=1, max_size=8).filter(
     lambda s: s[0].isalpha() and s[-1] != "-")
 
-# Text without leading/trailing whitespace ambiguity: parse() with
-# keep_whitespace=False strips whitespace-only runs, so generate text that
-# always contains a non-space character and no surrounding spaces.
-text_values = st.text(
-    alphabet=string.ascii_letters + string.digits + " &<>'\"$,.()-",
-    min_size=1, max_size=30).map(str.strip).filter(bool)
+# Whitespace-only, CR and non-ASCII text included: the round trips parse
+# with keep_whitespace=True, which keeps every text run as written.
+_TEXT_CHARS = string.ascii_letters + string.digits + \
+    " \t\r\n&<>'\"$,.()-\u00e9\u2014\U0001f600"
+text_values = st.one_of(st.text(alphabet=" \t\r\n", min_size=1, max_size=4),
+                        st.text(alphabet=_TEXT_CHARS, min_size=1,
+                                max_size=30))
 
-attr_values = st.text(
-    alphabet=string.ascii_letters + string.digits + " &<>'$,.",
-    max_size=20)
+attr_values = st.text(alphabet=_TEXT_CHARS, max_size=20)
 
 
 @st.composite
