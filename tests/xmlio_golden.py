@@ -103,6 +103,69 @@ WELL_FORMED = [
     "<d>Call <b>now</b> please <!-- c --> and <?p i?> later</d>",
 ]
 
+#: Inputs at the edges of the one-match token path: tags whose every
+#: attribute is a plain quoted value, and what it must hand back to the
+#: per-construct grammar.
+TOKEN_EDGES = [
+    # attribute values the patterns take or decline
+    "<a x=\"1<2\" y='a>b' z=\"/>\">t</a><b/>",
+    "<a x=\"line\none\r\ntwo\" y='\t'>t</a>",
+    '<a x="Tom &amp; Jerry" y="&#65;&#x42;">t</a>',
+    '<a x="&nosuch;" y="a & b" z="&amp">t</a>',
+    "<a x=\"it's\" y='say \"hi\"' z=\"\" w=''/>",
+    '<a x="é中 ü">ü</a>',
+    # duplicate attributes
+    '<a x="1" x="2"><b>t</b></a>',
+    '<a x="&amp;" x="&bad;"/>',
+    "<a x='1' y='2' x='3' y='4'>t</a>",
+    # whitespace around "=" and before "/>" or ">"
+    "<a x = \"1\"  y= '2' z =\"3\" />",
+    "<a\tx=\"1\"\ny=\"2\"\r\n/><b x=\"1\"\t>t</b\t>",
+    "<a x=\"1\" >t</a ><b/ >",
+    "<a b=\"1\"c=\"2\">t</a>",
+    "<a b=\"1\"c=\"2\"/><d e='1'f='2'>t</d>",
+    # malformed start tags
+    "<a x=>t</a>",
+    "<a x>t</a>",
+    "<a =\"1\">t</a>",
+    "<a 1x=\"1\">t</a>",
+    "<a x=\"1\"",
+    "<a x=\"1\" ",
+    "<a x=\"1\"/",
+    "<a><b x=\"1\"/",
+    "<a><b x='1' <c/></b></a>",
+    # mismatched or whitespace-padded end tags
+    "<a><b>1</B></a>",
+    "<a><b>1</b ></a\t>",
+    "<a><b>1</b\r\n></a\n>",
+    "<a><b>1</b x></a>",
+    "<a><b><c>1</b></a>",
+    "<a><b>1</c></b></a>",
+    "<a>1</a\t",
+    # names with ".", "-", ":" and "_"
+    "<ns:a.b-c x.y-z:w=\"1\" _q=\"2\"><_q-1.2>t</_q-1.2></ns:a.b-c>",
+    "<a:b><a:c/></a:b><a.b/><a-b>1</a-b>",
+    # CRLF and tabs between tags
+    "<a>\r\n\t<b>1</b>\r\n\t<c/>\r\n</a>\r\n\t<d>2</d>",
+    "<a>\t<b>\t1\t</b>\t</a>",
+    # whitespace runs next to references, CDATA, comments and PIs
+    "<a> &amp;</a><b>&amp; </b><c> &amp; </c>",
+    "<a> <![CDATA[x]]></a><b><![CDATA[ ]]></b><c> <![CDATA[]]> </c>",
+    "<a>x<!--c--> </a><b> <!--c-->y</b><c> <?p?> </c>",
+    "<a> <b/> x <c/>\n</a>",
+    "<a>x<![CDATA[y]]>z&lt;w</a>",
+    "<a>1 > 0 ]]> x\ry</a>",
+    # top-level constructs the splitter tracks
+    "<a x='>'/><b>1</b>",
+    "<a x=\"</a>\">1</a><b/>",
+    "<a><b x='/>'></b></a><c/>",
+    "<a></b><c/></a><d/>",
+    "<a>1</a >\n<b>2</b\n>",
+    "<a/><!DOCTYPE x><b/>",
+    "<?xml version=1.0?><a/>",
+    "<?xml version=\"1.0\"?><a/><?xml version=1.0?><b/>",
+]
+
 #: ``test_xmlio_dtd.py``'s malformed DTDs, plus a few more.
 MALFORMED_DTDS = [
     "<!ELEMENT x (a,>",
@@ -210,6 +273,8 @@ def build_cases() -> dict:
     handmade = [(f"malformed/{i}", text) for i, text in enumerate(MALFORMED)]
     handmade += [(f"well-formed/{i}", text)
                  for i, text in enumerate(WELL_FORMED)]
+    handmade += [(f"token-edge/{i}", text)
+                 for i, text in enumerate(TOKEN_EDGES)]
     fragments = [{"name": name, "text": text, "results": run_modes(text)}
                  for name, text in
                  generated + handmade + corrupted_inputs(generated)]
