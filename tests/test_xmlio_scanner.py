@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.xmlio import Element, XMLSyntaxError, parse_fragments
-from repro.xmlio.lexer import (NAME, NAME_CHARS, WHITESPACE, Scanner,
+from repro.xmlio.lexer import (ATTRIBUTE, END_TAG, NAME, NAME_CHARS,
+                               START_TAG, WHITESPACE, Scanner,
                                is_name_char, is_name_start)
 from repro.xmlio.writer import escape_attribute, escape_text, write_element
 
@@ -197,3 +198,12 @@ class TestCharacterClasses:
         # One character per match: "\0" is not a name character.
         starts = set(NAME.findall("\0".join(ALL_CHARS)))
         assert starts == {ch for ch in ALL_CHARS if is_name_start(ch)}
+
+    @pytest.mark.parametrize("pattern, template", [
+        (START_TAG, "<{}/>"), (END_TAG, "</{}>"), (ATTRIBUTE, " {}=''"),
+    ], ids=["start-tag", "end-tag", "attribute"])
+    def test_token_patterns_share_the_name_predicates(self, pattern,
+                                                      template):
+        text = "".join(template.format(ch) for ch in ALL_CHARS)
+        names = {match.group(1) for match in pattern.finditer(text)}
+        assert names == {ch for ch in ALL_CHARS if is_name_start(ch)}
