@@ -11,18 +11,17 @@ from .dtd import (Any, AttributeDecl, Choice, ContentModel, DTD, Empty,
                   NameRef, PCData, Sequence)
 from .tree import Document, Element, Text
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;"}
-
 
 def escape_text(value: str) -> str:
     """Escape character data for element content."""
-    return "".join(_TEXT_ESCAPES.get(ch, ch) for ch in value)
+    # "&" first, so the "&" of an escape is never escaped again.
+    return value.replace("&", "&amp;").replace("<", "&lt;") \
+        .replace(">", "&gt;")
 
 
 def escape_attribute(value: str) -> str:
     """Escape character data for a double-quoted attribute value."""
-    return "".join(_ATTR_ESCAPES.get(ch, ch) for ch in value)
+    return escape_text(value).replace('"', "&quot;")
 
 
 def write_element(node: Element, indent: int | None = None,

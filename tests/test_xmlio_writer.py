@@ -10,9 +10,10 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xmlio import (Element, Text, parse_document, parse_dtd,
-                         parse_element, write_content_model, write_document,
-                         write_dtd, write_element)
+from repro.xmlio import (Element, Text, escape_attribute, escape_text,
+                         parse_document, parse_dtd, parse_element,
+                         write_content_model, write_document, write_dtd,
+                         write_element)
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -83,6 +84,16 @@ class TestElementRoundTrip:
         out = write_element(node)
         assert "&lt;" in out and "&amp;" in out
         assert parse_element(out).immediate_text() == "a < b & c > d"
+
+    @given(st.text(alphabet=_TEXT_CHARS + "&<>\"&;#x\u00fc\u4e2d"))
+    @settings(max_examples=300, deadline=None)
+    def test_escapes_equal_a_per_character_reference(self, value):
+        text_escapes = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+        attr_escapes = {**text_escapes, '"': "&quot;"}
+        assert escape_text(value) == "".join(
+            text_escapes.get(ch, ch) for ch in value)
+        assert escape_attribute(value) == "".join(
+            attr_escapes.get(ch, ch) for ch in value)
 
     def test_attribute_escaping(self):
         node = Element("t", {"q": 'say "hi" & <bye>'})
