@@ -508,6 +508,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
             print(f"trace written to {args.trace_out}")
     _finish_telemetry(args, events, server, policy.fault_plan,
                       policy.report)
+    degradation = policy.finalize()
+    if degradation.degraded:
+        print("DEGRADED RUN: " + degradation.summary(), file=sys.stderr)
     quarantined = policy.report.quarantined_learners
     if quarantined:
         print("WARNING: quarantined learners (training continued "

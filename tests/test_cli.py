@@ -120,6 +120,28 @@ class TestTrainAndMatch:
         assert code == 2
         assert "TAG=LABEL" in capsys.readouterr().err
 
+    def test_train_reports_repaired_listings(self, generated, tmp_path,
+                                             capsys):
+        import json
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 42, "faults": [
+            {"site": "ingest.chunk", "action": "corrupt",
+             "at_hit": 1, "every": 10, "count": 3}]}))
+        code = main([
+            "train", "--mediated", str(generated / "mediated.dtd"),
+            "--train", str(generated / "homeseekers.com"),
+            "--model", str(tmp_path / "model.lsd"),
+            "--max-instances", "20",
+            "--input-mode", "lenient", "--fault-plan", str(plan),
+        ])
+        assert code == 0
+        degraded = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("DEGRADED RUN: ")]
+        assert len(degraded) == 1
+        assert "listings recovered=2 dropped=0" in degraded[0]
+        assert "injected faults: 2" in degraded[0]
+
 
 class TestObservabilityOutputs:
     def _match(self, generated, model, tmp_path, workers, suffix):
