@@ -2,8 +2,8 @@
 
 Matching records its spans on every call — into a private collector
 when the caller keeps no trace — because the stage profile,
-``MatchResult.timings`` and the stage events are all derived from the
-span tree. This benchmark pins the cost of that always-on recording:
+``MatchResult.timings``, the report's ``stages`` section and the
+metrics registry are all derived from the span tree. This benchmark pins the cost of that always-on recording:
 
 1. An observed matching run captures the span tree one run records
    (names, nesting and attributes; its extra ``quality`` span makes

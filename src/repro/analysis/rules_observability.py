@@ -1,6 +1,6 @@
 """Observability-hygiene rules.
 
-Three invariants keep the observability layer honest:
+Two invariants keep the observability layer honest:
 
 * **metric-catalogue** — every metric name emitted through a registry
   (``obs.metrics.counter(...)`` / ``gauge`` / ``histogram``) appears in
@@ -13,13 +13,6 @@ Three invariants keep the observability layer honest:
   span opened without ``with`` never lands in the collector (or lands
   with a bogus duration), so the rule flags any ``.span(...)`` call
   that is not a ``with`` item.
-* **event-catalogue** — the progress-event vocabulary
-  (``repro.observability.events.EVENT_CATALOGUE``) and the
-  ``events.emit(...)`` call sites must agree both ways, same contract
-  as the metric catalogue. Only ``.emit`` calls whose receiver is an
-  event stream (terminal name ``events``/``_events``/``stream``) are
-  in scope — ``TraceCollector.emit`` takes span dictionaries, not
-  event kinds.
 """
 
 from __future__ import annotations
@@ -218,162 +211,6 @@ def _imported_metric_constants(source: SourceFile,
     # An attribute access like ``metrics.M_FOO`` resolves by attr name.
     visible.update(constants)
     return visible
-
-
-#: The file (path suffix) declaring the event catalogue.
-_EVENTS_MODULE = "observability/events.py"
-
-#: Receiver terminal names that mark an ``.emit`` call as an event
-#: emission (vs. TraceCollector.emit, which takes span dicts).
-_EVENT_RECEIVERS = {"events", "_events", "stream"}
-
-
-def _event_constants(source: SourceFile) -> dict[str, str]:
-    """``EV_*`` constant name -> event kind string, from module body."""
-    assert source.tree is not None
-    constants: dict[str, str] = {}
-    for node in source.tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                isinstance(node.targets[0], ast.Name) and \
-                node.targets[0].id.startswith("EV_") and \
-                isinstance(node.value, ast.Constant) and \
-                isinstance(node.value.value, str):
-            constants[node.targets[0].id] = node.value.value
-    return constants
-
-
-def _parse_event_catalogue(source: SourceFile
-                           ) -> tuple[set[str], dict[str, int], int]:
-    """``(kinds, kind -> declaration line, EVENT_CATALOGUE line)``."""
-    assert source.tree is not None
-    constants = _event_constants(source)
-    const_lines = {
-        node.targets[0].id: node.lineno for node in source.tree.body
-        if isinstance(node, ast.Assign) and len(node.targets) == 1
-        and isinstance(node.targets[0], ast.Name)
-        and node.targets[0].id in constants}
-    kinds: set[str] = set()
-    lines: dict[str, int] = {}
-    catalogue_line = 0
-    for node in source.tree.body:
-        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-            continue
-        targets = getattr(node, "targets", None) or [node.target]
-        if not any(isinstance(t, ast.Name) and t.id == "EVENT_CATALOGUE"
-                   for t in targets):
-            continue
-        catalogue_line = node.lineno
-        if not isinstance(node.value, ast.Dict):
-            break
-        for key in node.value.keys:
-            if isinstance(key, ast.Name) and key.id in constants:
-                name = constants[key.id]
-            elif isinstance(key, ast.Constant) and \
-                    isinstance(key.value, str):
-                name = key.value
-            else:
-                continue
-            kinds.add(name)
-            lines[name] = key.lineno
-    lines.update({value: const_lines[key]
-                  for key, value in constants.items()
-                  if value not in lines})
-    return kinds, lines, catalogue_line
-
-
-def _imported_event_constants(source: SourceFile,
-                              constants: dict[str, str]
-                              ) -> dict[str, str]:
-    assert source.tree is not None
-    visible: dict[str, str] = {}
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name in constants:
-                    visible[alias.asname or alias.name] = \
-                        constants[alias.name]
-    visible.update(constants)
-    return visible
-
-
-def _receiver_terminal(func: ast.Attribute) -> str | None:
-    """Terminal name of an ``.emit`` receiver: ``obs.events.emit`` ->
-    ``events``, ``stream.emit`` -> ``stream``."""
-    value = func.value
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    if isinstance(value, ast.Name):
-        return value.id
-    return None
-
-
-def _emitted_events(source: SourceFile, constants: dict[str, str]
-                    ) -> Iterable[tuple[ast.Call, str]]:
-    """``(call, event kind)`` for every resolvable event emission."""
-    assert source.tree is not None
-    for node in ast.walk(source.tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "emit"
-                and node.args
-                and _receiver_terminal(node.func) in _EVENT_RECEIVERS):
-            continue
-        arg = node.args[0]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            yield node, arg.value
-            continue
-        ident = None
-        if isinstance(arg, ast.Name):
-            ident = arg.id
-        elif isinstance(arg, ast.Attribute):
-            ident = arg.attr
-        if ident is None or ident not in constants:
-            continue  # dynamic kind — not statically checkable
-        yield node, constants[ident]
-
-
-@register
-class EventCatalogueRule(Rule):
-    """The progress-event vocabulary and the code must agree, both
-    ways."""
-
-    id = "event-catalogue"
-    severity = "error"
-    description = ("event kind emitted but missing from "
-                   "events.EVENT_CATALOGUE, or catalogued event never "
-                   "emitted")
-
-    def check_project(self,
-                      sources: Sequence[SourceFile]) -> Iterable[Finding]:
-        events_module = next(
-            (source for source in sources
-             if source.display.endswith(_EVENTS_MODULE)), None)
-        if events_module is None:
-            return  # catalogue not part of this run's file set
-        kinds, decl_lines, catalogue_line = _parse_event_catalogue(
-            events_module)
-        constants = _event_constants(events_module)
-        used: set[str] = set()
-        for source in sources:
-            in_events_module = source is events_module
-            visible = (constants if in_events_module
-                       else _imported_event_constants(source, constants))
-            exercises_stream = source.in_package("tests", "benchmarks")
-            for call, kind in _emitted_events(source, visible):
-                used.add(kind)
-                if exercises_stream:
-                    continue
-                if kind not in kinds:
-                    yield self.finding(
-                        source, call,
-                        f"event kind {kind!r} is emitted but not "
-                        f"declared in events.EVENT_CATALOGUE")
-        for kind in sorted(kinds.difference(used)):
-            yield self.finding(
-                events_module,
-                decl_lines.get(kind, catalogue_line),
-                f"event kind {kind!r} is declared in EVENT_CATALOGUE "
-                f"but never emitted in the analyzed files")
 
 
 @register

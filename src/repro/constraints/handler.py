@@ -143,9 +143,8 @@ class _Budget:
     the anytime flag reports.
 
     An *inert* deadline is kept rather than dropped: a signal handler
-    may ``trip()`` it mid-search, and the run guardrails (stall
-    watchdog, RSS limit) are checked inside ``expired()`` — both must
-    be visible at the poll.
+    may ``trip()`` it mid-search, and the RSS-limit guardrail is
+    checked inside ``expired()`` — both must be visible at the poll.
     ``snapshot``, when set, fires every :data:`_SNAPSHOT_MASK` + 1
     expansions — the checkpointer's incumbent-persistence hook.
     """

@@ -24,9 +24,8 @@ Throughput engineering:
   the :class:`~repro.learners.base.BaseLearner` contract that
   ``predict_scores`` rows depend only on their own instance;
 * every stage is a span of the run's (always recorded) trace;
-  ``MatchResult.profile``, ``MatchResult.timings``, the stage events'
-  durations and the metrics registry are all derived from that one
-  span tree.
+  ``MatchResult.profile``, ``MatchResult.timings`` and the metrics
+  registry are all derived from that one span tree.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ from ..learners.base import BaseLearner
 from ..learners.meta import StackingMetaLearner
 from ..observability import (Observer, QualityRecord, StageProfile,
                              build_quality_records, with_trace)
-from ..observability.events import (EV_CHECKPOINT, EV_DEGRADATION,
-                                    EV_RESUME, EV_SHARD_COMPLETE,
-                                    EV_STAGE_END, EV_STAGE_START)
 from ..observability.metrics import record_run
 from ..resilience.faults import FaultInjected
 from ..resilience.policy import (HALVE_SHARD_GRAIN, Deadline,
@@ -169,14 +165,10 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
     cache_before = featurize.stats.snapshot()
     deadline = policy.start_deadline() if policy is not None else None
 
-    events = obs.events
     with trace.span("match") as match_span:
-        events.emit(EV_STAGE_START, stage="extract")
-        with trace.span("extract") as extract_span:
+        with trace.span("extract"):
             columns = extract_columns(schema, list(listings),
                                       max_instances_per_tag)
-        events.emit(EV_STAGE_END, stage="extract",
-                    elapsed_seconds=extract_span.span.elapsed)
 
         # Flatten instances so each learner predicts one batch.
         tags = list(columns)
@@ -189,7 +181,6 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
         match_span.set_attribute("tags", len(tags))
         match_span.set_attribute("instances", len(flat))
 
-        events.emit(EV_STAGE_START, stage="predict")
         with trace.span("predict") as predict_span:
             scores_by_learner, tag_scores = _predict_tags(
                 flat, slices, columns, learners, meta, converter, space,
@@ -199,11 +190,6 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
             if score_filter is not None:
                 with trace.span("score_filter"):
                     tag_scores = score_filter(tag_scores, columns)
-        predict_elapsed = predict_span.span.elapsed
-        events.emit(EV_STAGE_END, stage="predict",
-                    elapsed_seconds=predict_elapsed, items=len(flat),
-                    items_per_second=(len(flat) / predict_elapsed
-                                      if predict_elapsed else 0.0))
 
         ctx = MatchContext(schema, columns)
         if policy is not None:
@@ -213,13 +199,11 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
                 # The documented semantics of this site: force the
                 # search onto its anytime best-so-far path.
                 deadline = Deadline(0.0)
-        events.emit(EV_STAGE_START, stage="constrain")
         with trace.span("constrain") as constrain_span:
             saved_mapping = checkpoint.load_mapping() \
                 if checkpoint is not None else None
             if saved_mapping is not None:
                 mapping = Mapping(saved_mapping)
-                events.emit(EV_RESUME, stage="constrain")
                 constrain_span.set_attribute("checkpoint", "resumed")
             elif handler is None:
                 mapping = Mapping({
@@ -240,10 +224,6 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
                     and checkpoint.save_mapping(
                         {tag: mapping.label_of(tag) for tag in mapping}):
                 constrain_span.set_attribute("checkpoint", "saved")
-                events.emit(EV_CHECKPOINT, stage="constrain")
-        events.emit(EV_STAGE_END, stage="constrain",
-                    elapsed_seconds=constrain_span.span.elapsed,
-                    items=len(tags))
 
         quality: list[QualityRecord] = []
         if obs.collect_quality:
@@ -263,9 +243,6 @@ def match_source(schema: SourceSchema, listings: Sequence[Element],
     if obs.metrics is not None:
         record_run(obs.metrics, spans, match_span.span_id, columns,
                    degradation)
-    if degradation is not None and degradation.degraded:
-        events.emit(EV_DEGRADATION,
-                    reason=degradation.summary())
     return MatchResult(mapping, tag_scores, space, columns, ctx,
                        profile, quality,
                        degradation=degradation,
@@ -449,13 +426,6 @@ def _predict_tags(flat: list[ElementInstance], slices: dict[str, slice],
                     task[0], shard_batch[task[2]:task[3]], task[1],
                     task[4]),
                 grid, label=label, observer=obs)
-        if obs.events.enabled:
-            # Heartbeats in submission order — a deterministic function
-            # of the task grid, identical at any worker count.
-            for index, (_, _, start, stop, span_name) in enumerate(grid):
-                obs.events.emit(EV_SHARD_COMPLETE, stage=label,
-                                label=span_name, index=index,
-                                shards=len(grid), rows=stop - start)
         gathered: list = []
         offset = 0
         for bounds in plans:

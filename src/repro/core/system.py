@@ -16,7 +16,6 @@ from ..learners import default_learners
 from ..learners.base import BaseLearner
 from ..learners.meta import StackingMetaLearner
 from ..observability import Observer, with_trace
-from ..observability.events import EV_STAGE_END, EV_STAGE_START
 from ..observability.metrics import record_run
 from ..resilience.policy import ResiliencePolicy
 from ..xmlio import Element
@@ -233,32 +232,25 @@ class LSDSystem:
         """Run the full training phase (§3.1 steps 2-5).
 
         ``observer`` records the ``train`` span tree (stages ``build``,
-        ``fit``, ``cv``; recorded privately when it keeps no trace, as
-        the stage events read their durations from it); a metrics
-        registry it keeps receives the finished run's counts, read off
-        that tree.
+        ``fit``, ``cv``; recorded privately when it keeps no trace); a
+        metrics registry it keeps receives the finished run's counts,
+        read off that tree.
         """
         if not self.training_sources:
             raise RuntimeError("no training sources added")
         obs = with_trace(observer)
-        events = obs.events
         trace = obs.trace
         with trace.span("train", sources=len(self.training_sources)
                         ) as train_span:
-            events.emit(EV_STAGE_START, stage="build")
             with trace.span("build") as stage_span:
                 instances, labels = build_training_set(
                     self.training_sources, self.space,
                     self.max_instances_per_tag)
                 stage_span.set_attribute("instances", len(instances))
-            events.emit(EV_STAGE_END, stage="build",
-                        elapsed_seconds=stage_span.span.elapsed,
-                        items=len(instances))
             if not instances:
                 raise RuntimeError(
                     "training sources produced no instances")
-            events.emit(EV_STAGE_START, stage="fit")
-            with trace.span("fit") as stage_span:
+            with trace.span("fit"):
                 survivors = train_base_learners(
                     self.learners, instances, labels, self.space,
                     observer=obs, policy=self.policy)
@@ -267,18 +259,12 @@ class LSDSystem:
                         "every base learner failed to train")
                 if self.pruner is not None:
                     self.pruner.fit(instances, labels, self.space)
-            events.emit(EV_STAGE_END, stage="fit",
-                        elapsed_seconds=stage_span.span.elapsed,
-                        items=len(survivors))
-            events.emit(EV_STAGE_START, stage="cv")
-            with trace.span("cv") as stage_span:
+            with trace.span("cv"):
                 self.meta = train_meta_learner(
                     survivors, instances, labels, self.space,
                     folds=self.folds, seed=self.seed,
                     uniform=not self.use_meta_learner,
                     executor=self.executor, observer=obs)
-            events.emit(EV_STAGE_END, stage="cv",
-                        elapsed_seconds=stage_span.span.elapsed)
         if obs.metrics is not None:
             record_run(obs.metrics, trace.spans, train_span.span_id)
         self.active_learners = survivors

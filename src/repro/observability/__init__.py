@@ -17,7 +17,14 @@ the code grows. The primitives:
   finished run's span tree (:func:`~.metrics.record_run`);
 * :class:`QualityRecord` (``quality``) + run reports (``report``) —
   per-column triage data and the one-JSON-per-run artifact written by
-  ``--report-out``.
+  ``--report-out``;
+* the run ledger (``ledger``) — one appended line per ``--ledger-out``
+  run, the cross-run history behind ``repro ledger history|diff|check``.
+
+A run's record is its trace, its report and its ledger line. The
+other views are read off the trace: ``--profile``,
+``MatchResult.timings``, the report's ``stages`` section and its
+``metrics`` section (all but the worker pool's ``pool.*`` figures).
 
 :class:`Observer` bundles the sinks into the single optional handle the
 pipelines accept; its disabled default (:data:`NO_OP`) keeps no
@@ -26,10 +33,6 @@ registry and records spans only, into a private per-call collector
 """
 
 from .artifacts import atomic_append_jsonl, atomic_write_text
-from .events import (EVENT_CATALOGUE, NULL_EVENTS, EventStream,
-                     NullEventStream, read_events, validate_events)
-from .expo import (TelemetryServer, parse_openmetrics,
-                   registry_from_summary, render_openmetrics)
 from .metrics import (BYTE_BUCKETS, CATALOGUE, CPU_BUCKETS,
                       LATENCY_BUCKETS, SIZE_BUCKETS, Counter, Gauge,
                       Histogram, MetricsRegistry, exponential_buckets,
@@ -47,19 +50,15 @@ from .trace import (NULL_TRACE, NullTraceCollector, Span,
                     TraceCollector, iter_tree, read_jsonl)
 
 __all__ = [
-    "BYTE_BUCKETS", "CATALOGUE", "CPU_BUCKETS", "EVENT_CATALOGUE",
-    "LATENCY_BUCKETS", "NULL_EVENTS", "NULL_TRACE",
-    "NO_OP", "SIZE_BUCKETS", "Counter", "EventStream", "Gauge",
-    "Histogram", "MetricsRegistry", "NullEventStream",
-    "NullTraceCollector", "Observer",
+    "BYTE_BUCKETS", "CATALOGUE", "CPU_BUCKETS", "LATENCY_BUCKETS",
+    "NULL_TRACE", "NO_OP", "SIZE_BUCKETS", "Counter", "Gauge",
+    "Histogram", "MetricsRegistry", "NullTraceCollector", "Observer",
     "ProcSample", "QualityRecord", "Span",
-    "StageProfile", "TelemetryServer", "TraceCollector",
+    "StageProfile", "TraceCollector",
     "atomic_append_jsonl", "atomic_write_text", "build_match_report",
     "build_quality_records", "dataset_fingerprint",
     "exponential_buckets", "format_profile_table", "iter_tree",
-    "load_report", "load_schema", "parse_openmetrics", "read_events",
-    "read_jsonl", "read_proc_self", "record_run",
-    "registry_from_summary", "render_openmetrics", "render_text",
-    "resolve_observer", "validate_events", "validate_file",
+    "load_report", "load_schema", "read_jsonl", "read_proc_self",
+    "record_run", "render_text", "resolve_observer", "validate_file",
     "validate_report", "with_trace", "write_report",
 ]

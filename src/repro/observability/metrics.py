@@ -12,10 +12,8 @@ typed instruments:
   exactly at every percentile).
 
 Instruments are get-or-created by name and every mutation is
-lock-guarded, so a ``/metrics`` scrape served from the endpoint's
-request thread reads consistent values. Worker processes ship
-resource snapshots, not registries: the parent records every
-instrument itself.
+lock-guarded. Worker processes ship resource snapshots, not
+registries: the parent records every instrument itself.
 
 The metric name catalogue used by the pipelines is declared here
 (``M_*`` constants + :data:`CATALOGUE`) so reports, docs and dashboards
@@ -26,9 +24,8 @@ record: the pipelines write no instrument while they run.
 :func:`record_run` folds one finished ``match`` or ``train`` span
 subtree into a registry, so its counts agree with the run's
 :class:`~repro.observability.timers.StageProfile` by construction. Only
-the worker pool's dispatch and resource telemetry (``pool.*``) and the
-scrape-time ``proc.*`` samples, which no span carries, are written
-directly.
+the worker pool's dispatch and resource telemetry (``pool.*``), which
+no span carries, is written directly.
 """
 
 from __future__ import annotations
@@ -65,10 +62,6 @@ M_TASK_RETRIES = "resilience.task_retries"
 M_POOL_FAILURES = "resilience.pool_failures"
 M_ANYTIME_EXITS = "resilience.anytime_exits"
 M_FAULTS_FIRED = "resilience.faults_fired"
-M_PROC_RSS = "proc.rss_bytes"
-M_PROC_CPU = "proc.cpu_seconds"
-M_PROC_FDS = "proc.open_fds"
-M_PROC_THREADS = "proc.threads"
 M_POOL_WORKERS = "pool.workers"
 M_POOL_WORKER_RSS = "pool.worker_rss_bytes"
 M_POOL_WORKER_CPU = "pool.worker_cpu_seconds"
@@ -79,7 +72,6 @@ M_POOL_TASKS = "pool.tasks_dispatched"
 M_CKPT_WRITES = "runtime.checkpoint.writes"
 M_CKPT_STAGES_RESUMED = "runtime.checkpoint.stages_resumed"
 M_WATCHDOG_KILLS = "runtime.watchdog.kills"
-M_WATCHDOG_STALLS = "runtime.watchdog.stalls"
 M_PRESSURE_LEVEL = "runtime.pressure.level"
 M_PRESSURE_ACTIONS = "runtime.pressure.actions"
 
@@ -122,12 +114,6 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "counter", "constraint searches ended early by the deadline"),
     M_FAULTS_FIRED: (
         "counter", "injected faults fired by the active fault plan"),
-    M_PROC_RSS: ("gauge", "resident set size of this process (bytes)"),
-    M_PROC_CPU: (
-        "gauge", "cumulative user+system CPU time of this process "
-                 "(seconds)"),
-    M_PROC_FDS: ("gauge", "open file descriptors of this process"),
-    M_PROC_THREADS: ("gauge", "live threads of this process"),
     M_POOL_WORKERS: ("gauge", "live worker processes in the pool"),
     M_POOL_WORKER_RSS: (
         "histogram", "per-worker resident set size sampled at map end "
@@ -151,8 +137,6 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "counter", "pipeline stages skipped by --resume"),
     M_WATCHDOG_KILLS: (
         "counter", "hung workers killed by the watchdog"),
-    M_WATCHDOG_STALLS: (
-        "counter", "pipeline stalls that tripped the run deadline"),
     M_PRESSURE_LEVEL: (
         "gauge", "highest memory-guardrail tier reached (emitted only "
                  "when non-zero)"),
@@ -379,13 +363,6 @@ class MetricsRegistry:
         with self._lock:
             return dict(getattr(self, attribute))
 
-    def instruments(self) -> dict[str, dict]:
-        """Live instrument objects by family — the exposition renderer's
-        view (histograms need their buckets, which ``summary`` elides)."""
-        return {"counters": self._snapshot("_counters"),
-                "gauges": self._snapshot("_gauges"),
-                "histograms": self._snapshot("_histograms")}
-
     def summary(self) -> dict:
         """JSON-ready ``{"counters": ..., "gauges": ..., "histograms":
         ...}`` with histogram percentile summaries."""
@@ -507,10 +484,6 @@ def record_degradation(registry: MetricsRegistry, degradation) -> None:
                 for event in degradation.watchdog)
     if kills:
         registry.counter(M_WATCHDOG_KILLS).inc(kills)
-    stalls = sum(event["kind"] == "stall"
-                 for event in degradation.watchdog)
-    if stalls:
-        registry.counter(M_WATCHDOG_STALLS).inc(stalls)
     if degradation.pressure_events:
         registry.counter(M_PRESSURE_ACTIONS).inc(
             len(degradation.pressure_events))

@@ -12,7 +12,6 @@ of the fastest matching run.
 
 from __future__ import annotations
 
-from .events import NULL_EVENTS, EventStream, NullEventStream
 from .metrics import MetricsRegistry
 from .trace import NULL_TRACE, NullTraceCollector, TraceCollector
 
@@ -22,37 +21,30 @@ class Observer:
 
     ``Observer.full()`` builds one with everything on; the zero-argument
     constructor builds a fully disabled observer (equal in behaviour to
-    :data:`NO_OP`). The progress-event stream (``events``) defaults to
-    disabled even in ``full()`` — it narrates to a file, so the CLI
-    attaches a live :class:`EventStream` only when ``--events-out`` is
-    given.
+    :data:`NO_OP`).
     """
 
-    __slots__ = ("trace", "metrics", "collect_quality", "events")
+    __slots__ = ("trace", "metrics", "collect_quality")
 
     def __init__(self,
                  trace: TraceCollector | NullTraceCollector | None = None,
                  metrics: MetricsRegistry | None = None,
-                 collect_quality: bool = False,
-                 events: EventStream | NullEventStream | None = None
-                 ) -> None:
+                 collect_quality: bool = False) -> None:
         self.trace = trace if trace is not None else NULL_TRACE
         self.metrics = metrics
         self.collect_quality = collect_quality
-        self.events = events if events is not None else NULL_EVENTS
 
     @classmethod
-    def full(cls, events: EventStream | None = None) -> "Observer":
+    def full(cls) -> "Observer":
         """An observer with tracing, metrics and quality all enabled."""
         return cls(TraceCollector(), MetricsRegistry(),
-                   collect_quality=True, events=events)
+                   collect_quality=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [
             "trace" if self.trace.enabled else "",
             "metrics" if self.metrics is not None else "",
             "quality" if self.collect_quality else "",
-            "events" if self.events.enabled else "",
         ]
         on = ",".join(part for part in parts if part) or "disabled"
         return f"<Observer {on}>"
@@ -75,5 +67,4 @@ def with_trace(observer: Observer | None) -> Observer:
     obs = resolve(observer)
     if obs.trace.enabled:
         return obs
-    return Observer(TraceCollector(), obs.metrics, obs.collect_quality,
-                    obs.events)
+    return Observer(TraceCollector(), obs.metrics, obs.collect_quality)

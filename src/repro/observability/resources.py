@@ -4,10 +4,9 @@
 process — resident set size, cumulative CPU time, open file
 descriptors, live threads — straight from procfs with no third-party
 dependencies. Workers of the process execution backend call it to ship
-resource snapshots back over the pool's wire protocol, and the
-``--serve-metrics`` endpoint publishes one through :func:`sample_into`
-when it starts and on every scrape. :func:`read_rss_bytes` reads the
-resident set size alone — the cheap read the memory guardrails poll.
+resource snapshots back over the pool's wire protocol.
+:func:`read_rss_bytes` reads the resident set size alone — the cheap
+read the memory guardrails poll.
 
 Everything degrades to zeros on platforms without procfs, so sampling
 never makes a run fail.
@@ -17,9 +16,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-from .metrics import (M_PROC_CPU, M_PROC_FDS, M_PROC_RSS,
-                      M_PROC_THREADS)
 
 _PROC = "/proc/self"
 
@@ -99,17 +95,3 @@ def read_rss_bytes() -> int:
         return 0
     return pages * os.sysconf("SC_PAGE_SIZE")
 
-
-def sample_into(registry, sample: ProcSample | None = None) -> None:
-    """Publish one snapshot to the ``proc.*`` gauges."""
-    if sample is None:
-        sample = read_proc_self()
-    registry.gauge(M_PROC_RSS).set(float(sample.rss_bytes))
-    registry.gauge(M_PROC_CPU).set(sample.cpu_seconds)
-    registry.gauge(M_PROC_FDS).set(float(sample.open_fds))
-    registry.gauge(M_PROC_THREADS).set(float(sample.threads))
-
-
-# Re-exported for procpool's wire-protocol use without a metrics import.
-__all__ = ["ProcSample", "read_proc_self", "read_rss_bytes",
-           "sample_into"]

@@ -1,8 +1,8 @@
 """Hierarchical tracing: spans with deterministic ids, exported as JSONL.
 
 A :class:`TraceCollector` records one tree of :class:`Span` records per
-run — the one timing record the pipelines keep (stage profiles, stage
-events and report sections are derived from it; see :mod:`.timers`).
+run — the one timing record the pipelines keep (stage profiles and
+report sections are derived from it; see :mod:`.timers`).
 Spans carry wall-clock start/end timestamps and free-form attributes;
 a span opened inside another span on the same thread becomes its
 child, and spans measured in worker processes are replayed through

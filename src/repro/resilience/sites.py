@@ -49,7 +49,7 @@ SITE_SEARCH_ROOT = "constraints.search"
 #: leave such runs untouched.
 SITE_WORKER_PROCESS = "worker.process"
 
-#: One run-artifact write (report, trace, events, ledger); key = the
+#: One run-artifact write (report, trace, ledger); key = the
 #: destination file name. The fault fires *between* writing the temp
 #: file and the atomic rename, so an injected crash proves a killed
 #: run can never leave a truncated artifact: the target either keeps

@@ -10,7 +10,7 @@ failure mode where the process itself does not survive — SIGKILL:
   extraction and prediction, then warm-starts the search).
 
 The run guardrails that keep a process alive — the ``--watchdog``
-hung-worker kill and stall check, the ``--rss-limit`` memory tiers —
+hung-worker kill, the ``--rss-limit`` memory tiers —
 need no thread of their own: they are policy fields
 (:class:`~repro.resilience.policy.ResiliencePolicy`) checked where
 they take effect, in the process-pool map engine, the shard planner

@@ -212,7 +212,7 @@ class TestDiscoveryAndParseErrors:
     def test_rule_registry_is_complete(self):
         assert set(rule_ids()) == {
             "set-iteration", "blind-except", "span-unclosed",
-            "metric-catalogue", "event-catalogue", "fault-site-catalogue"}
+            "metric-catalogue", "fault-site-catalogue"}
 
     def test_unknown_rule_selection_raises(self):
         with pytest.raises(ValueError, match="unknown rule"):
@@ -222,7 +222,7 @@ class TestDiscoveryAndParseErrors:
         assert {rule.id for rule in get_rules(["metric-*"])} == \
             {"metric-catalogue"}
         assert {rule.id for rule in get_rules(["*-catalogue"])} == {
-            "metric-catalogue", "event-catalogue", "fault-site-catalogue"}
+            "metric-catalogue", "fault-site-catalogue"}
 
     def test_glob_matching_nothing_raises(self):
         with pytest.raises(ValueError, match="unknown rule"):

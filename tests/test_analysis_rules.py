@@ -217,103 +217,3 @@ class TestBlindExcept:
                     raise
             """, "blind-except") == []
 
-
-EVENTS = """\
-EV_GOOD = "good_event"
-EV_UNUSED = "unused_event"
-
-EVENT_CATALOGUE = {
-    EV_GOOD: "a used event",
-    EV_UNUSED: "a catalogued but never emitted event",
-}
-"""
-
-
-class TestEventCatalogue:
-    def test_clean_when_vocabulary_agrees(self):
-        findings = lint_project([
-            ("src/repro/observability/events.py", """\
-                EV_GOOD = "good_event"
-
-                EVENT_CATALOGUE = {
-                    EV_GOOD: "a used event",
-                }
-                """),
-            ("src/repro/core/emit.py", """\
-                from ..observability.events import EV_GOOD
-
-                def work(obs):
-                    obs.events.emit(EV_GOOD, stage="extract")
-                """),
-        ], "event-catalogue")
-        assert findings == []
-
-    def test_undeclared_and_never_emitted_flagged(self):
-        findings = lint_project([
-            ("src/repro/observability/events.py", EVENTS),
-            ("src/repro/core/emit.py", """\
-                from ..observability.events import EV_GOOD
-
-                def work(obs, stream):
-                    obs.events.emit(EV_GOOD)
-                    stream.emit("rogue_event")
-                """),
-        ], "event-catalogue")
-        messages = {f.message for f in findings}
-        assert any("rogue_event" in m and "not declared" in m
-                   for m in messages)
-        assert any("unused_event" in m and "never emitted" in m
-                   for m in messages)
-        assert len(findings) == 2
-
-    def test_trace_collector_emit_is_out_of_scope(self):
-        """TraceCollector.emit takes span dicts, not event kinds — a
-        receiver that is not an event stream must not be checked."""
-        findings = lint_project([
-            ("src/repro/observability/events.py", """\
-                EV_GOOD = "good_event"
-
-                EVENT_CATALOGUE = {
-                    EV_GOOD: "a used event",
-                }
-                """),
-            ("src/repro/core/emit.py", """\
-                from ..observability.events import EV_GOOD
-
-                def work(obs, collector):
-                    obs.events.emit(EV_GOOD)
-                    collector.emit({"name": "span"})
-                    obs.trace.emit({"name": "span"})
-                """),
-        ], "event-catalogue")
-        assert findings == []
-
-    def test_scratch_kinds_in_tests_exempt(self):
-        findings = lint_project([
-            ("src/repro/observability/events.py", """\
-                EV_GOOD = "good_event"
-
-                EVENT_CATALOGUE = {
-                    EV_GOOD: "a used event",
-                }
-                """),
-            ("tests/test_events.py", """\
-                from repro.observability.events import EV_GOOD
-
-                def test_emit(stream):
-                    stream.emit(EV_GOOD)
-                    stream.emit("scratch_kind")
-                """),
-        ], "event-catalogue")
-        assert findings == []
-
-    def test_string_literal_kinds_resolve(self):
-        findings = lint_project([
-            ("src/repro/observability/events.py", EVENTS),
-            ("src/repro/core/emit.py", """\
-                def work(events):
-                    events.emit("good_event")
-                    events.emit("unused_event")
-                """),
-        ], "event-catalogue")
-        assert findings == []

@@ -1,14 +1,11 @@
-"""Pipeline-level telemetry: exposition determinism across execution
+"""Pipeline-level telemetry: metric determinism across execution
 backends, per-worker resource reporting on the process pool, and the
-progress events a real match emits."""
+views of a real match's span tree."""
 
 import pytest
 
 from repro.observability import (Observer, build_match_report,
-                                 parse_openmetrics, render_openmetrics,
                                  validate_report)
-from repro.observability.events import EventStream, validate_file
-from repro.observability.expo import samples_for
 from repro.observability.metrics import (M_POOL_QUEUE_WAIT, M_POOL_TASKS,
                                          M_POOL_WORKER_CPU,
                                          M_POOL_WORKER_RSS,
@@ -22,7 +19,7 @@ from .test_core_system import (GREATHOMES_LISTINGS, GREATHOMES_SCHEMA,
 #: Metric families whose values are a pure function of the input —
 #: identical at any worker count and on every backend. Timing
 #: histograms, cache hit/miss counters (racy across workers), and the
-#: pool.*/proc.* resource families are deliberately absent.
+#: pool.* resource families are deliberately absent.
 DETERMINISTIC = ("match.instances", "match.tags", "match.column_size",
                  "predict.structure_passes")
 
@@ -32,7 +29,7 @@ def system():
     return trained_system()
 
 
-def _exposition(system, workers: int, backend: str) -> str:
+def _deterministic_metrics(system, workers: int, backend: str) -> dict:
     system.workers = workers
     system.backend = backend
     observer = Observer.full()
@@ -42,24 +39,19 @@ def _exposition(system, workers: int, backend: str) -> str:
     finally:
         system.close_pool()
         system.workers, system.backend = 1, "process"
-    full = render_openmetrics(observer.metrics,
-                              labels={"command": "match"})
-    deterministic = {
-        line for line in full.splitlines()
-        for name in DETERMINISTIC
-        if f"lsd_{name.replace('.', '_')}" in line}
-    return full, "\n".join(sorted(deterministic))
+    summary = observer.metrics.summary()
+    return {name: values[name] for values in summary.values()
+            for name in DETERMINISTIC if name in values}
 
 
 class TestExpositionDeterminism:
     def test_byte_identical_across_worker_counts_and_backends(self,
                                                               system):
-        full_serial, baseline = _exposition(system, 1, "serial")
+        baseline = _deterministic_metrics(system, 1, "serial")
         for workers, backend in ((4, "serial"), (2, "process")):
-            _, lines = _exposition(system, workers, backend)
-            assert lines == baseline, (workers, backend)
-        assert baseline  # the filter actually selected families
-        parse_openmetrics(full_serial)  # and the full text stays valid
+            assert _deterministic_metrics(system, workers, backend) == \
+                baseline, (workers, backend)
+        assert set(baseline) == set(DETERMINISTIC)
 
 
 class TestProcessPoolResources:
@@ -95,69 +87,12 @@ class TestProcessPoolResources:
         assert M_POOL_WORKERS not in summary["gauges"]
 
 
-class TestMatchEvents:
-    def test_match_emits_a_valid_stage_narrative(self, system, tmp_path):
-        path = tmp_path / "events.jsonl"
-        events = EventStream(path)
-        observer = Observer.full(events=events)
-        system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
-                     observer=observer)
-        events.close()
-        assert validate_file(path) == []
-        kinds = [event["kind"] for event in events.events]
-        for stage in ("extract", "predict", "constrain"):
-            starts = [e for e in events.events
-                      if e["kind"] == "stage_start"
-                      and e.get("stage") == stage]
-            ends = [e for e in events.events
-                    if e["kind"] == "stage_end" and e.get("stage") == stage]
-            assert len(starts) == 1 and len(ends) == 1, stage
-        assert kinds.index("stage_start") < kinds.index("shard_complete")
-
-    def test_shard_heartbeats_cover_the_task_grid(self, system, tmp_path):
-        system.workers = 4
-        events = EventStream(tmp_path / "events.jsonl")
-        observer = Observer.full(events=events)
-        try:
-            system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
-                         observer=observer)
-        finally:
-            system.workers = 1
-        events.close()
-        shards = [e for e in events.events
-                  if e["kind"] == "shard_complete"]
-        assert shards
-        grid_size = shards[0]["shards"]
-        assert [s["index"] for s in shards[:grid_size]] == \
-            list(range(grid_size))
-        assert all(s["rows"] >= 1 for s in shards)
-
-    def test_shard_heartbeats_identical_across_worker_counts(
-            self, system, tmp_path):
-        def heartbeat_set(workers):
-            system.workers = workers
-            events = EventStream(tmp_path / f"w{workers}.jsonl")
-            try:
-                system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
-                             observer=Observer.full(events=events))
-            finally:
-                system.workers = 1
-            events.close()
-            return [{k: e[k] for k in ("label", "index", "shards",
-                                       "rows", "stage")}
-                    for e in events.events
-                    if e["kind"] == "shard_complete"]
-
-        assert heartbeat_set(1) == heartbeat_set(4)
-
-
 class TestOneInstrumentationSpine:
     """Every timing view of a match is read off its span tree."""
 
     @staticmethod
-    def _observed_match(system, tmp_path, workers: int):
-        events = EventStream(tmp_path / f"events{workers}.jsonl")
-        observer = Observer.full(events=events)
+    def _observed_match(system, workers: int):
+        observer = Observer.full()
         system.workers = workers
         try:
             result = system.match(GREATHOMES_SCHEMA, GREATHOMES_LISTINGS,
@@ -165,12 +100,10 @@ class TestOneInstrumentationSpine:
         finally:
             system.close_pool()
             system.workers = 1
-            events.close()
-        return result, observer, events.events
+        return result, observer
 
-    def test_every_view_equals_the_span_elapsed(self, system, tmp_path):
-        result, observer, events = self._observed_match(system,
-                                                        tmp_path, 1)
+    def test_every_view_equals_the_span_elapsed(self, system):
+        result, observer = self._observed_match(system, 1)
         spans = {span.span_id: span for span in observer.trace.spans}
         stages = ("extract", "predict", "constrain")
         elapsed = {stage: spans[f"match/{stage}"].elapsed
@@ -189,9 +122,6 @@ class TestOneInstrumentationSpine:
         assert validate_report(report) == []
         for stage in stages:
             assert report["stages"]["timings"][stage] == elapsed[stage]
-        ends = {event["stage"]: event["elapsed_seconds"]
-                for event in events if event["kind"] == "stage_end"}
-        assert ends == elapsed
 
         # The --profile table: one top-level row per child span of
         # ``match``, totalling their elapsed.
@@ -210,9 +140,9 @@ class TestOneInstrumentationSpine:
             "predict.learner.name_matcher") == pytest.approx(
                 sum(span.elapsed for span in learners), rel=1e-12)
 
-    def test_serial_and_process_views_agree(self, system, tmp_path):
-        serial, _, _ = self._observed_match(system, tmp_path, 1)
-        process, _, _ = self._observed_match(system, tmp_path, 2)
+    def test_serial_and_process_views_agree(self, system):
+        serial, _ = self._observed_match(system, 1)
+        process, _ = self._observed_match(system, 2)
         # The featurize cache counters describe this process's cache,
         # which pool workers bypass and earlier runs warm: same keys,
         # values that depend on where and when the run happened.

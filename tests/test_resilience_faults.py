@@ -193,13 +193,13 @@ class TestDegradationReport:
         report.retried("predict", 1, 2, True)
         report.pool_failed("predict")
         report.worker_died("predict", 0, 1)
-        report.watchdog_event("stall", "no events")
+        report.watchdog_event("worker_killed", "worker 0 held a shard")
         report.pressure(1, "halve_shard_grain")
         report.mark_anytime()
         report.artifact_failed("report", "disk full")
         assert report.summary() == (
             "quarantined learners: nb; task retries: 1; pool fell back "
-            "to serial: predict; worker deaths: 1; watchdog: stall; "
+            "to serial: predict; worker deaths: 1; watchdog: worker_killed; "
             "memory pressure: halve_shard_grain; anytime search exit; "
             "artifacts not written: report")
 
