@@ -142,6 +142,31 @@ class TestTrainAndMatch:
         assert "listings recovered=2 dropped=0" in degraded[0]
         assert "injected faults: 2" in degraded[0]
 
+    def test_train_reports_repairs_of_every_listings_file(
+            self, generated, tmp_path, capsys):
+        """Hits 1, 16 and 31 of the plan corrupt two listings of the
+        first 20-listing file and one of the second; all three count."""
+        import json
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 42, "faults": [
+            {"site": "ingest.chunk", "action": "corrupt",
+             "at_hit": 1, "every": 15, "count": 3}]}))
+        code = main([
+            "train", "--mediated", str(generated / "mediated.dtd"),
+            "--train", str(generated / "homeseekers.com"),
+            str(generated / "yahoo-homes.com"),
+            "--model", str(tmp_path / "model.lsd"),
+            "--max-instances", "20",
+            "--input-mode", "lenient", "--fault-plan", str(plan),
+        ])
+        assert code == 0
+        degraded = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("DEGRADED RUN: ")]
+        assert len(degraded) == 1
+        assert "listings recovered=3 dropped=0" in degraded[0]
+        assert "injected faults: 3" in degraded[0]
+
 
 class TestObservabilityOutputs:
     def _match(self, generated, model, tmp_path, workers, suffix):

@@ -198,6 +198,23 @@ class TestRecoveryLog:
         assert log.ok
         assert log.counts() == {}
 
+    def test_merged_files_keep_every_listing_index(self):
+        """A second file's listings are numbered after the first's
+        fragments, clean files included."""
+        merged = RecoveryLog()
+        for text in (UNBALANCED, "<listing/><listing/>", UNBALANCED):
+            merged.merge(read_fragments(text, "lenient")[1])
+        assert merged.fragments == 8
+        entry = merged.as_dict()
+        assert entry["listings"] == {"clean": 6, "recovered": [1, 6],
+                                     "dropped": []}
+        assert entry["counts"]["recovered-listing"] == 2
+        assert [event["listing"] for event in entry["events"]
+                if event["kind"] == "recovered-listing"] == [1, 6]
+
+    def test_strict_log_counts_the_listings_read(self):
+        assert read_fragments("<a/><b/><c/>")[1].fragments == 3
+
 
 class TestSplitFragments:
     def test_isolates_siblings(self):
