@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING
 
 from .errors import SourceLocation, XMLSyntaxError
 from .lexer import (ATTRIBUTE, CHAR_DATA, END_TAG, FRAGMENT_START, NAME,
-                    START_TAG, Scanner, decode_entity, is_name_start)
+                    NAME_CHARS, START_TAG, Scanner, decode_entity,
+                    is_name_start)
 from .tree import Document, Element
 
 if TYPE_CHECKING:
@@ -155,7 +156,9 @@ class _Parser:
     def _parse_prolog(self) -> None:
         scanner = self.scanner
         scanner.skip_whitespace()
-        if scanner.looking_at("<?xml"):
+        # ``<?xml-stylesheet ...?>`` is a PI, not the declaration.
+        if scanner.looking_at("<?xml") and not NAME_CHARS.match(
+                scanner.text, scanner.pos + len("<?xml")).group():
             scanner.advance(len("<?xml"))
             start = scanner.location()
             body = self._until("?>", "XML declaration")
@@ -220,8 +223,7 @@ class _Parser:
             if scanner.looking_at("<!--"):
                 self._comment()
             elif scanner.looking_at("<?"):
-                scanner.advance(2)
-                self._until("?>", "processing instruction")
+                self._pi()
             else:
                 return
 
@@ -347,8 +349,7 @@ class _Parser:
             buffer.append(self._until("]]>", "CDATA section"))
         elif scanner.looking_at("<?"):
             flush()
-            scanner.advance(2)
-            self._until("?>", "processing instruction")
+            self._pi()
         elif scanner.peek() != "<":  # "&"
             buffer.append(self._reference())
         elif is_name_start(scanner.peek(1)):
@@ -574,6 +575,21 @@ class _Parser:
             self._violation("'--' is not allowed inside a comment")
             self._repair("malformed-comment", "'--' inside a comment kept",
                          scanner.location(start))
+
+    def _pi(self) -> None:
+        """Skip the processing instruction at the cursor. Its target may
+        not be ``xml`` in any letter case (XML 1.0 §2.6): that name
+        belongs to the declaration at the very start of the input."""
+        scanner = self.scanner
+        scanner.advance(2)
+        target = NAME_CHARS.match(scanner.text, scanner.pos).group()
+        if target.lower() == "xml":
+            location = scanner.location()
+            self._violation(f"reserved processing-instruction target "
+                            f"{target!r}", location)
+            self._repair("malformed-pi", f"processing instruction with "
+                         f"reserved target {target!r} skipped", location)
+        self._until("?>", "processing instruction")
 
     def _until(self, terminator: str, what: str) -> str:
         """Consume through ``terminator``; return the text before it.

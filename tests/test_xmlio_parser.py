@@ -127,6 +127,47 @@ class TestProlog:
         assert doc.root.tag == "r"
 
 
+class TestReservedPITarget:
+    """XML 1.0 §2.6: no processing-instruction target may be ``xml`` in
+    any letter case; only the declaration at the start uses the name."""
+
+    LATE_DECLARATION = '<?xml version="1.0"?><a/><?xml version=1.0?><b/>'
+
+    def test_strict_rejects_a_declaration_after_the_first_element(self):
+        with pytest.raises(XMLSyntaxError) as info:
+            parse_fragments(self.LATE_DECLARATION)
+        assert "reserved processing-instruction target 'xml'" in str(
+            info.value)
+        assert (info.value.line, info.value.column) == (1, 28)
+
+    @pytest.mark.parametrize("text", ["<a><?XmL x?></a>",
+                                      '<?XML version="1.0"?><a/>'])
+    def test_strict_rejects_the_name_in_any_case(self, text):
+        with pytest.raises(XMLSyntaxError, match="reserved"):
+            parse_document(text)
+
+    def test_names_that_only_start_with_xml_are_ordinary_targets(self):
+        roots = parse_fragments('<?xml-stylesheet href="s.css"?><a/>'
+                                "<?xmlfoo?><b><?xml-x y?></b>")
+        assert [root.tag for root in roots] == ["a", "b"]
+
+    @pytest.mark.parametrize("mode", ["lenient", "salvage"])
+    def test_lenient_modes_record_a_late_declaration(self, mode):
+        roots, log = read_fragments(self.LATE_DECLARATION, mode)
+        assert [root.tag for root in roots] == ["a", "b"]
+        assert log.counts() == {"stray-markup": 1}
+
+    def test_lenient_repairs_and_salvage_drops_a_listing_holding_one(self):
+        text = "<a><?xml x?>1</a><b>2</b>"
+        roots, log = read_fragments(text, "lenient")
+        assert [root.text_content() for root in roots] == ["1", "2"]
+        assert log.recovered == [0]
+        assert log.counts()["malformed-pi"] == 1
+        roots, log = read_fragments(text, "salvage")
+        assert [root.tag for root in roots] == ["b"]
+        assert log.dropped == [0]
+
+
 class TestErrors:
     @pytest.mark.parametrize("bad", [
         "<a>",                      # unterminated
