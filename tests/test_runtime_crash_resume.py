@@ -205,6 +205,30 @@ class TestCliCrashResume:
         assert main(argv) == 0
         assert resumed.read_bytes() == other_plain.read_bytes()
 
+    def test_resumed_report_carries_the_run_lineage(self, cli_workspace,
+                                                    tmp_path):
+        """The report's config names the attempt (``run_id``) and, on a
+        resume, the attempt it resumed (``resumed_from``)."""
+        from repro.observability import validate_file
+
+        ck_dir = tmp_path / "ck"
+        reports = [tmp_path / "first.json", tmp_path / "resumed.json"]
+        assert main(_match_argv(
+            cli_workspace, tmp_path / "first.txt",
+            "--checkpoint-dir", str(ck_dir),
+            "--report-out", str(reports[0]))) == 0
+        assert main(_match_argv(
+            cli_workspace, tmp_path / "resumed.txt",
+            "--checkpoint-dir", str(ck_dir), "--resume",
+            "--report-out", str(reports[1]))) == 0
+        first, resumed = (validate_file(path) for path in reports)
+        assert first["config"]["run_id"]
+        assert "resumed_from" not in first["config"]
+        assert resumed["config"]["resumed_from"] == \
+            first["config"]["run_id"]
+        assert resumed["config"]["run_id"] != first["config"]["run_id"]
+        assert resumed["mapping"] == first["mapping"]
+
     def test_constraints_source_exists(self, cli_workspace):
         source = cli_workspace / "data" / "greathomes.com"
         assert (source / "schema.dtd").exists()
