@@ -164,6 +164,17 @@ TOKEN_EDGES = [
     "<a/><!DOCTYPE x><b/>",
     "<?xml version=1.0?><a/>",
     "<?xml version=\"1.0\"?><a/><?xml version=1.0?><b/>",
+    # XML declaration pseudo-attributes: version first, then optional
+    # encoding and standalone, in that order, each once
+    "<?xml?><a/>",
+    "<?xml encoding=\"utf-8\"?><a/>",
+    "<?xml version=\"1.0\" bogus=\"x\"?><a/>",
+    "<?xml standalone=\"yes\" version=\"1.0\"?><a/>",
+    "<?xml version=\"1.0\" standalone=\"no\" encoding=\"utf-8\"?><a/>",
+    "<?xml version=\"1.0\" version=\"1.0\"?><a/>",
+    "<?xml version=\"1.0\" standalone=\"maybe\"?>\n<a/>",
+    "<?xml version=\"1.0\" encoding=\"utf-8\" standalone=\"yes\" ?>"
+    "<a/><b/>",
 ]
 
 #: ``test_xmlio_dtd.py``'s malformed DTDs, plus a few more.
