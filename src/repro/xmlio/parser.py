@@ -612,21 +612,55 @@ def _plausible_entity(body: str) -> bool:
         _NOT_ENTITY_BODY.search(body) is None
 
 
+#: The XML declaration's pseudo-attributes, in their required order.
+_DECLARATION_NAMES = ("version", "encoding", "standalone")
+
+
 def _parse_pseudo_attributes(body: str, start: SourceLocation
                              ) -> list[tuple[str, str]]:
-    """Parse ``key="value"`` pairs inside an XML declaration body that
-    begins at ``start``."""
+    """Parse the ``key="value"`` pairs of an XML declaration body that
+    begins at ``start``.
+
+    XML 1.0 §2.8: ``version`` comes first and is required, then an
+    optional ``encoding``, then an optional ``standalone`` whose value is
+    ``yes`` or ``no``; no other name, and none twice. A violation raises
+    at the offending name or value, in file-absolute coordinates.
+    """
     scanner = Scanner(body, start.line, start.column)
     pairs: list[tuple[str, str]] = []
     while True:
         scanner.skip_whitespace()
         if scanner.at_end:
-            return pairs
+            break
+        at = scanner.location()
         name = scanner.read_name()
+        previous = _DECLARATION_NAMES.index(pairs[-1][0]) if pairs else -1
+        if not pairs and name != "version":
+            problem = f"expected 'version' first, found {name!r}"
+        elif name not in _DECLARATION_NAMES:
+            problem = f"unknown pseudo-attribute {name!r}"
+        elif _DECLARATION_NAMES.index(name) <= previous:
+            problem = f"repeated pseudo-attribute {name!r}" \
+                if name in dict(pairs) else \
+                f"pseudo-attribute {name!r} after {pairs[-1][0]!r}"
+        else:
+            problem = None
+        if problem is not None:
+            raise XMLSyntaxError(f"XML declaration: {problem}", at.line,
+                                 at.column)
         scanner.skip_whitespace()
         scanner.expect("=")
         scanner.skip_whitespace()
-        pairs.append((name, scanner.read_quoted()))
+        at = scanner.location()
+        value = scanner.read_quoted()
+        if name == "standalone" and value not in ("yes", "no"):
+            raise XMLSyntaxError(f"XML declaration: standalone must be "
+                                 f"'yes' or 'no', found {value!r}",
+                                 at.line, at.column)
+        pairs.append((name, value))
+    if not pairs:
+        raise scanner.error("XML declaration: missing 'version'")
+    return pairs
 
 
 def clip(text: str, limit: int = 30) -> str:

@@ -127,6 +127,52 @@ class TestProlog:
         assert doc.root.tag == "r"
 
 
+class TestDeclarationPseudoAttributes:
+    """XML 1.0 §2.8: ``version`` first and required, then an optional
+    ``encoding``, then an optional ``standalone`` of ``yes`` or ``no``;
+    no other name and no repeats."""
+
+    @pytest.mark.parametrize("text, reason, line, column", [
+        ("<?xml?><a/>", "missing 'version'", 1, 6),
+        ('<?xml encoding="utf-8"?><a/>',
+         "expected 'version' first, found 'encoding'", 1, 7),
+        ('<?xml version="1.0" bogus="x"?><a/>',
+         "unknown pseudo-attribute 'bogus'", 1, 21),
+        ('<?xml standalone="yes" version="1.0"?><a/>',
+         "expected 'version' first, found 'standalone'", 1, 7),
+        ('<?xml version="1.0" standalone="no" encoding="utf-8"?><a/>',
+         "pseudo-attribute 'encoding' after 'standalone'", 1, 37),
+        ('<?xml version="1.0" version="1.0"?><a/>',
+         "repeated pseudo-attribute 'version'", 1, 21),
+        ('<?xml version="1.0"\n  standalone="maybe"?><a/>',
+         "standalone must be 'yes' or 'no', found 'maybe'", 2, 14),
+    ])
+    def test_strict_raises_at_the_file_absolute_position(
+            self, text, reason, line, column):
+        for parse in (parse_document, parse_fragments):
+            with pytest.raises(XMLSyntaxError) as info:
+                parse(text)
+            assert info.value.reason == f"XML declaration: {reason}"
+            assert (info.value.line, info.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text", [
+        "<?xml?><a/>",
+        '<?xml encoding="utf-8"?><a/>',
+        '<?xml version="1.0" bogus="x"?><a/>',
+        '<?xml standalone="yes" version="1.0"?><a/>',
+    ])
+    @pytest.mark.parametrize("mode", ["lenient", "salvage"])
+    def test_lenient_modes_record_the_violation(self, text, mode):
+        roots, log = read_fragments(text, mode)
+        assert [root.tag for root in roots] == ["a"]
+        assert log.counts() == {"stray-markup": 1}
+
+    def test_a_complete_declaration_is_accepted(self):
+        doc = parse_document('<?xml version="1.0" encoding="utf-8" '
+                             "standalone='no' ?><r/>")
+        assert (doc.version, doc.encoding) == ("1.0", "utf-8")
+
+
 class TestReservedPITarget:
     """XML 1.0 §2.6: no processing-instruction target may be ``xml`` in
     any letter case; only the declaration at the start uses the name."""
