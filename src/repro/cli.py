@@ -291,8 +291,9 @@ def _add_durability_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--watchdog", type=float, metavar="SECONDS",
                        help="supervision deadline: a worker process "
                             "holding a shard longer than this is killed "
-                            "and the shard re-dispatched (--workers > 1 "
-                            "only; --deadline bounds the search)")
+                            "and the shard re-dispatched (requires "
+                            "--workers > 1; --deadline bounds the "
+                            "search)")
     group.add_argument("--rss-limit", type=float, metavar="MIB",
                        help="memory guardrail: a prediction map planned "
                             "at 90%% of this RSS budget runs at half the "
@@ -456,6 +457,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
         raise CliError("--resume requires --checkpoint-dir")
     if args.watchdog is not None and args.watchdog <= 0:
         raise CliError("--watchdog must be > 0 seconds")
+    if args.watchdog is not None and args.workers <= 1:
+        # The hung-worker kill lives in the process pool; a serial run
+        # has no pool, so the flag would do nothing.
+        raise CliError("--watchdog requires --workers > 1")
     if args.rss_limit is not None and args.rss_limit <= 0:
         raise CliError("--rss-limit must be > 0 MiB")
     policy = _build_policy(args)

@@ -290,6 +290,20 @@ class TestErrors:
         assert "unknown entity reference &#99999999999; (line 2" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("workers", ["1", "0"])
+    def test_watchdog_on_a_serial_run_is_refused(self, generated, model,
+                                                 capsys, workers):
+        """The hung-worker kill lives in the process pool: a serial run
+        would accept the flag and do nothing."""
+        code = main([
+            "match", "--model", str(model),
+            "--schema", str(generated / "greathomes.com" / "schema.dtd"),
+            "--listings", str(generated / "greathomes.com" / "listings.xml"),
+            "--watchdog", "30", "--workers", workers,
+        ])
+        assert code == 2
+        assert "--watchdog requires --workers > 1" in capsys.readouterr().err
+
     def test_bad_mapping_file(self, generated, tmp_path, capsys):
         source = tmp_path / "src"
         source.mkdir()
