@@ -23,10 +23,8 @@ per-instance memo lookup and its WHIRL index keeps each distinct
 ``(document, label)`` pair once, so grouping by ``(text, label)``
 first would only hash every example a second time.
 
-This module centralises the pattern that :class:`~repro.learners.
-naive_bayes.NaiveBayesLearner` and :class:`~repro.learners.whirl.
-WhirlIndex` pioneered, so the statistics, numeric, recognizer, metadata
-and edit-distance learners all share one implementation.
+This module centralises the pattern, so every learner in this package
+shares one implementation of it.
 
 Both collapses ride the :mod:`repro.core.featurize` switch: under
 ``featurize.cache_disabled()`` every row is scored, and every training

@@ -25,8 +25,8 @@ class ContentMatcher(BaseLearner):
 
     name = "content_matcher"
 
-    #: Nearest-neighbour scoring is per-distinct-row work (the WHIRL
-    #: query dedups by token bag shard-locally, and the fan-out clusters
+    #: Nearest-neighbour scoring is per-distinct-row work (each shard
+    #: scores its distinct texts once, and the fan-out clusters
     #: duplicates into one shard), so splitting a batch costs nothing —
     #: declare a fine grain and let parallel maps spread the ensemble's
     #: most expensive learner across workers.

@@ -20,7 +20,6 @@ from scipy import sparse
 
 from ..core.labels import LabelSpace
 from ..text import TfidfVectorSpace
-from .batching import score_distinct
 
 
 class WhirlIndex:
@@ -85,33 +84,30 @@ class WhirlIndex:
     def scores(self, queries: Sequence[list[str]]) -> np.ndarray:
         """Normalised ``(n_queries, n_labels)`` WHIRL scores.
 
-        Duplicate-heavy columns ask the same question many times, so
-        each *distinct* query document is scored once and the row is
-        broadcast back. Every step of the computation is row-wise, which
-        makes this numerically identical to scoring all rows. The dedup
-        rides the featurize switch so ``featurize.cache_disabled()``
-        reproduces the naive all-rows pipeline for baseline timing.
+        Every step of the computation is row-wise: a row's scores do not
+        depend on the other rows of the batch, so callers score each
+        distinct document once and broadcast the rows back.
         """
         if self._space is None or self._label_matrix is None \
                 or self._labels is None:
             raise RuntimeError("WhirlIndex is not fitted")
         if not queries:
             return np.zeros((0, len(self._labels)))
-        keys = [tuple(query) for query in queries]
-        return score_distinct(
-            keys, lambda firsts: self._score_rows(
-                [list(queries[i]) for i in firsts]))
-
-    def _score_rows(self, queries: list[list[str]]) -> np.ndarray:
         # The similarity matrix is overwhelmingly zero (a short query
         # only touches a few stored documents), so every step operates
         # on the CSR nonzeros; zero entries contribute log(1-0) = 0 to
         # the grouped sums and need never be materialised.
-        sims = self._space.sparse_similarities(queries)
+        sims = self._space.sparse_similarities(list(queries))
         np.clip(sims.data, 0.0, 1.0 - 1e-9, out=sims.data)
         if self.min_similarity > 0.0:
             sims.data[sims.data < self.min_similarity] = 0.0
-        self._keep_top_k(sims)
+        if self.max_neighbors is not None:
+            _keep_top_k(sims, self.max_neighbors)
+        # Sorting only what survived: at most k entries per row. The
+        # grouped sums below add each row's entries in storage order, so
+        # ascending document order fixes every float the vote produces.
+        sims.eliminate_zeros()
+        sims.sort_indices()
         # 1 - prod(1 - sim) per label, via log-space grouped sums.
         np.negative(sims.data, out=sims.data)
         np.log1p(sims.data, out=sims.data)
@@ -123,87 +119,61 @@ class WhirlIndex:
             normalized = np.where(totals > 0.0, raw / totals, uniform)
         return normalized
 
-    def _keep_top_k(self, sims):
-        """Zero all but the k best similarities per row.
 
-        A pure threshold test would keep *every* neighbour tied at the
-        k-th similarity — on duplicate-heavy columns that inflates the
-        vote of whichever label the duplicates carry. Ties at the k-th
-        similarity are broken by stored-document order (lowest index
-        wins, which ``sort_indices`` guarantees is the data order), the
-        same selection a stable sort by (-similarity, index) would make.
+def _keep_top_k(sims: sparse.csr_matrix, k: int) -> sparse.csr_matrix:
+    """Zero all but the k best similarities of each row, in place.
 
-        CSR input is modified in place (the scoring hot path); a dense
-        array is processed through a CSR copy and returned dense.
-        """
-        if not sparse.issparse(sims):
-            kept = sparse.csr_matrix(np.asarray(sims, dtype=float))
-            kept.sort_indices()
-            self._keep_top_k(kept)
-            return kept.toarray()
-        k = self.max_neighbors
-        if k is None or sims.shape[1] <= k:
-            return sims
-        data, indptr = sims.data, sims.indptr
-        counts = np.diff(indptr)
-        rows_over = np.flatnonzero(counts > k)
-        if rows_over.size == 0:
-            return sims
-        # Per-row k-th-largest thresholds via a few batched partitions:
-        # rows are bucketed by power-of-two entry count and each bucket
-        # is right-padded with -inf to a rectangle (the padding sorts
-        # below every real value, so position ``width - k`` is exactly
-        # the k-th largest). Bucketing bounds the padding overhead at
-        # 2x; padding every row to the global maximum width costs far
-        # more than the partitions themselves on skewed rows.
-        seg_counts = counts[rows_over]
-        ends = np.cumsum(seg_counts)
-        local = np.arange(int(ends[-1])) - np.repeat(ends - seg_counts,
-                                                     seg_counts)
-        flat = np.repeat(indptr[rows_over], seg_counts) + local
-        thresholds = np.empty(rows_over.size)
-        buckets = np.ceil(np.log2(seg_counts)).astype(np.intp)
-        row_starts = ends - seg_counts
-        values = data[flat]
-        for bucket in np.unique(buckets):
-            members = np.flatnonzero(buckets == bucket)
-            member_counts = seg_counts[members]
-            width = int(member_counts.max())
-            member_ends = np.cumsum(member_counts)
-            member_local = np.arange(int(member_ends[-1])) - \
-                np.repeat(member_ends - member_counts, member_counts)
-            gather = np.repeat(row_starts[members],
-                               member_counts) + member_local
-            padded = np.full((members.size, width), -np.inf)
-            # Boolean assignment fills row-major, matching storage order.
-            padded[np.arange(width) < member_counts[:, None]] = \
-                values[gather]
-            thresholds[members] = np.partition(
-                padded, width - k, axis=1)[:, width - k]
-        # Rows whose threshold is not positive keep everything: fewer
-        # than k positive entries, and zeroed entries contribute
-        # ``log1p(-0) = 0`` either way.
-        active = thresholds > 0.0
-        if not active.any():
-            return sims
-        if not active.all():
-            flat = flat[np.repeat(active, seg_counts)]
-            seg_counts = seg_counts[active]
-        seg = data[flat]
-        row_ids = np.repeat(np.arange(seg_counts.size), seg_counts)
-        per_entry = thresholds[active][row_ids]
-        keep = seg > per_entry
-        # Quota per row: k minus the strictly-greater entries; the
-        # first ``quota`` ties in storage order survive (lowest stored
-        # index wins, as the docstring promises).
-        tie = seg == per_entry
-        greater = np.bincount(row_ids, weights=keep,
-                              minlength=seg_counts.size)
-        tie_before = np.concatenate(
-            ([0.0], np.cumsum(np.bincount(row_ids, weights=tie,
-                                          minlength=seg_counts.size))
-             [:-1]))
-        tie_rank = np.cumsum(tie) - tie - tie_before[row_ids]
-        keep |= tie & (tie_rank < (k - greater)[row_ids])
-        data[flat[~keep]] = 0.0
+    ``sims`` holds non-negative similarities with its column indices in
+    any order; it is returned for convenience. A pure threshold test
+    would keep *every* neighbour tied at the k-th similarity — on
+    duplicate-heavy columns that inflates the vote of whichever label
+    the duplicates carry. Ties at the k-th similarity are broken by
+    stored-document index, lowest first: the selection a stable sort by
+    (-similarity, index) would make.
+    """
+    data, indices, indptr = sims.data, sims.indices, sims.indptr
+    counts = np.diff(indptr)
+    over = np.flatnonzero(counts > k)
+    if over.size == 0:
         return sims
+    # The k-th largest value of each row over k, by batched partitions:
+    # rows are bucketed by the bit length of their entry count, and each
+    # bucket is right-padded with -inf to a rectangle (the padding sorts
+    # below every real value, so position ``width - k`` is exactly the
+    # k-th largest). Bucketing bounds the padding at 2x; padding every
+    # row to the global maximum costs more than the partitions
+    # themselves on skewed rows.
+    thresholds = np.zeros(counts.size)
+    _, buckets = np.frexp(counts[over])
+    for bucket in np.unique(buckets):
+        members = over[buckets == bucket]
+        widths = counts[members][:, None]
+        width = int(widths.max())
+        columns = np.arange(width)
+        gather = np.minimum(indptr[members][:, None] + columns,
+                            data.size - 1)
+        padded = np.where(columns < widths, data[gather], -np.inf)
+        thresholds[members] = np.partition(
+            padded, width - k, axis=1)[:, width - k]
+    # Rows within k keep everything: their threshold 0 is no higher
+    # than any entry (a zero kept there goes with the other zeros). A
+    # row over k keeps its entries above the threshold and, of those
+    # tied at it, the quota with the lowest columns: up to the column of
+    # its quota-th tie in ascending (row, column) key order. Each row
+    # over k has at least its quota of ties, the threshold among them.
+    per_entry = np.repeat(thresholds, counts)
+    keep = data > per_entry
+    nonempty = np.flatnonzero(counts)
+    greater = np.zeros(counts.size, dtype=np.intp)
+    greater[nonempty] = np.add.reduceat(keep, indptr[nonempty],
+                                        dtype=np.intp)
+    tied = np.flatnonzero(data == per_entry)
+    tie_rows = np.searchsorted(indptr, tied, side="right") - 1
+    n_columns = sims.shape[1]
+    keys = np.sort(tie_rows * n_columns + indices[tied])
+    last = np.searchsorted(keys, over * n_columns) + k - 1 - greater[over]
+    cutoff = np.full(counts.size, -1)
+    cutoff[over] = keys[last] - over * n_columns
+    keep[tied[indices[tied] <= cutoff[tie_rows]]] = True
+    data[~keep] = 0.0
+    return sims

@@ -7,10 +7,14 @@ two document vectors is their cosine similarity.
 
 Built on ``scipy.sparse`` so a matching phase that compares hundreds of
 query columns against tens of thousands of stored training examples stays
-a single sparse matrix product.
+a single sparse matrix product. The CSR matrices themselves are built
+here in numpy, from token ids, so their storage order is this module's
+choice rather than a side effect of scipy's sparse arithmetic.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 import numpy as np
 from scipy import sparse
@@ -30,36 +34,58 @@ class TfidfVectorSpace:
     def __init__(self, documents: list[list[str]]) -> None:
         if not documents:
             raise ValueError("cannot fit a vector space on an empty corpus")
-        self.vocabulary: dict[str, int] = {}
-        for doc in documents:
-            for token in doc:
-                if token not in self.vocabulary:
-                    self.vocabulary[token] = len(self.vocabulary)
-
-        n_docs = len(documents)
-        doc_frequency = np.zeros(max(len(self.vocabulary), 1))
-        for doc in documents:
-            # Each distinct token bumps its own counter slot, so the
-            # set's arbitrary order cannot reach any output.
-            for token in set(doc):  # lsd: ignore[set-iteration]
-                doc_frequency[self.vocabulary[token]] += 1
+        # dict.fromkeys keeps each token's first appearance, so column
+        # ids follow first-seen order.
+        self.vocabulary: dict[str, int] = {
+            token: column for column, token in
+            enumerate(dict.fromkeys(chain.from_iterable(documents)))}
+        rows, cols, tf = self._term_counts(documents)
+        # One (row, col) key per distinct document/term pair, so the
+        # column counts are document frequencies.
+        doc_frequency = np.bincount(cols, minlength=self._n_columns)
         # Smoothed idf keeps every fitted term positive, so a term present
         # in all documents still contributes a little signal.
-        self.idf = np.log((1.0 + n_docs) / (1.0 + doc_frequency)) + 1.0
-        self.matrix = self.transform(documents)
-        # The fitted model is immutable from here on: queries build
-        # *fresh* matrices (transform) and only ever read these. Marking
-        # the arrays read-only proves it at runtime, so forked workers
-        # never write (and copy) the pages they share with the parent.
-        self.idf.setflags(write=False)
-        self.matrix.data.setflags(write=False)
-        self.matrix.indices.setflags(write=False)
-        self.matrix.indptr.setflags(write=False)
+        self.idf = np.log((1.0 + len(documents))
+                          / (1.0 + doc_frequency)) + 1.0
+        self.matrix = self._weigh(rows, cols, tf, len(documents))
+        self._freeze()
+
+    def __getstate__(self) -> dict:
+        # The postings are the stored matrix transposed: rebuilt on load
+        # rather than written into every model file.
+        state = self.__dict__.copy()
+        del state["postings"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Build the postings and mark every fitted array read-only.
+
+        ``postings`` is ``matrix.T`` as CSR (one row per term, listing
+        the documents that contain it): the right operand of every
+        similarity product, built once instead of once per product. The
+        fitted model is immutable from here on: queries build *fresh*
+        matrices (transform) and only ever read these. Marking the
+        arrays read-only proves it at runtime, so forked workers never
+        write (and copy) the pages they share with the parent.
+        """
+        self.postings = self.matrix.T.tocsr()
+        for array in (self.idf, self.matrix.data, self.matrix.indices,
+                      self.matrix.indptr, self.postings.data,
+                      self.postings.indices, self.postings.indptr):
+            array.setflags(write=False)
 
     @property
     def n_documents(self) -> int:
         """Number of documents the space was fitted on."""
         return self.matrix.shape[0]
+
+    @property
+    def _n_columns(self) -> int:
+        return max(len(self.vocabulary), 1)
 
     def transform(self, documents: list[list[str]]) -> sparse.csr_matrix:
         """Map documents to L2-normalised TF-IDF rows.
@@ -68,23 +94,57 @@ class TfidfVectorSpace:
         nearest-neighbour matcher treats unseen words: they can't match
         anything stored, so they contribute nothing.
         """
-        vocabulary = self.vocabulary
-        rows: list[int] = []
-        cols: list[int] = []
-        for row_index, doc in enumerate(documents):
-            known = [vocabulary[token] for token in doc
-                     if token in vocabulary]
-            rows.extend([row_index] * len(known))
-            cols.extend(known)
-        shape = (len(documents), max(len(vocabulary), 1))
-        # COO->CSR sums duplicate (row, col) entries, so ones in, term
-        # frequencies out — the whole weighting is then two vectorised
-        # ops over the nonzeros instead of a Python loop per token.
-        matrix = sparse.csr_matrix(
-            (np.ones(len(cols)), (rows, cols)),
-            shape=shape, dtype=np.float64)
-        matrix.data = (1.0 + np.log(matrix.data)) * self.idf[matrix.indices]
-        return _l2_normalize(matrix)
+        return self._weigh(*self._term_counts(documents), len(documents))
+
+    def _term_counts(self, documents: list[list[str]]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, tf)`` of every distinct in-vocabulary
+        ``(document, term)`` pair, sorted by row and then column."""
+        lengths = np.fromiter(map(len, documents), dtype=np.intp,
+                              count=len(documents))
+        ids = np.fromiter(
+            map(self.vocabulary.get, chain.from_iterable(documents),
+                repeat(-1)),
+            dtype=np.intp, count=int(lengths.sum()))
+        rows = np.repeat(np.arange(len(documents)), lengths)
+        known = ids >= 0
+        n_columns = self._n_columns
+        keys, tf = np.unique(rows[known] * n_columns + ids[known],
+                             return_counts=True)
+        rows, cols = np.divmod(keys, n_columns)
+        return rows, cols, tf
+
+    def _weigh(self, rows: np.ndarray, cols: np.ndarray, tf: np.ndarray,
+               n_rows: int) -> sparse.csr_matrix:
+        """The L2-normalised ``(1 + log tf) * idf`` CSR of sorted term
+        counts.
+
+        The float operations are the ones scipy's sparse arithmetic
+        performs, in the same order, so the values are bit for bit those
+        of ``diags(1 / norms) @ weights``: each row's squared weights
+        are summed by ``np.add.reduceat`` in ascending column order (as
+        ``sum(axis=1)`` does), and each weight is multiplied by its
+        row's inverse norm. Rows are stored in descending column order,
+        the order that product leaves behind. Dot products sum their
+        terms in the left operand's storage order, so this order is part
+        of every similarity's value.
+        """
+        data = (1.0 + np.log(tf)) * self.idf[cols]
+        indptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        norms = np.ones(n_rows)
+        nonempty = np.flatnonzero(np.diff(indptr))
+        if nonempty.size:
+            norms[nonempty] = np.sqrt(
+                np.add.reduceat(data * data, indptr[nonempty]))
+        data *= (1.0 / norms)[rows]
+        # Reverse each row in place: the entry at position p of row r
+        # moves to indptr[r] + indptr[r + 1] - 1 - p.
+        reverse = (indptr[:-1] + indptr[1:] - 1)[rows] \
+            - np.arange(rows.size)
+        return sparse.csr_matrix(
+            (data[reverse], cols[reverse], indptr),
+            shape=(n_rows, self._n_columns))
 
     def similarities(self, queries: list[list[str]]) -> np.ndarray:
         """Cosine similarity of each query against every fitted document.
@@ -96,25 +156,16 @@ class TfidfVectorSpace:
 
     def sparse_similarities(self,
                             queries: list[list[str]]) -> sparse.csr_matrix:
-        """Cosine similarities as a CSR matrix with sorted column indices.
+        """Cosine similarities as a CSR matrix, column indices unsorted.
 
         Query/document similarity matrices are overwhelmingly zero (a
         short query only shares terms with a few stored documents), so
         bulk consumers like WHIRL score the nonzero entries directly
-        instead of materialising the dense array.
+        instead of materialising the dense array. Each row's entries
+        come in the sparse product's order; a consumer that needs them
+        by document index sorts what it keeps.
         """
-        query_matrix = self.transform(queries)
-        sims = (query_matrix @ self.matrix.T).tocsr()
-        sims.sort_indices()
-        return sims
-
-
-def _l2_normalize(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Row-normalise a sparse matrix; zero rows stay zero."""
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
-    norms[norms == 0.0] = 1.0
-    inverse = sparse.diags(1.0 / norms)
-    return (inverse @ matrix).tocsr()
+        return self.transform(queries) @ self.postings
 
 
 def cosine_similarity(a: list[str], b: list[str]) -> float:

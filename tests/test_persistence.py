@@ -1,7 +1,9 @@
 """Tests for saving and loading trained LSD systems."""
 
+import gzip
 import pickle
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.core.persistence import (FORMAT_VERSION, ModelFormatError,
                                     load_system, save_system)
 from repro.datasets import DOMAIN_NAMES, load_domain
 from repro.evaluation import SystemConfig, build_system
+from repro.learners import ContentMatcher, NameMatcher
 from repro.resilience.faults import CORRUPTION_STYLES, corrupt_text
 from repro.xmlio.recovery import read_fragments
 
@@ -158,6 +161,75 @@ class TestListingsAsText:
         assert set(result.tag_scores) == set(reference.tag_scores)
         for tag, scores in reference.tag_scores.items():
             assert np.array_equal(result.tag_scores[tag], scores), tag
+
+
+#: A version-2 model file written before the vector spaces kept their
+#: postings: :func:`train_matchers` saved by commit 088d39e under
+#: ``PYTHONHASHSEED=0``, gzipped.
+OLD_MODEL = Path(__file__).parent / "data" / "model_v2_matchers.lsd.gz"
+
+
+def train_matchers():
+    """The small name-and-content-matcher system ``OLD_MODEL`` holds."""
+    domain = load_domain("real_estate_1", seed=0)
+    system = build_system(
+        domain, SystemConfig("matchers",
+                             learners=("name_matcher", "content_matcher"),
+                             use_xml=False),
+        max_instances_per_tag=10)
+    for source in domain.sources[:3]:
+        system.add_training_source(
+            source.schema, source.listings(3, sample_seed=0),
+            source.mapping)
+    system.train()
+    return domain, system
+
+
+def vector_spaces(system):
+    return [learner._index._space for learner in system.learners
+            if isinstance(learner, (NameMatcher, ContentMatcher))]
+
+
+class TestVectorSpacePostings:
+    """A vector space keeps its postings (the transposed stored matrix)
+    in memory only: rebuilt on load, never written to a model file."""
+
+    def assert_postings(self, space):
+        expected = space.matrix.T.tocsr()
+        for name in ("indptr", "indices", "data"):
+            array = getattr(space.postings, name)
+            assert array.tobytes() == getattr(expected, name).tobytes()
+            assert array.dtype == getattr(expected, name).dtype
+            assert not array.flags.writeable
+
+    def test_fitted_and_loaded_spaces_hold_postings(self, trained,
+                                                    tmp_path):
+        _, system = trained
+        path = tmp_path / "model.lsd"
+        save_system(system, path)
+        loaded = load_system(path)
+        spaces = vector_spaces(system)
+        assert len(spaces) == 2
+        for space in spaces + vector_spaces(loaded):
+            self.assert_postings(space)
+            assert "postings" not in space.__getstate__()
+
+    def test_model_file_from_before_the_postings_loads_and_matches(
+            self, tmp_path):
+        path = tmp_path / "old.lsd"
+        path.write_bytes(gzip.decompress(OLD_MODEL.read_bytes()))
+        old = load_system(path)
+        domain, fresh = train_matchers()
+        for space in vector_spaces(old):
+            self.assert_postings(space)
+        test = domain.sources[4]
+        listings = test.listings(10, sample_seed=0)
+        expected = fresh.match(test.schema, listings)
+        result = old.match(test.schema, listings)
+        assert result.mapping == expected.mapping
+        assert sorted(result.tag_scores) == sorted(expected.tag_scores)
+        for tag, scores in expected.tag_scores.items():
+            assert result.tag_scores[tag].tobytes() == scores.tobytes()
 
 
 class TestRunSettings:

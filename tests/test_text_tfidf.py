@@ -2,10 +2,13 @@
 
 import string
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.text import TfidfVectorSpace, cosine_similarity
 
@@ -116,3 +119,128 @@ class TestProperties:
         space = TfidfVectorSpace(docs)
         sims = space.similarities(docs)
         assert np.allclose(sims, sims.T, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the space as it was built through scipy's sparse
+# arithmetic (COO->CSR sums, ``multiply().sum(axis=1)`` norms, a
+# ``diags`` product), kept verbatim so the numpy-built kernel can be
+# held to it byte for byte
+# ---------------------------------------------------------------------------
+
+def oracle_fit(documents):
+    """``(vocabulary, idf)`` of a corpus, counted document by document."""
+    vocabulary = {}
+    for doc in documents:
+        for token in doc:
+            if token not in vocabulary:
+                vocabulary[token] = len(vocabulary)
+    doc_frequency = np.zeros(max(len(vocabulary), 1))
+    for doc in documents:
+        for token in dict.fromkeys(doc):
+            doc_frequency[vocabulary[token]] += 1
+    idf = np.log((1.0 + len(documents)) / (1.0 + doc_frequency)) + 1.0
+    return vocabulary, idf
+
+
+def oracle_transform(vocabulary, idf, documents):
+    rows, cols = [], []
+    for row_index, doc in enumerate(documents):
+        known = [vocabulary[token] for token in doc if token in vocabulary]
+        rows.extend([row_index] * len(known))
+        cols.extend(known)
+    shape = (len(documents), max(len(vocabulary), 1))
+    matrix = sparse.csr_matrix((np.ones(len(cols)), (rows, cols)),
+                               shape=shape, dtype=np.float64)
+    matrix.data = (1.0 + np.log(matrix.data)) * idf[matrix.indices]
+    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
+    norms[norms == 0.0] = 1.0
+    return (sparse.diags(1.0 / norms) @ matrix).tocsr()
+
+
+def assert_same_csr(actual, expected):
+    """Same shape and the same stored arrays, dtype and bytes."""
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+#: A small vocabulary, so documents overlap and repeat terms.
+VOCAB = ["a", "b", "c", "d", "e", "f"]
+
+
+@st.composite
+def corpora(draw):
+    """A corpus with duplicate and empty documents, and queries drawn
+    from it, out-of-vocabulary tokens and empty documents."""
+    base = draw(st.lists(st.lists(st.sampled_from(VOCAB), max_size=6),
+                         min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), max_size=8))
+    corpus = base + [list(base[i]) for i in picks]
+    queries = draw(st.lists(
+        st.one_of(st.sampled_from(corpus),
+                  st.lists(st.sampled_from(VOCAB + ["zz", "qq"]),
+                           max_size=6)),
+        min_size=1, max_size=8))
+    return corpus, queries
+
+
+class TestAgainstOracle:
+    @given(corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_fit_and_transform_match_the_oracle(self, drawn):
+        corpus, queries = drawn
+        space = TfidfVectorSpace(corpus)
+        vocabulary, idf = oracle_fit(corpus)
+        assert list(space.vocabulary.items()) == list(vocabulary.items())
+        assert space.idf.tobytes() == idf.tobytes()
+        assert_same_csr(space.matrix,
+                        oracle_transform(vocabulary, idf, corpus))
+        assert_same_csr(space.transform(queries),
+                        oracle_transform(vocabulary, idf, queries))
+
+    @given(corpora())
+    @settings(max_examples=80, deadline=None)
+    def test_similarities_match_the_oracle_product(self, drawn):
+        corpus, queries = drawn
+        space = TfidfVectorSpace(corpus)
+        vocabulary, idf = oracle_fit(corpus)
+        expected = oracle_transform(vocabulary, idf, queries) \
+            @ oracle_transform(vocabulary, idf, corpus).T
+        assert space.similarities(queries).tobytes() == \
+            expected.toarray().tobytes()
+
+    def test_rows_are_stored_in_descending_column_order(self):
+        space = TfidfVectorSpace(DOCS)
+        for row in range(space.n_documents):
+            columns = space.matrix.indices[
+                space.matrix.indptr[row]:space.matrix.indptr[row + 1]]
+            assert list(columns) == sorted(columns, reverse=True)
+
+
+class TestPostings:
+    """The transposed stored matrix, kept for the similarity product."""
+
+    def test_postings_are_the_transposed_matrix(self):
+        space = TfidfVectorSpace(DOCS)
+        assert_same_csr(space.postings, space.matrix.T.tocsr())
+
+    def test_fitted_arrays_are_read_only(self):
+        space = TfidfVectorSpace(DOCS)
+        for matrix in (space.matrix, space.postings):
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                assert not array.flags.writeable
+        assert not space.idf.flags.writeable
+
+    def test_postings_are_not_pickled_and_come_back_on_load(self):
+        space = TfidfVectorSpace(DOCS)
+        assert set(space.__getstate__()) == {"vocabulary", "idf", "matrix"}
+        loaded = pickle.loads(pickle.dumps(space))
+        assert_same_csr(loaded.postings, loaded.matrix.T.tocsr())
+        assert_same_csr(loaded.matrix, space.matrix)
+        assert not loaded.postings.data.flags.writeable
+        queries = [["great", "house"], ["miami", "zzz"], []]
+        assert loaded.similarities(queries).tobytes() == \
+            space.similarities(queries).tobytes()
