@@ -5,11 +5,14 @@ of lookahead/consume primitives a recursive-descent parser needs. Every
 primitive consumes a whole run — a slice, an anchored regex match, or a
 jump to the next occurrence of a pattern — never one character per
 Python call. ``line``/``column`` are not tracked while scanning: they
-are computed on demand by bisecting an index of the text's newlines,
-built the first time a position is asked for. :mod:`repro.xmlio.parser`,
-the listing chunker in :mod:`repro.xmlio.recovery` and
-:mod:`repro.xmlio.dtd` all build on it, so position reporting is
-consistent across the substrate.
+are computed on demand by bisecting a :class:`LineIndex` of the text's
+newlines, built the first time a position is asked for. The index keeps
+the newline offsets, not the text, so a parsed element can hold it with
+its start offset and resolve its own position when it is first read
+(:attr:`repro.xmlio.tree.Element.source_location`), long after the
+scanner and its text are gone. :mod:`repro.xmlio.parser`, the listing
+chunker in :mod:`repro.xmlio.recovery` and :mod:`repro.xmlio.dtd` all
+build on it, so position reporting is consistent across the substrate.
 
 Next to the scanner sit the token patterns (:data:`START_TAG`,
 :data:`END_TAG`, :data:`ATTRIBUTE`), built from the same name character
@@ -21,6 +24,7 @@ decline to the scanner primitives.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left
 
 from .errors import SourceLocation, XMLSyntaxError
@@ -94,6 +98,36 @@ def is_name_char(ch: str) -> bool:
     return ch in _NAME_BODY
 
 
+class LineIndex:
+    """Where one text's newlines sit: enough to turn an offset into a
+    (line, column) once the text itself is gone.
+
+    ``start_line``/``start_column`` give the position of the text's
+    first character, so a chunk of a larger document reports
+    file-absolute positions. The newline offsets are kept as one
+    ``array`` of machine integers; the index holds no reference to the
+    text it was built from.
+    """
+
+    __slots__ = ("newlines", "start_line", "start_column")
+
+    def __init__(self, text: str, start_line: int = 1,
+                 start_column: int = 1) -> None:
+        self.newlines = array(
+            "q", [match.start() for match in _NEWLINE.finditer(text)])
+        self.start_line = start_line
+        self.start_column = start_column
+
+    def location(self, pos: int) -> SourceLocation:
+        """The 1-based (line, column) of offset ``pos`` of the text."""
+        newlines = self.newlines
+        before = bisect_left(newlines, pos)
+        if before == 0:
+            return SourceLocation(self.start_line, self.start_column + pos)
+        return SourceLocation(self.start_line + before,
+                              pos - newlines[before - 1])
+
+
 class Scanner:
     """A cursor over ``text``; positions are computed, not tracked.
 
@@ -110,24 +144,23 @@ class Scanner:
         self.pos = 0
         self.start_line = line
         self.start_column = column
-        self._newlines: list[int] | None = None
+        self._lines: LineIndex | None = None
 
     # ------------------------------------------------------------------
     # position
     # ------------------------------------------------------------------
+    @property
+    def lines(self) -> LineIndex:
+        """The text's newline index, built on first use."""
+        lines = self._lines
+        if lines is None:
+            lines = self._lines = LineIndex(self.text, self.start_line,
+                                            self.start_column)
+        return lines
+
     def location(self, pos: int | None = None) -> SourceLocation:
         """The 1-based (line, column) of the cursor, or of ``pos``."""
-        if pos is None:
-            pos = self.pos
-        newlines = self._newlines
-        if newlines is None:
-            newlines = self._newlines = [
-                match.start() for match in _NEWLINE.finditer(self.text)]
-        before = bisect_left(newlines, pos)
-        if before == 0:
-            return SourceLocation(self.start_line, self.start_column + pos)
-        return SourceLocation(self.start_line + before,
-                              pos - newlines[before - 1])
+        return self.lines.location(self.pos if pos is None else pos)
 
     @property
     def line(self) -> int:

@@ -8,11 +8,22 @@ wraps the root element together with optional prolog information.
 LSD treats XML attributes and sub-elements uniformly (Section 2.1 of the
 paper), so the schema-matching layers above mostly use :meth:`Element.iter`
 and :meth:`Element.text_content`.
+
+Positions are resolved on read. A parsed element stores only its start
+tag's offset and the :class:`~repro.xmlio.lexer.LineIndex` its parse
+shares among all its elements; :attr:`Element.source_location` turns
+the pair into a line and column the first time it is read and keeps
+the result. Only the validator, error messages and tests read them, so
+a listing that is only matched never pays for its positions.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .errors import SourceLocation
+    from .lexer import LineIndex
 
 
 class Text:
@@ -36,21 +47,38 @@ class Text:
 class Element:
     """An XML element: tag, attributes, ordered children, parent pointer."""
 
-    __slots__ = ("tag", "attributes", "children", "parent",
-                 "source_location")
+    __slots__ = ("tag", "attributes", "children", "parent", "_at",
+                 "_lines")
 
     def __init__(self, tag: str,
                  attributes: dict[str, str] | None = None) -> None:
         self.tag = tag
-        self.attributes: dict[str, str] = dict(attributes or {})
+        self.attributes: dict[str, str] = \
+            dict(attributes) if attributes else {}
         self.children: list[Element | Text] = []
         self.parent: Element | None = None
-        #: Where the element's start tag sat in the parsed source
-        #: (:class:`~repro.xmlio.errors.SourceLocation`), or ``None``
-        #: for programmatically built trees.
-        self.source_location = None
+        #: While ``_lines`` is set: the start tag's offset into the
+        #: text ``_lines`` indexes. Otherwise the resolved location.
+        self._at: int | SourceLocation | None = None
+        self._lines: LineIndex | None = None
 
-    def location(self):
+    @property
+    def source_location(self) -> SourceLocation | None:
+        """Where the element's start tag sat in the parsed source
+        (:class:`~repro.xmlio.errors.SourceLocation`), or ``None`` for
+        programmatically built trees. Resolved on first read."""
+        lines = self._lines
+        if lines is not None:
+            self._at = lines.location(self._at)
+            self._lines = None
+        return self._at
+
+    @source_location.setter
+    def source_location(self, location: SourceLocation | None) -> None:
+        self._at = location
+        self._lines = None
+
+    def location(self) -> SourceLocation | None:
         """The element's source position, or ``None`` when unknown."""
         return self.source_location
 
@@ -174,7 +202,8 @@ class Element:
     def copy(self) -> "Element":
         """Deep copy of the subtree (parent pointer of the copy is None)."""
         clone = Element(self.tag, self.attributes)
-        clone.source_location = self.location()
+        clone._at = self._at
+        clone._lines = self._lines
         for child in self.children:
             if isinstance(child, Text):
                 clone.children.append(Text(child.value))
