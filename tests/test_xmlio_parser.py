@@ -146,6 +146,18 @@ class TestDeclarationPseudoAttributes:
          "repeated pseudo-attribute 'version'", 1, 21),
         ('<?xml version="1.0"\n  standalone="maybe"?><a/>',
          "standalone must be 'yes' or 'no', found 'maybe'", 2, 14),
+        ('<?xml version="banana" encoding="1 2"?><a/>',
+         "version must be '1.' and digits, found 'banana'", 1, 15),
+        ("<?xml version='2.0'?><a/>",
+         "version must be '1.' and digits, found '2.0'", 1, 15),
+        ('<?xml version="1."?><a/>',
+         "version must be '1.' and digits, found '1.'", 1, 15),
+        ('\n <?xml version="1.0"\n\tencoding="1 2"?><a/>',
+         "encoding must be a letter, then letters, digits, '.', '_' or "
+         "'-', found '1 2'", 3, 11),
+        ('<?xml version="1.0" encoding=""?><a/>',
+         "encoding must be a letter, then letters, digits, '.', '_' or "
+         "'-', found ''", 1, 30),
     ])
     def test_strict_raises_at_the_file_absolute_position(
             self, text, reason, line, column):
@@ -160,6 +172,8 @@ class TestDeclarationPseudoAttributes:
         '<?xml encoding="utf-8"?><a/>',
         '<?xml version="1.0" bogus="x"?><a/>',
         '<?xml standalone="yes" version="1.0"?><a/>',
+        '<?xml version="banana"?><a/>',
+        '<?xml version="1.0" encoding="utf 8"?><a/>',
     ])
     @pytest.mark.parametrize("mode", ["lenient", "salvage"])
     def test_lenient_modes_record_the_violation(self, text, mode):
@@ -171,6 +185,15 @@ class TestDeclarationPseudoAttributes:
         doc = parse_document('<?xml version="1.0" encoding="utf-8" '
                              "standalone='no' ?><r/>")
         assert (doc.version, doc.encoding) == ("1.0", "utf-8")
+
+    @pytest.mark.parametrize("version, encoding", [
+        ("1.0", "UTF-8"), ("1.10", "ISO-8859-1"), ("1.1", "x.y_z-9"),
+        ("1.0", "e")])
+    def test_values_of_the_productions_are_accepted(self, version,
+                                                    encoding):
+        doc = parse_document(f'<?xml version="{version}" '
+                             f'encoding="{encoding}"?><r/>')
+        assert (doc.version, doc.encoding) == (version, encoding)
 
 
 class TestReservedPITarget:
