@@ -10,7 +10,8 @@ import pytest
 
 from repro.xmlio.recovery import INGEST_MODES
 
-from .xmlio_golden import FIXTURE, run_document, run_dtd, run_fragments
+from .xmlio_golden import (FIXTURE, handmade_dtds, handmade_inputs,
+                           run_document, run_dtd, run_fragments)
 
 GOLDEN = json.loads(FIXTURE.read_text(encoding="utf-8"))
 
@@ -52,3 +53,20 @@ def test_fixture_covers_every_domain_and_failure_kind():
     assert any(outcome.get("log", {}).get("events")
                for outcome in outcomes)
     assert any("error" in case["result"] for case in GOLDEN["dtds"])
+
+
+def test_fixture_holds_every_handmade_input():
+    """An input added to a hand-made list without regenerating the
+    fixture would not be replayed at all; this catches it. Generated
+    inputs are left out: the fixture stores them so that it does not
+    follow the dataset generators."""
+    handmade = handmade_inputs()
+    prefixes = {name.split("/")[0] for name, _ in handmade}
+
+    def stored(section, prefixes):
+        return [(case["name"], case["text"]) for case in GOLDEN[section]
+                if case["name"].split("/")[0] in prefixes]
+
+    assert stored("fragments", prefixes) == handmade
+    assert stored("documents", prefixes) == handmade
+    assert stored("dtds", {"malformed-dtd"}) == handmade_dtds()
