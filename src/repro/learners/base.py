@@ -16,6 +16,7 @@ import numpy as np
 from ..core.instance import ElementInstance
 from ..core.labels import LabelSpace
 from ..core.prediction import Prediction, normalize_matrix
+from .batching import ExampleTable
 
 
 class BaseLearner(ABC):
@@ -91,6 +92,24 @@ class BaseLearner(ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fitted" if self.space is not None else "unfitted"
         return f"<{type(self).__name__} {self.name!r} ({state})>"
+
+
+class GroupingLearner(BaseLearner):
+    """A learner that fits from grouped training examples.
+
+    Its ``fit`` counts from an
+    :class:`~repro.learners.batching.ExampleTable` built by
+    :meth:`example_table`. Cross-validation builds that table once per
+    training stream and hands each fold clone a
+    :class:`~repro.learners.batching.Fold` over it; the clone's ``fit``
+    and ``predict_scores`` accept the fold like any instance sequence.
+    """
+
+    @abstractmethod
+    def example_table(self, instances: Sequence[ElementInstance],
+                      labels: Sequence[str],
+                      space: LabelSpace) -> ExampleTable:
+        """Group ``instances`` under this learner's keys."""
 
 
 class LearnerRegistry:

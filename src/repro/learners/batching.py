@@ -8,15 +8,25 @@ batch can be collapsed to its distinct keys, scored once per key, and
 broadcast back with one fancy-index gather — numerically identical to
 scoring every row, because no step mixes information across rows.
 
-Training collapses the same way: :func:`group_examples` hands ``fit``
-each distinct ``(key, label)`` example once, in first-seen order, with
-its multiplicity. The fitted state stays the per-instance fit's, bit
-for bit. Counting learners add each distinct example's token counts
-times its multiplicity, and integer counts sum exactly in float64 in
-any order. First-seen order reproduces every token's first appearance,
-so vocabularies and matrix columns keep their order; the WHIRL index,
-which stores each distinct ``(document, label)`` pair once in
-first-seen order, sees the same distinct pairs in the same order.
+Training collapses the same way, through an :class:`ExampleTable`:
+one pass over a training stream keys every position and groups it into
+distinct ``(key, label)`` examples, and each distinct key's document is
+featurized once and numbered as global token ids. ``fit`` then counts
+each distinct example once, times its multiplicity. The fitted state
+stays the per-instance fit's, bit for bit. Counting learners add each
+distinct example's token counts times its multiplicity, and integer
+counts sum exactly in float64 in any order. First-seen order reproduces
+every token's first appearance, so vocabularies and matrix columns keep
+their order; the WHIRL index, which stores each distinct ``(document,
+label)`` pair once in first-seen order, sees the same distinct pairs in
+the same order.
+
+Cross-validation builds one table per grouping learner and hands every
+fold clone a :class:`Fold`: the fold's positions plus that shared
+table. A fold's distinct examples, their multiplicities and its
+vocabulary come from numpy over the table's id arrays, so no fold keys
+or hashes an instance again. To any other learner a fold is just a
+sequence of instances.
 
 The content matcher's fit does not group: its documents are already a
 per-instance memo lookup and its WHIRL index keeps each distinct
@@ -34,11 +44,14 @@ measure the un-deduplicated baseline.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from ..core import featurize
+from ..core.instance import ElementInstance
+from ..core.labels import LabelSpace
 
 
 def group_distinct(keys: Sequence[Hashable]
@@ -80,17 +93,107 @@ def score_distinct(keys: Sequence[Hashable],
     return score(firsts)[inverse]
 
 
-def group_examples(keys: Iterable[Hashable], labels: Sequence[str]
-                   ) -> tuple[list[int], np.ndarray]:
-    """The distinct ``(key, label)`` training examples and their counts.
+class ExampleTable:
+    """A training stream's distinct examples and their documents.
 
-    Returns ``(firsts, counts)``: ``firsts[d]`` is the position of the
-    first example of distinct pair ``d`` (in first-seen order) and
-    ``counts[d]`` how many examples carry it. ``keys`` is read lazily,
-    and not at all when memoisation is disabled: then every example is
-    its own group of one.
+    Built once per stream by a grouping learner's ``example_table``:
+
+    * ``key_of[i]`` and ``example_of[i]`` are the distinct key id and
+      the distinct ``(key, label)`` example id of position ``i``;
+    * ``example_key[e]`` and ``example_row[e]`` are example ``e``'s key
+      id and label row;
+    * ``documents[k]`` is key ``k``'s document, made by
+      ``document(firsts)`` from the first position carrying each key;
+    * ``tokens`` are the distinct tokens of all documents in
+      first-appearance order, and ``indptr``/``token_ids`` hold every
+      document as global token ids (a CSR without values).
+
+    With memoisation disabled every position is its own key, so every
+    training example is fitted and scored on its own.
     """
-    if not featurize.is_enabled():
-        return list(range(len(labels))), np.ones(len(labels), dtype=np.intp)
-    firsts, inverse = group_distinct(list(zip(keys, labels)))
-    return firsts, np.bincount(inverse, minlength=len(firsts))
+
+    def __init__(self, keys: Sequence[Hashable], labels: Sequence[str],
+                 space: LabelSpace,
+                 document: Callable[[Sequence[int]], list[Sequence[str]]]
+                 ) -> None:
+        n = len(labels)
+        if featurize.is_enabled():
+            firsts, self.key_of = group_distinct(keys)
+        else:
+            firsts, self.key_of = range(n), np.arange(n)
+        row_of = {label: space.index_of(label)
+                  for label in dict.fromkeys(labels)}
+        rows = np.fromiter(map(row_of.__getitem__, labels), dtype=np.intp,
+                           count=n)
+        codes, self.example_of = np.unique(
+            self.key_of * len(space) + rows, return_inverse=True)
+        self.example_key, self.example_row = np.divmod(codes, len(space))
+        self.documents = document(firsts)
+        lengths = np.fromiter(map(len, self.documents), dtype=np.intp,
+                              count=len(self.documents))
+        self.indptr = np.concatenate(([0], np.cumsum(lengths)))
+        self.tokens = list(dict.fromkeys(chain.from_iterable(
+            self.documents)))
+        ids = {token: i for i, token in enumerate(self.tokens)}
+        self.token_ids = np.fromiter(
+            map(ids.__getitem__, chain.from_iterable(self.documents)),
+            dtype=np.intp, count=self.indptr[-1])
+
+    def examples(self, positions: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct examples at ``positions`` in first-seen order,
+        and how many positions carry each."""
+        ids = self.example_of[positions]
+        distinct, firsts = np.unique(ids, return_index=True)
+        distinct = distinct[np.argsort(firsts)]
+        return distinct, np.bincount(ids)[distinct]
+
+    def concatenated(self, keys: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """The documents of ``keys`` laid end to end as global token
+        ids, and each document's length."""
+        starts = self.indptr[keys]
+        lengths = self.indptr[keys + 1] - starts
+        ends = np.cumsum(lengths)
+        offsets = np.repeat(starts - ends + lengths, lengths)
+        return self.token_ids[offsets + np.arange(offsets.size)], lengths
+
+
+class Fold(Sequence[ElementInstance]):
+    """The instances at ``positions`` of a cross-validated stream.
+
+    It reads as a plain sequence of instances. A grouping learner's
+    ``fit`` and ``predict_scores`` instead read :meth:`table`, the
+    stream's :class:`ExampleTable`, which ``build`` makes on the first
+    call and every fold of the stream shares.
+    """
+
+    def __init__(self, instances: Sequence[ElementInstance],
+                 positions: np.ndarray,
+                 build: Callable[[], ExampleTable]) -> None:
+        self._instances = instances
+        self.positions = positions
+        self.table = build
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index: int) -> ElementInstance:
+        return self._instances[self.positions[index]]
+
+    def distinct_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct key ids of the fold's positions, and the map
+        that broadcasts rows scored per key back to positions."""
+        return np.unique(self.table().key_of[self.positions],
+                         return_inverse=True)
+
+
+def fit_table(learner, instances: Sequence[ElementInstance],
+              labels: Sequence[str], space: LabelSpace
+              ) -> tuple[ExampleTable, np.ndarray]:
+    """The table ``fit`` counts from, and the positions it fits: a
+    fold's shared table, or one built over every given position."""
+    if isinstance(instances, Fold):
+        return instances.table(), instances.positions
+    return (learner.example_table(instances, labels, space),
+            np.arange(len(instances)))

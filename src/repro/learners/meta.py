@@ -15,7 +15,8 @@ Matching: the combined score of label ``c`` for an instance is
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from ..core.labels import LabelSpace
 from ..core.parallel import ParallelExecutor, resolve
 from ..core.prediction import normalize_matrix
 from ..observability import Observer, resolve_observer
-from .base import BaseLearner
+from .base import BaseLearner, GroupingLearner
+from .batching import ExampleTable, Fold
 
 
 def _fold_splits(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -38,14 +40,23 @@ def _fold_splits(n: int, folds: int, seed: int) -> list[np.ndarray]:
 def _run_fold(learner: BaseLearner,
               instances: Sequence[ElementInstance],
               labels: Sequence[str], space: LabelSpace,
-              train_idx: np.ndarray, held_out: np.ndarray) -> np.ndarray:
+              train_idx: np.ndarray, held_out: np.ndarray,
+              table: Callable[[], ExampleTable] | None) -> np.ndarray:
     """One (learner, fold) task: train a clone, predict the held-out
-    block; uniform scores when the clone cannot be trained."""
+    block; uniform scores when the clone cannot be trained. A grouping
+    learner's clone gets :class:`~repro.learners.batching.Fold` views
+    of the shared ``table``, any other learner's plain lists."""
+
+    def view(positions: np.ndarray) -> Sequence[ElementInstance]:
+        if table is None:
+            return [instances[i] for i in positions]
+        return Fold(instances, positions, table)
+
     clone = learner.clone()
     try:
-        clone.fit([instances[i] for i in train_idx],
-                  [labels[i] for i in train_idx], space)
-        return clone.predict_scores([instances[i] for i in held_out])
+        clone.fit(view(train_idx), [labels[i] for i in train_idx.tolist()],
+                  space)
+        return clone.predict_scores(view(held_out))
     except (ValueError, RuntimeError):
         return np.full((len(held_out), len(space)), 1.0 / len(space))
 
@@ -73,6 +84,15 @@ def cross_validate_many(learners: Sequence[BaseLearner],
     back to uniform out-of-fold scores instead of crashing the whole
     training phase.
 
+    A grouping learner (:class:`~repro.learners.base.GroupingLearner`)
+    is keyed and grouped once per call, not once per fold: the first
+    of its fold clones to need it builds the learner's
+    :class:`~repro.learners.batching.ExampleTable` over all ``n``
+    examples, and every clone fits and scores a
+    :class:`~repro.learners.batching.Fold` view of that table. The
+    scores are byte-equal to fitting each clone on a list of its fold.
+    Other learners' clones get plain lists.
+
     The k*d (learner, fold) tasks run through ``executor``, which
     applies its resilience policy (fault sites, retries) to each task.
     Fold tasks are closures over live learners, so they run serially
@@ -95,20 +115,26 @@ def cross_validate_many(learners: Sequence[BaseLearner],
     all_indices = np.arange(n)
     train_sets = [np.setdiff1d(all_indices, held_out)
                   for held_out in boundaries]
-    tasks = [(learner, fold, train_idx, held_out)
-             for learner in learners
+    # One example table per grouping learner, built by the first fold
+    # clone that reads it; a build that fails raises again in each fold.
+    tables = [functools.cache(functools.partial(
+                  learner.example_table, instances, labels, space))
+              if isinstance(learner, GroupingLearner) else None
+              for learner in learners]
+    tasks = [(learner, table, fold, train_idx, held_out)
+             for learner, table in zip(learners, tables)
              for fold, (train_idx, held_out)
              in enumerate(zip(train_sets, boundaries))]
     with obs.trace.span("folds", folds=folds,
                         learners=len(learners)) as folds_span:
 
         def run_task(task) -> np.ndarray:
-            learner, fold, train_idx, held_out = task
+            learner, table, fold, train_idx, held_out = task
             with obs.trace.span(f"fold.{learner.name}.{fold}",
                                 parent=folds_span.span_id,
                                 held_out=len(held_out)):
                 return _run_fold(learner, instances, labels, space,
-                                 train_idx, held_out)
+                                 train_idx, held_out, table)
 
         blocks = resolve(executor).map(run_task, tasks)
     matrices: list[np.ndarray] = []

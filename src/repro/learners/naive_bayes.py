@@ -21,8 +21,8 @@ from scipy import sparse
 from ..core import featurize
 from ..core.instance import ElementInstance
 from ..core.labels import LabelSpace
-from .base import BaseLearner
-from .batching import group_examples, score_distinct
+from .base import GroupingLearner
+from .batching import ExampleTable, Fold, fit_table, score_distinct
 
 
 def default_tokenizer(instance: ElementInstance) -> list[str]:
@@ -37,7 +37,7 @@ def default_tokenizer(instance: ElementInstance) -> list[str]:
     return featurize.content_tokens(instance)
 
 
-class NaiveBayesLearner(BaseLearner):
+class NaiveBayesLearner(GroupingLearner):
     """Multinomial NB with Laplace smoothing over instance token bags."""
 
     name = "naive_bayes"
@@ -78,6 +78,15 @@ class NaiveBayesLearner(BaseLearner):
             return [self.tokenizer(instances[i]) for i in positions]
         return [keys[i] for i in positions]
 
+    def example_table(self, instances: Sequence[ElementInstance],
+                      labels: Sequence[str],
+                      space: LabelSpace) -> ExampleTable:
+        keys = self._group_keys(instances)
+        return ExampleTable(
+            keys, labels, space,
+            lambda firsts: self._documents(instances, keys, firsts,
+                                           fitting=True))
+
     def fit(self, instances: Sequence[ElementInstance],
             labels: Sequence[str], space: LabelSpace) -> None:
         if len(instances) != len(labels):
@@ -85,18 +94,19 @@ class NaiveBayesLearner(BaseLearner):
         self.space = space
         # Count each distinct (key, label) example once, times its
         # multiplicity (see repro.learners.batching for why it is exact).
-        keys = self._group_keys(instances)
-        firsts, counts = group_examples(keys, labels)
-        documents = self._documents(instances, keys, firsts, fitting=True)
-        rows = np.fromiter((space.index_of(labels[i]) for i in firsts),
-                           dtype=np.intp, count=len(firsts))
-        vocabulary: dict[str, int] = {}
-        add = vocabulary.setdefault
-        cols = np.fromiter(
-            (add(token, len(vocabulary)) for doc in documents
-             for token in doc), dtype=np.intp)
-        lengths = np.fromiter((len(doc) for doc in documents),
-                              dtype=np.intp, count=len(documents))
+        table, positions = fit_table(self, instances, labels, space)
+        examples, counts = table.examples(positions)
+        ids, lengths = table.concatenated(table.example_key[examples])
+        # The vocabulary is the fitted examples' tokens in first-
+        # appearance order, numbered from the table's global ids.
+        distinct, firsts = np.unique(ids, return_index=True)
+        order = distinct[np.argsort(firsts)]
+        column = np.empty(len(table.tokens), dtype=np.intp)
+        column[order] = np.arange(len(order))
+        cols = column[ids]
+        rows = table.example_row[examples]
+        vocabulary = dict(zip(map(table.tokens.__getitem__, order.tolist()),
+                              range(len(order))))
         self.vocabulary = vocabulary
 
         n_labels = len(space)
@@ -124,6 +134,18 @@ class NaiveBayesLearner(BaseLearner):
             raise RuntimeError("learner is not fitted")
         if not instances:
             return np.zeros((0, len(space)))
+        if isinstance(instances, Fold):
+            # A held-out fold: score each distinct key of the table once,
+            # mapping its global token ids to this fit's columns.
+            table = instances.table()
+            keys, inverse = instances.distinct_keys()
+            ids, lengths = table.concatenated(keys)
+            distinct, where = np.unique(ids, return_inverse=True)
+            get, tokens = self.vocabulary.get, table.tokens
+            cols = np.fromiter((get(tokens[g], -1)
+                                for g in distinct.tolist()),
+                               dtype=np.intp, count=len(distinct))
+            return self._score_columns(cols[where], lengths)[inverse]
         # Score each distinct key once and broadcast: NB scores are
         # row-wise, so this is numerically identical to scoring all rows,
         # and duplicate-heavy columns collapse to a few distinct bags.
@@ -136,31 +158,33 @@ class NaiveBayesLearner(BaseLearner):
 
     def _score_documents(self,
                          documents: list[Sequence[str]]) -> np.ndarray:
-        matrix = self._document_matrix(documents)
-        log_scores = matrix @ self._log_likelihood.T + self._log_prior
-        return _row_softmax(log_scores)
-
-    # ------------------------------------------------------------------
-    def _document_matrix(self, documents: list[Sequence[str]]
-                         ) -> sparse.csr_matrix:
         # One flat Python pass maps tokens to vocabulary columns (-1 for
-        # out-of-vocabulary); everything after — the row expansion, the
-        # OOV filter, and the duplicate-count/column-sort canonicalisation
-        # in ``tocsr`` — runs in C. Counts are small integers, so the
-        # duplicate summation is exact regardless of order.
+        # out-of-vocabulary).
         get = self.vocabulary.get
         cols = np.fromiter(
             (get(token, -1) for doc in documents for token in doc),
             dtype=np.intp)
         lengths = np.fromiter((len(doc) for doc in documents),
                               dtype=np.intp, count=len(documents))
-        rows = np.repeat(np.arange(len(documents), dtype=np.intp),
-                         lengths)
+        return self._score_columns(cols, lengths)
+
+    def _score_columns(self, cols: np.ndarray,
+                       lengths: np.ndarray) -> np.ndarray:
+        """Scores of documents given as their vocabulary columns (-1
+        out of vocabulary) laid end to end, and their lengths.
+
+        The row expansion, the OOV filter, and the duplicate-count/
+        column-sort canonicalisation in ``tocsr`` run in C. Counts are
+        small integers, so the duplicate summation is exact regardless
+        of order.
+        """
+        rows = np.repeat(np.arange(len(lengths), dtype=np.intp), lengths)
         known = cols >= 0
         matrix = sparse.coo_matrix(
             (np.ones(int(known.sum())), (rows[known], cols[known])),
-            shape=(len(documents), max(len(self.vocabulary), 1)))
-        return matrix.tocsr()
+            shape=(len(lengths), max(len(self.vocabulary), 1))).tocsr()
+        log_scores = matrix @ self._log_likelihood.T + self._log_prior
+        return _row_softmax(log_scores)
 
 
 def _row_softmax(log_scores: np.ndarray) -> np.ndarray:

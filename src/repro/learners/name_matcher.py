@@ -16,12 +16,12 @@ import numpy as np
 from ..core.instance import ElementInstance
 from ..core.labels import LabelSpace
 from ..text import SynonymDictionary, default_synonyms, expand_name
-from .base import BaseLearner
-from .batching import group_distinct, group_examples
+from .base import GroupingLearner
+from .batching import ExampleTable, Fold, fit_table, group_distinct
 from .whirl import WhirlIndex
 
 
-class NameMatcher(BaseLearner):
+class NameMatcher(GroupingLearner):
     """WHIRL classifier over tag-name tokens."""
 
     name = "name_matcher"
@@ -44,19 +44,28 @@ class NameMatcher(BaseLearner):
         path = instance.path[1:] if self.use_paths else ()
         return expand_name(instance.tag, path, self.synonyms)
 
+    def example_table(self, instances: Sequence[ElementInstance],
+                      labels: Sequence[str],
+                      space: LabelSpace) -> ExampleTable:
+        # Every instance of a tag shares the same name document: expand
+        # each distinct (tag, path) once.
+        return ExampleTable(
+            [(i.tag, i.path) for i in instances], labels, space,
+            lambda firsts: [self._document(instances[i]) for i in firsts])
+
     def fit(self, instances: Sequence[ElementInstance],
             labels: Sequence[str], space: LabelSpace) -> None:
         if len(instances) != len(labels):
             raise ValueError("instances and labels differ in length")
         self.space = space
-        # Every instance of a tag shares the same name document: expand
-        # each distinct ((tag, path), label) example once. The index
-        # keeps each distinct (document, label) pair in first-seen
-        # order, which the distinct examples preserve.
-        firsts, _ = group_examples(((i.tag, i.path) for i in instances),
-                                   labels)
-        self._index.fit([self._document(instances[i]) for i in firsts],
-                        [labels[i] for i in firsts], space)
+        # The index keeps each distinct (document, label) pair in
+        # first-seen order, which the distinct examples preserve.
+        table, positions = fit_table(self, instances, labels, space)
+        examples, _ = table.examples(positions)
+        self._index.fit(
+            [table.documents[k] for k in table.example_key[examples]],
+            [space.label_at(r) for r in table.example_row[examples]],
+            space)
 
     def predict_scores(self,
                        instances: Sequence[ElementInstance]) -> np.ndarray:
@@ -65,6 +74,10 @@ class NameMatcher(BaseLearner):
             return np.zeros((0, len(space)))
         # Every instance of a tag shares the same name document: score each
         # distinct (tag, path) once and broadcast.
+        if isinstance(instances, Fold):
+            keys, inverse = instances.distinct_keys()
+            documents = instances.table().documents
+            return self._index.scores([documents[k] for k in keys])[inverse]
         keys = [(i.tag, i.path) for i in instances]
         firsts, inverse = group_distinct(keys)
         per_key = self._index.scores(

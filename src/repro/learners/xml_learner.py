@@ -139,10 +139,11 @@ class XMLLearner(NaiveBayesLearner):
     def _documents(self, instances, keys, positions, fitting=False):
         """Structure tokens, reusing a fit's walks while their key holds.
 
-        A fit keeps each walk's tokens on the instance, with the key
-        they were walked under. The child labels of a training run are
-        fixed, so its full fit and cross-validation fits walk each
-        distinct example about twice in all, not once per fit.
+        A fit's example table keeps each walk's tokens on the instance,
+        with the key they were walked under. The child labels of a
+        training run are fixed, so the cross-validation table reads
+        back the full fit's walks, and a training run walks each
+        distinct key once.
         Prediction only reads them: a match's instances carry no
         tokens, and a training run's tokens go when its instances do,
         as ``train()`` returns.
