@@ -4,8 +4,9 @@ The static half is an AST-based lint framework (:mod:`.engine`) with
 rules for the invariants the test suite does not pin — set-order and
 OS-entropy nondeterminism (:mod:`.rules_determinism`), the metric,
 event and fault-site catalogues and unclosed spans
-(:mod:`.rules_observability`, :mod:`.rules_resilience`) and exception
-hygiene (:mod:`.rules_exceptions`) — plus inline ``# lsd: ignore[rule]``
+(:mod:`.rules_observability`, :mod:`.rules_resilience`), exception
+hygiene (:mod:`.rules_exceptions`) and garbage-collector tuning
+(:mod:`.rules_collector`) — plus inline ``# lsd: ignore[rule]``
 suppressions and a checked-in baseline (:mod:`.findings`).
 
 The dynamic half (:mod:`.sanitizer`) shakes the documented benign-race

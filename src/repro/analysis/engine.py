@@ -216,8 +216,9 @@ def get_rules(select: Iterable[str] | None = None) -> list[Rule]:
 
 def _load_rule_modules() -> None:
     """Import the rule modules (registration happens on import)."""
-    from . import (rules_determinism, rules_exceptions,  # noqa: F401
-                   rules_observability, rules_resilience)
+    from . import (rules_collector, rules_determinism,  # noqa: F401
+                   rules_exceptions, rules_observability,
+                   rules_resilience)
 
 
 # ---------------------------------------------------------------------------

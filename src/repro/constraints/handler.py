@@ -613,6 +613,12 @@ class ConstraintHandler:
         #: (nodes expanded, prunes by reason, best cost).
         self.last_stats: dict = {}
 
+    def __getstate__(self) -> dict:
+        # The counters describe this process's last search, not the
+        # model: a saved handler starts with none, so saving a model
+        # before and after a match writes the same bytes.
+        return {**self.__dict__, "last_stats": {}}
+
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------

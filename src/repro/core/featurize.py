@@ -21,9 +21,9 @@ Two cache layers make featurization happen once:
   ``ElementInstance.feature_cache``, which also avoids re-walking the
   element subtree to rebuild the text string.
 
-:func:`node_words` serves the XML learner's per-node word lookups
-through the same layers, reusing the instance's content tokens for the
-common leaf-element case.
+The XML learner's node table (:mod:`repro.learners.node_table`)
+tokenizes each distinct immediate text of a stream's elements once,
+through :func:`pipeline_tokens`.
 
 Cached token lists are shared — callers must treat them as immutable.
 
@@ -53,7 +53,6 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from ..text import remove_stopwords, stem_tokens, tokenize
-from ..xmlio import Element
 from .instance import ElementInstance
 
 #: feature_cache key of the content-token bag.
@@ -176,27 +175,6 @@ def content_tokens(instance: ElementInstance) -> list[str]:
     else:
         stats.hits += 1
     return tokens
-
-
-def node_words(instance: ElementInstance, node: Element,
-               is_leaf: bool | None = None) -> list[str]:
-    """Word tokens of one node's *immediate* text (the XML learner's
-    per-node lookup), served through the shared cache layers.
-
-    For the common case — the instance's own element, a leaf with no
-    attributes — the immediate text tokenizes identically to the full
-    text content (whitespace differences do not survive tokenization),
-    so the instance's content tokens are reused outright. Callers that
-    already know the node's leaf-ness (a tree walk that just listed the
-    children) pass it via ``is_leaf`` to skip re-deriving it.
-    """
-    if not _enabled:
-        return _pipeline(node.immediate_text())
-    if is_leaf is None:
-        is_leaf = node.is_leaf
-    if node is instance.element and not node.attributes and is_leaf:
-        return content_tokens(instance)
-    return pipeline_tokens(node.immediate_text())
 
 
 def warm(instances: Sequence[ElementInstance]) -> None:

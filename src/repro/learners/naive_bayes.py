@@ -70,10 +70,8 @@ class NaiveBayesLearner(GroupingLearner):
         return [tuple(self.tokenizer(i)) for i in instances]
 
     def _documents(self, instances: Sequence[ElementInstance], keys: list,
-                   positions: Sequence[int], fitting: bool = False
-                   ) -> list[Sequence[str]]:
-        """The token bags of the instances at ``positions``;
-        ``fitting`` says whether a fit or a prediction asks."""
+                   positions: Sequence[int]) -> list[Sequence[str]]:
+        """The token bags of the instances at ``positions``."""
         if self.tokenizer is default_tokenizer:
             return [self.tokenizer(instances[i]) for i in positions]
         return [keys[i] for i in positions]
@@ -84,8 +82,7 @@ class NaiveBayesLearner(GroupingLearner):
         keys = self._group_keys(instances)
         return ExampleTable(
             keys, labels, space,
-            lambda firsts: self._documents(instances, keys, firsts,
-                                           fitting=True))
+            lambda firsts: self._documents(instances, keys, firsts))
 
     def fit(self, instances: Sequence[ElementInstance],
             labels: Sequence[str], space: LabelSpace) -> None:

@@ -19,87 +19,41 @@ During training the descendant labels come from the user-provided mapping;
 during matching, from LSD's current predictions for the child tags
 (``ElementInstance.child_labels`` is filled by the pipelines either way —
 Table 2 of the paper).
+
+The instance trees are read once per stream into a
+:class:`~repro.learners.node_table.NodeTable`. Prediction lays each
+batch's tokens out as integer arrays and maps them to vocabulary columns
+in numpy, with no token string built and no per-key deduplication. A
+fit groups its examples by ``(subtree shape, label map)`` ids from the
+same table and makes token strings only for the distinct tokens of its
+documents. Cross-validation folds keep the shared
+:class:`~repro.learners.batching.ExampleTable` path.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from ..core import featurize
 from ..core.instance import ElementInstance
-from ..xmlio import Element
+from .batching import Fold
 from .naive_bayes import NaiveBayesLearner
+from .node_table import ROOT_NODE, UNKNOWN_NODE, Columns, locate
 
-#: Label given to descendant tags for which no label is known (yet).
-UNKNOWN_NODE = "?"
-#: The generic root node of every instance tree (paper's ``d``).
-ROOT_NODE = "d"
-
-#: feature_cache key of the cached (words, children) skeleton.
-_SKELETON = "structure_skeleton"
-
-#: feature_cache key of a training instance's structure tokens, stored
-#: with the ``(include_structure, grouping key)`` they were walked under.
-_TOKENS = "structure_tokens"
-
-
-def _build_skeleton(instance: ElementInstance, node) -> tuple:
-    """``(words, ((child_tag, child_skeleton), ...))`` for one subtree.
-
-    The skeleton is everything about the instance tree that does *not*
-    depend on the current child labels: per-node word tokens (through the
-    shared featurize layer) and the child-tag shape. Structure re-passes
-    only relabel; they never change the tree, so this is computed once
-    per instance and pinned on its feature cache. It is built from
-    tuples only, so it is its own hashable grouping key.
-    """
-    children = [child for child in node.children
-                if isinstance(child, Element)]
-    words = tuple(featurize.node_words(instance, node,
-                                       is_leaf=not children))
-    if not children:
-        return words, ()
-    return words, tuple([(child.tag, _build_skeleton(instance, child))
-                         for child in children])
-
-
-def skeleton_key(instance: ElementInstance) -> tuple:
-    """The instance's structure skeleton, a hashable canonical form.
-
-    Two instances with equal keys produce identical
-    :func:`structure_tokens` under equal ``child_labels`` — the token
-    walk is a pure function of (skeleton, labels). Cached per instance
-    so duplicate-heavy columns can be deduplicated *before* walking.
-    """
-    if not featurize.is_enabled():
-        return _build_skeleton(instance, instance.element)
-    cache = instance.feature_cache
-    skeleton = cache.get(_SKELETON)
-    if skeleton is None:
-        skeleton = cache[_SKELETON] = _build_skeleton(
-            instance, instance.element)
-    return skeleton
+__all__ = ["ROOT_NODE", "UNKNOWN_NODE", "XMLLearner", "structure_tokens"]
 
 
 def structure_tokens(instance: ElementInstance,
                      include_structure: bool = True) -> list[str]:
-    """The XML learner's bag of text + node + edge tokens."""
-    tokens: list[str] = []
-    labels = instance.child_labels
-
-    def walk(skeleton: tuple, node_name: str) -> None:
-        words, children = skeleton
-        for word in words:
-            tokens.append(word)
-            if include_structure:
-                tokens.append(f"{node_name}->{word}")
-        for child_tag, child_skeleton in children:
-            child_label = labels.get(child_tag, UNKNOWN_NODE)
-            if include_structure:
-                tokens.append(f"node:{child_label}")
-                tokens.append(f"{node_name}->{child_label}")
-            walk(child_skeleton, child_label)
-
-    walk(skeleton_key(instance), ROOT_NODE)
-    return tokens
+    """The XML learner's bag of text + node + edge tokens, as strings:
+    per preorder node ``node:X`` and ``P->X`` (not for the root), then
+    its words, each followed by ``X->word``."""
+    [(table, _, nodes)] = locate([instance])
+    kind, left, right, _ = table.layout(
+        nodes, table.label_maps([instance]), include_structure)
+    return table.strings(kind, left, right)
 
 
 class XMLLearner(NaiveBayesLearner):
@@ -107,6 +61,10 @@ class XMLLearner(NaiveBayesLearner):
 
     name = "xml_learner"
     uses_child_labels = True
+
+    #: The fitted vocabulary's :class:`Columns`, built on first
+    #: prediction. Derived state: never pickled.
+    _columns: Columns | None = None
 
     def __init__(self, alpha: float = 1.0,
                  include_structure: bool = True) -> None:
@@ -117,52 +75,70 @@ class XMLLearner(NaiveBayesLearner):
                              instance: ElementInstance) -> list[str]:
         return structure_tokens(instance, self.include_structure)
 
-    def _group_keys(self, instances):
-        """Group by (skeleton, child labels) *before* tokenizing.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_columns", None)
+        return state
 
-        The structure walk is the expensive part of tokenizing here, so
-        duplicates skip it entirely, in fit and in prediction alike.
-        Exact because :func:`structure_tokens` is a pure function of
-        the skeleton and the child-label map. With memoisation off
-        nothing is grouped and skeletons are not cached, so positions
-        stand in for the keys rather than building every skeleton twice.
+    def _group_keys(self, instances):
+        """Group by ``(subtree shape, child-label map)`` ids.
+
+        Equal shapes under equal label maps lay out equal tokens, so
+        the key is exact. Ids are numbered per table, and every table
+        of the call gets its own range of keys. With memoisation off
+        nothing is grouped, so positions stand in for the keys.
         """
         if not featurize.is_enabled():
             return list(range(len(instances)))
-        keys = []
-        for instance in instances:
-            labels = instance.child_labels
-            keys.append((skeleton_key(instance),
-                         tuple(sorted(labels.items())) if labels else ()))
-        return keys
+        keys = np.empty(len(instances), dtype=np.int64)
+        base = 0
+        for table, positions, nodes in locate(instances):
+            maps = table.label_maps([instances[i] for i in positions])
+            keys[positions] = (base + table.shapes()[nodes]
+                               * table.map_count + maps)
+            base += table.shape_count * table.map_count
+        return keys.tolist()
 
-    def _documents(self, instances, keys, positions, fitting=False):
-        """Structure tokens, reusing a fit's walks while their key holds.
-
-        A fit's example table keeps each walk's tokens on the instance,
-        with the key they were walked under. The child labels of a
-        training run are fixed, so the cross-validation table reads
-        back the full fit's walks, and a training run walks each
-        distinct key once.
-        Prediction only reads them: a match's instances carry no
-        tokens, and a training run's tokens go when its instances do,
-        as ``train()`` returns.
-        """
-        if not featurize.is_enabled():
-            return [self.tokenizer(instances[i]) for i in positions]
-        documents = []
-        for position in positions:
-            instance = instances[position]
-            key = (self.include_structure, keys[position])
-            memo = instance.feature_cache.get(_TOKENS)
-            if memo is not None and memo[0] == key:
-                documents.append(memo[1])
-                continue
-            tokens = self.tokenizer(instance)
-            if fitting:
-                instance.feature_cache[_TOKENS] = (key, tokens)
-            documents.append(tokens)
+    def _documents(self, instances, keys, positions):
+        """The token strings of the instances at ``positions``, laid
+        out from their tables; each distinct token's string is built
+        once per table."""
+        chosen = [instances[i] for i in positions]
+        documents: list = [None] * len(chosen)
+        for table, where, nodes in locate(chosen):
+            kind, left, right, lengths = table.layout(
+                nodes, table.label_maps([chosen[i] for i in where]),
+                self.include_structure)
+            tokens = table.strings(kind, left, right)
+            ends = np.cumsum(lengths).tolist()
+            for i, start, end in zip(where.tolist(), [0] + ends, ends):
+                documents[i] = tokens[start:end]
         return documents
+
+    def predict_scores(self,
+                       instances: Sequence[ElementInstance]) -> np.ndarray:
+        if isinstance(instances, Fold) or not instances:
+            return super().predict_scores(instances)
+        self._require_fitted()
+        columns = self._columns
+        if columns is None or columns.words is not self.vocabulary:
+            columns = self._columns = Columns(self.vocabulary)
+        groups = locate(instances)
+        scores = None
+        for table, positions, nodes in groups:
+            maps = table.label_maps(
+                instances if len(groups) == 1
+                else [instances[i] for i in positions])
+            kind, left, right, lengths = table.layout(
+                nodes, maps, self.include_structure)
+            part = self._score_columns(
+                table.columns(columns, kind, left, right), lengths)
+            if len(groups) == 1:
+                return part
+            if scores is None:
+                scores = np.empty((len(instances), part.shape[1]))
+            scores[positions] = part
+        return scores
 
     def clone(self) -> "XMLLearner":
         return XMLLearner(self.alpha, self.include_structure)

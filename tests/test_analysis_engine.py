@@ -212,7 +212,7 @@ class TestDiscoveryAndParseErrors:
     def test_rule_registry_is_complete(self):
         assert set(rule_ids()) == {
             "set-iteration", "blind-except", "span-unclosed",
-            "metric-catalogue", "fault-site-catalogue"}
+            "metric-catalogue", "fault-site-catalogue", "gc-tuning"}
 
     def test_unknown_rule_selection_raises(self):
         with pytest.raises(ValueError, match="unknown rule"):

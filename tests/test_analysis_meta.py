@@ -38,5 +38,5 @@ def test_whole_repo_run_reports_file_and_rule_counts(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     result = analyze_paths(["src"], baseline=_baseline())
     assert result.files > 50
-    assert result.rules == 5
+    assert result.rules == 6
     assert "clean" in result.summary_line()

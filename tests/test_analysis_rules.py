@@ -217,3 +217,43 @@ class TestBlindExcept:
                     raise
             """, "blind-except") == []
 
+
+
+class TestGcTuning:
+    def test_tuning_calls_flagged_in_every_spelling(self):
+        findings = lint("""\
+            import gc
+            import gc as collector
+            from gc import freeze, set_threshold as tune
+
+            gc.disable()
+            collector.set_threshold(100000)
+            freeze()
+            tune(700, 10, 10)
+            """, "gc-tuning")
+        assert [f.message.split("(")[0] for f in findings] == \
+            ["gc.disable", "gc.set_threshold", "gc.freeze",
+             "gc.set_threshold"]
+
+    def test_benchmarks_are_checked(self):
+        findings = lint("import gc\ngc.freeze()\n", "gc-tuning",
+                        display="benchmarks/pipeline/example.py")
+        assert len(findings) == 1
+
+    def test_observing_the_collector_is_clean(self):
+        assert lint("""\
+            import gc
+            from gc import collect
+
+            gc.collect()
+            collect()
+            gc.enable()
+            gc.get_threshold()
+            gc.callbacks.append(print)
+            pool.disable()
+            freeze()
+            """, "gc-tuning") == []
+
+    def test_tests_may_drive_the_collector(self):
+        assert lint("import gc\ngc.disable()\n", "gc-tuning",
+                    display="tests/test_probe.py") == []

@@ -50,23 +50,6 @@ class TestContentTokens:
                    for inst in instances)
 
 
-class TestNodeWords:
-    def test_leaf_shortcut_equals_direct_tokens(self):
-        instance = make_instance("phone", "(206) 634 9435")
-        via_cache = featurize.node_words(instance, instance.element)
-        assert via_cache == pipeline(instance.element.immediate_text())
-
-    def test_non_leaf_uses_immediate_text(self):
-        instance = make_instance(
-            "contact", children=[("name", "Ann Lee"), ("phone", "555")])
-        words = featurize.node_words(instance, instance.element)
-        # Immediate text of the parent excludes the children's text.
-        assert words == pipeline(instance.element.immediate_text())
-        child = instance.element.children[0]
-        assert featurize.node_words(instance, child) == \
-            pipeline(child.immediate_text())
-
-
 class TestSwitch:
     def test_cache_disabled_bypasses_memoisation(self):
         instance = make_instance("comments", "bypass this text")
