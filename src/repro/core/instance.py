@@ -20,7 +20,9 @@ class ElementInstance:
     ``child_labels`` is filled in by the pipelines: during training it maps
     each child tag to its true label (from the user-provided mapping);
     during matching, to the label LSD currently predicts for that child tag.
-    The XML learner consumes it; flat learners ignore it.
+    The XML learner consumes it; flat learners ignore it. Instances given
+    equal maps by one :func:`fill_child_labels` share one dict, so a map
+    is replaced, never mutated in place.
     """
 
     element: Element
@@ -121,12 +123,19 @@ def fill_child_labels(columns: dict[str, InstanceColumn],
     matching, from LSD's current per-tag predictions (§5: the XML learner
     "uses LSD (with the other base learners) to predict for each non-leaf
     and non-root node a label").
+
+    Equal maps are interned: the instances that get one share one dict,
+    which lets the XML learner's node table key each instance's map by
+    identity.
     """
+    interned: dict[tuple, dict[str, str]] = {}
     for column in columns.values():
         for instance in column.instances:
-            instance.child_labels = {
+            labels = {
                 descendant.tag: label_of[descendant.tag]
                 for descendant in instance.element.iter()
                 if descendant is not instance.element
                 and descendant.tag in label_of
             }
+            instance.child_labels = interned.setdefault(
+                tuple(labels.items()), labels)

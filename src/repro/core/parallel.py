@@ -193,11 +193,9 @@ class ParallelExecutor:
 #: Default target rows per prediction shard; see :func:`shard_bounds`.
 #: Sized so small batches stay single-shard — per-shard spans and the
 #: split's dedup bookkeeping only amortize on genuinely large
-#: columns. Learners whose prediction cost is per-row (no per-call
-#: amortized work) override
-#: :attr:`repro.learners.base.BaseLearner.shard_rows` with a finer
-#: grain so a parallel map can split them instead of letting one
-#: whole-batch task bound the makespan.
+#: columns. A learner may declare a finer grain
+#: (:attr:`repro.learners.base.BaseLearner.shard_rows`) so a parallel
+#: map can split it; no default learner does.
 SHARD_TARGET_ROWS = 2048
 #: Ceiling on prediction shards per batch.
 MAX_SHARDS = 8

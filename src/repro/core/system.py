@@ -14,6 +14,7 @@ from ..constraints.base import Constraint
 from ..constraints.handler import ConstraintHandler
 from ..learners import default_learners
 from ..learners.base import BaseLearner
+from ..learners.batching import StreamTables
 from ..learners.meta import StackingMetaLearner
 from ..observability import Observer, with_trace
 from ..observability.metrics import record_run
@@ -250,10 +251,13 @@ class LSDSystem:
             if not instances:
                 raise RuntimeError(
                     "training sources produced no instances")
+            # One example table per builder, read by the full fit and
+            # every cross-validation fold, and dropped when train ends.
+            tables = StreamTables(instances, labels, self.space)
             with trace.span("fit"):
                 survivors = train_base_learners(
                     self.learners, instances, labels, self.space,
-                    observer=obs, policy=self.policy)
+                    observer=obs, policy=self.policy, tables=tables)
                 if not survivors:
                     raise RuntimeError(
                         "every base learner failed to train")
@@ -264,7 +268,7 @@ class LSDSystem:
                     survivors, instances, labels, self.space,
                     folds=self.folds, seed=self.seed,
                     uniform=not self.use_meta_learner,
-                    executor=self.executor, observer=obs)
+                    executor=self.executor, observer=obs, tables=tables)
         if obs.metrics is not None:
             record_run(obs.metrics, trace.spans, train_span.span_id)
         self.active_learners = survivors

@@ -16,7 +16,10 @@ Steps, as in the paper:
 
 from __future__ import annotations
 
-from ..learners.base import BaseLearner
+import numpy as np
+
+from ..learners.base import BaseLearner, GroupingLearner
+from ..learners.batching import StreamTables
 from ..learners.meta import StackingMetaLearner, cross_validate_many
 from ..observability import Observer, resolve_observer
 from ..resilience.policy import call_with_timeout
@@ -112,7 +115,9 @@ def train_base_learners(learners: list[BaseLearner],
                         instances: list[ElementInstance],
                         labels: list[str], space: LabelSpace,
                         observer: Observer | None = None,
-                        policy=None) -> list[BaseLearner]:
+                        policy=None,
+                        tables: StreamTables | None = None
+                        ) -> list[BaseLearner]:
     """§3.1 step 4: fit every base learner on the training stream.
 
     Returns the learners that trained successfully. Without a
@@ -123,24 +128,33 @@ def train_base_learners(learners: list[BaseLearner],
     in the policy's degradation report, so one broken learner cannot
     take down the training run.
 
+    With ``tables`` (the training run's
+    :class:`~repro.learners.batching.StreamTables` over ``instances``),
+    a grouping learner fits a fold over every position of its shared
+    table; any other learner, and every learner without ``tables``,
+    fits the list itself.
+
     ``observer`` records one ``fit.<learner>`` span per base learner.
     """
     obs = resolve_observer(observer)
     names = [learner.name for learner in learners]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate learner names: {names}")
+    everything = np.arange(len(instances))
     survivors: list[BaseLearner] = []
     for learner in learners:
+        view = tables.fold(learner.table_builder(), everything) \
+            if tables is not None and isinstance(learner, GroupingLearner) \
+            else instances
         with obs.trace.span(f"fit.{learner.name}",
                             instances=len(instances)):
             if policy is None:
-                learner.fit(instances, labels, space)
+                learner.fit(view, labels, space)
                 survivors.append(learner)
                 continue
             try:
                 policy.fire(SITE_LEARNER_FIT, learner.name)
-                call_with_timeout(learner.fit,
-                                  (instances, labels, space),
+                call_with_timeout(learner.fit, (view, labels, space),
                                   policy.learner_timeout)
             except Exception as exc:  # lsd: ignore[blind-except]
                 # Quarantine boundary: *any* learner failure — bugs in
@@ -160,7 +174,8 @@ def train_meta_learner(learners: list[BaseLearner],
                        folds: int = 5, seed: int = 0,
                        uniform: bool = False,
                        executor: ParallelExecutor | None = None,
-                       observer: Observer | None = None
+                       observer: Observer | None = None,
+                       tables: StreamTables | None = None
                        ) -> StackingMetaLearner:
     """§3.1 step 5: cross-validate the base learners and fit the stacking
     weights. ``uniform=True`` skips stacking (the meta-learner ablation)
@@ -168,7 +183,7 @@ def train_meta_learner(learners: list[BaseLearner],
 
     Cross-validation runs the (learner × fold) tasks through
     ``executor`` for its resilience policy, serially, and gathers the
-    results into learner order. ``observer`` flows into
+    results into learner order. ``observer`` and ``tables`` flow into
     :func:`~repro.learners.meta.cross_validate_many`.
     """
     obs = resolve_observer(observer)
@@ -179,7 +194,7 @@ def train_meta_learner(learners: list[BaseLearner],
     per_learner = cross_validate_many(learners, instances, labels, space,
                                       folds=folds, seed=seed,
                                       executor=resolve(executor),
-                                      observer=obs)
+                                      observer=obs, tables=tables)
     cv_scores = {
         learner.name: scores
         for learner, scores in zip(learners, per_learner)

@@ -40,12 +40,11 @@ class BaseLearner(ABC):
     #: learner's prediction out over a batch (``None`` = the default in
     #: :data:`repro.core.parallel.SHARD_TARGET_ROWS`). The plan is a
     #: pure function of the batch size, so any value is output-invisible
-    #: — this is purely a cost declaration. Learners whose
-    #: ``predict_scores`` is per-row work with no per-call amortized
-    #: state (vectorizer transforms, child-label prediction, cache
-    #: warm-up) should declare a finer grain so parallel maps can split
-    #: them; learners with real per-call costs keep the coarse default,
-    #: where test-sized batches stay whole.
+    #: — this is purely a cost declaration. A finer grain lets a
+    #: parallel map split a learner, and costs the serial path one call
+    #: per shard plus clustering the batch's duplicates: every default
+    #: learner keeps the coarse default, where test-sized batches stay
+    #: whole.
     shard_rows: int | None = None
 
     def __init__(self) -> None:
@@ -98,11 +97,12 @@ class GroupingLearner(BaseLearner):
     """A learner that fits from grouped training examples.
 
     Its ``fit`` counts from an
-    :class:`~repro.learners.batching.ExampleTable` built by
-    :meth:`example_table`. Cross-validation builds that table once per
-    training stream and hands each fold clone a
-    :class:`~repro.learners.batching.Fold` over it; the clone's ``fit``
-    and ``predict_scores`` accept the fold like any instance sequence.
+    :class:`~repro.learners.batching.ExampleTable` built by the function
+    :meth:`table_builder` returns. A training run builds that table once
+    per builder (:class:`~repro.learners.batching.StreamTables`) and
+    hands the full fit and each cross-validation fold clone a
+    :class:`~repro.learners.batching.Fold` over it; ``fit`` and
+    ``predict_scores`` accept the fold like any instance sequence.
     """
 
     @abstractmethod
@@ -110,6 +110,13 @@ class GroupingLearner(BaseLearner):
                       labels: Sequence[str],
                       space: LabelSpace) -> ExampleTable:
         """Group ``instances`` under this learner's keys."""
+
+    def table_builder(self) -> Callable[..., ExampleTable]:
+        """The function that builds this learner's table from
+        ``(instances, labels, space)``. Learners whose tables are equal
+        return the same function, so a training run builds that table
+        once for all of them."""
+        return self.example_table
 
 
 class LearnerRegistry:

@@ -17,21 +17,24 @@ stays the per-instance fit's, bit for bit. Counting learners add each
 distinct example's token counts times its multiplicity, and integer
 counts sum exactly in float64 in any order. First-seen order reproduces
 every token's first appearance, so vocabularies and matrix columns keep
-their order; the WHIRL index, which stores each distinct ``(document,
-label)`` pair once in first-seen order, sees the same distinct pairs in
-the same order.
+their order.
 
-Cross-validation builds one table per grouping learner and hands every
-fold clone a :class:`Fold`: the fold's positions plus that shared
-table. A fold's distinct examples, their multiplicities and its
-vocabulary come from numpy over the table's id arrays, so no fold keys
-or hashes an instance again. To any other learner a fold is just a
-sequence of instances.
+The content matcher's WHIRL index stores each distinct ``(document,
+label)`` pair once, in first-seen order. Two texts can tokenize to the
+same document, so its fit reads a document id per key
+(:meth:`ExampleTable.document_ids`: each distinct token sequence
+interned once per table, on first request) and keeps the first position
+of each distinct ``(document id, label)`` pair.
 
-The content matcher's fit does not group: its documents are already a
-per-instance memo lookup and its WHIRL index keeps each distinct
-``(document, label)`` pair once, so grouping by ``(text, label)``
-first would only hash every example a second time.
+A training run builds one table per *builder*, the function a grouping
+learner's ``table_builder`` returns (:class:`StreamTables`). Naive Bayes
+with its default tokenizer and the content matcher key by instance text
+and read content tokens, so both return :func:`content_table` and share
+one table. The full fit and every cross-validation fold clone get a
+:class:`Fold`: some positions plus that shared table. A fold's distinct
+examples, their multiplicities and its vocabulary come from numpy over
+the table's id arrays, so no fold keys or hashes an instance again. To
+any other learner a fold is just a sequence of instances.
 
 This module centralises the pattern, so every learner in this package
 shares one implementation of it.
@@ -44,6 +47,7 @@ measure the un-deduplicated baseline.
 
 from __future__ import annotations
 
+import functools
 from itertools import chain
 from typing import Callable, Hashable, Sequence
 
@@ -112,6 +116,8 @@ class ExampleTable:
     training example is fitted and scored on its own.
     """
 
+    _document_ids: np.ndarray | None = None
+
     def __init__(self, keys: Sequence[Hashable], labels: Sequence[str],
                  space: LabelSpace,
                  document: Callable[[Sequence[int]], list[Sequence[str]]]
@@ -158,9 +164,35 @@ class ExampleTable:
         offsets = np.repeat(starts - ends + lengths, lengths)
         return self.token_ids[offsets + np.arange(offsets.size)], lengths
 
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """The label rows of ``positions``."""
+        return self.example_row[self.example_of[positions]]
+
+    def document_ids(self) -> np.ndarray:
+        """Each key's document id: keys whose documents are equal token
+        sequences share one id. Interned on the first call."""
+        if self._document_ids is None:
+            interned: dict[tuple, int] = {}
+            self._document_ids = np.fromiter(
+                (interned.setdefault(tuple(document), len(interned))
+                 for document in self.documents),
+                dtype=np.intp, count=len(self.documents))
+        return self._document_ids
+
+    def columns(self, ids: np.ndarray,
+                vocabulary: dict[str, int]) -> np.ndarray:
+        """The columns of global token ids under a fitted
+        ``vocabulary`` (-1 out of vocabulary), one lookup per distinct
+        id."""
+        distinct, where = np.unique(ids, return_inverse=True)
+        get, tokens = vocabulary.get, self.tokens
+        cols = np.fromiter((get(tokens[g], -1) for g in distinct.tolist()),
+                           dtype=np.intp, count=len(distinct))
+        return cols[where]
+
 
 class Fold(Sequence[ElementInstance]):
-    """The instances at ``positions`` of a cross-validated stream.
+    """The instances at ``positions`` of a training stream.
 
     It reads as a plain sequence of instances. A grouping learner's
     ``fit`` and ``predict_scores`` instead read :meth:`table`, the
@@ -188,6 +220,46 @@ class Fold(Sequence[ElementInstance]):
                          return_inverse=True)
 
 
+def content_table(instances: Sequence[ElementInstance],
+                  labels: Sequence[str], space: LabelSpace) -> ExampleTable:
+    """The table keyed by instance text, whose documents are the
+    content tokens (:func:`repro.core.featurize.content_tokens`, a pure
+    function of the text). Naive Bayes with its default tokenizer and
+    the content matcher both fit from it."""
+    return ExampleTable(
+        [featurize.instance_text(i) for i in instances], labels, space,
+        lambda firsts: [featurize.content_tokens(instances[i])
+                        for i in firsts])
+
+
+class StreamTables:
+    """The example tables of one training stream, one per builder.
+
+    :meth:`fold` views hand every learner whose ``table_builder``
+    returns the same function one table, built on first use. A training
+    run makes one for its full fit and its cross-validation; the tables
+    are reachable only from here, so they go when it does.
+    """
+
+    def __init__(self, instances: Sequence[ElementInstance],
+                 labels: Sequence[str], space: LabelSpace) -> None:
+        self.instances = instances
+        self._labels = labels
+        self._space = space
+        self._tables: dict[Callable, Callable[[], ExampleTable]] = {}
+
+    def fold(self, builder: Callable[..., ExampleTable],
+             positions: np.ndarray) -> Fold:
+        """The instances at ``positions``, over ``builder``'s table. A
+        build that fails raises again at the next read."""
+        table = self._tables.get(builder)
+        if table is None:
+            table = self._tables[builder] = functools.cache(
+                functools.partial(builder, self.instances, self._labels,
+                                  self._space))
+        return Fold(self.instances, positions, table)
+
+
 def fit_table(learner, instances: Sequence[ElementInstance],
               labels: Sequence[str], space: LabelSpace
               ) -> tuple[ExampleTable, np.ndarray]:
@@ -195,5 +267,5 @@ def fit_table(learner, instances: Sequence[ElementInstance],
     fold's shared table, or one built over every given position."""
     if isinstance(instances, Fold):
         return instances.table(), instances.positions
-    return (learner.example_table(instances, labels, space),
+    return (learner.table_builder()(instances, labels, space),
             np.arange(len(instances)))

@@ -15,8 +15,7 @@ Matching: the combined score of label ``c`` for an instance is
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from ..core.parallel import ParallelExecutor, resolve
 from ..core.prediction import normalize_matrix
 from ..observability import Observer, resolve_observer
 from .base import BaseLearner, GroupingLearner
-from .batching import ExampleTable, Fold
+from .batching import StreamTables
 
 
 def _fold_splits(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -37,26 +36,26 @@ def _fold_splits(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(rng.permutation(n), folds)
 
 
-def _run_fold(learner: BaseLearner,
-              instances: Sequence[ElementInstance],
+def _view(learner: BaseLearner, tables: StreamTables,
+          positions: np.ndarray) -> Sequence[ElementInstance]:
+    """The instances at ``positions`` as ``learner`` fits them: a
+    :class:`~repro.learners.batching.Fold` over its shared table for a
+    grouping learner, a plain list for any other."""
+    if isinstance(learner, GroupingLearner):
+        return tables.fold(learner.table_builder(), positions)
+    return [tables.instances[i] for i in positions.tolist()]
+
+
+def _run_fold(learner: BaseLearner, tables: StreamTables,
               labels: Sequence[str], space: LabelSpace,
-              train_idx: np.ndarray, held_out: np.ndarray,
-              table: Callable[[], ExampleTable] | None) -> np.ndarray:
+              train_idx: np.ndarray, held_out: np.ndarray) -> np.ndarray:
     """One (learner, fold) task: train a clone, predict the held-out
-    block; uniform scores when the clone cannot be trained. A grouping
-    learner's clone gets :class:`~repro.learners.batching.Fold` views
-    of the shared ``table``, any other learner's plain lists."""
-
-    def view(positions: np.ndarray) -> Sequence[ElementInstance]:
-        if table is None:
-            return [instances[i] for i in positions]
-        return Fold(instances, positions, table)
-
+    block; uniform scores when the clone cannot be trained."""
     clone = learner.clone()
     try:
-        clone.fit(view(train_idx), [labels[i] for i in train_idx.tolist()],
-                  space)
-        return clone.predict_scores(view(held_out))
+        clone.fit(_view(learner, tables, train_idx),
+                  [labels[i] for i in train_idx.tolist()], space)
+        return clone.predict_scores(_view(learner, tables, held_out))
     except (ValueError, RuntimeError):
         return np.full((len(held_out), len(space)), 1.0 / len(space))
 
@@ -66,7 +65,8 @@ def cross_validate_many(learners: Sequence[BaseLearner],
                         labels: Sequence[str], space: LabelSpace,
                         folds: int = 5, seed: int = 0,
                         executor: ParallelExecutor | None = None,
-                        observer: Observer | None = None
+                        observer: Observer | None = None,
+                        tables: StreamTables | None = None
                         ) -> list[np.ndarray]:
     """Out-of-fold predictions for every learner, one task per
     (learner, fold).
@@ -85,13 +85,14 @@ def cross_validate_many(learners: Sequence[BaseLearner],
     training phase.
 
     A grouping learner (:class:`~repro.learners.base.GroupingLearner`)
-    is keyed and grouped once per call, not once per fold: the first
-    of its fold clones to need it builds the learner's
-    :class:`~repro.learners.batching.ExampleTable` over all ``n``
-    examples, and every clone fits and scores a
-    :class:`~repro.learners.batching.Fold` view of that table. The
-    scores are byte-equal to fitting each clone on a list of its fold.
-    Other learners' clones get plain lists.
+    is keyed and grouped once per stream, not once per fold: every clone
+    fits and scores a :class:`~repro.learners.batching.Fold` view of the
+    :class:`~repro.learners.batching.ExampleTable` that ``tables`` holds
+    for the learner's builder, built over all ``n`` examples by the
+    first reader. A training run passes the ``tables`` its full fit
+    read; without them the call makes its own. The scores are
+    byte-equal to fitting each clone on a list of its fold. Other
+    learners' clones get plain lists.
 
     The k*d (learner, fold) tasks run through ``executor``, which
     applies its resilience policy (fault sites, retries) to each task.
@@ -115,26 +116,22 @@ def cross_validate_many(learners: Sequence[BaseLearner],
     all_indices = np.arange(n)
     train_sets = [np.setdiff1d(all_indices, held_out)
                   for held_out in boundaries]
-    # One example table per grouping learner, built by the first fold
-    # clone that reads it; a build that fails raises again in each fold.
-    tables = [functools.cache(functools.partial(
-                  learner.example_table, instances, labels, space))
-              if isinstance(learner, GroupingLearner) else None
-              for learner in learners]
-    tasks = [(learner, table, fold, train_idx, held_out)
-             for learner, table in zip(learners, tables)
+    if tables is None:
+        tables = StreamTables(instances, labels, space)
+    tasks = [(learner, fold, train_idx, held_out)
+             for learner in learners
              for fold, (train_idx, held_out)
              in enumerate(zip(train_sets, boundaries))]
     with obs.trace.span("folds", folds=folds,
                         learners=len(learners)) as folds_span:
 
         def run_task(task) -> np.ndarray:
-            learner, table, fold, train_idx, held_out = task
+            learner, fold, train_idx, held_out = task
             with obs.trace.span(f"fold.{learner.name}.{fold}",
                                 parent=folds_span.span_id,
                                 held_out=len(held_out)):
-                return _run_fold(learner, instances, labels, space,
-                                 train_idx, held_out, table)
+                return _run_fold(learner, tables, labels, space,
+                                 train_idx, held_out)
 
         blocks = resolve(executor).map(run_task, tasks)
     matrices: list[np.ndarray] = []

@@ -13,6 +13,7 @@ sparse matrix product followed by a row-softmax.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,8 @@ from ..core import featurize
 from ..core.instance import ElementInstance
 from ..core.labels import LabelSpace
 from .base import GroupingLearner
-from .batching import ExampleTable, Fold, fit_table, score_distinct
+from .batching import (ExampleTable, Fold, content_table, fit_table,
+                       score_distinct)
 
 
 def default_tokenizer(instance: ElementInstance) -> list[str]:
@@ -55,6 +57,24 @@ class NaiveBayesLearner(GroupingLearner):
     def clone(self) -> "NaiveBayesLearner":
         return type(self)(self.alpha, self.tokenizer)
 
+    def __getstate__(self) -> dict:
+        # Model files keep the C-ordered (labels x vocabulary) array.
+        state = self.__dict__.copy()
+        if self._log_likelihood is not None:
+            state["_log_likelihood"] = np.ascontiguousarray(
+                self._log_likelihood)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Interned names, as pickle's default restore sets them, so a
+        # reloaded model pickles to the same bytes again.
+        attributes = self.__dict__
+        for name, value in state.items():
+            attributes[sys.intern(name)] = value
+        if self._log_likelihood is not None:
+            self._log_likelihood = np.ascontiguousarray(
+                self._log_likelihood.T).T
+
     # ------------------------------------------------------------------
     def _group_keys(self, instances: Sequence[ElementInstance]) -> list:
         """Each instance's grouping key; fit and prediction share them.
@@ -75,6 +95,11 @@ class NaiveBayesLearner(GroupingLearner):
         if self.tokenizer is default_tokenizer:
             return [self.tokenizer(instances[i]) for i in positions]
         return [keys[i] for i in positions]
+
+    def table_builder(self) -> Callable[..., ExampleTable]:
+        if self.tokenizer is default_tokenizer:
+            return content_table
+        return self.example_table
 
     def example_table(self, instances: Sequence[ElementInstance],
                       labels: Sequence[str],
@@ -110,19 +135,24 @@ class NaiveBayesLearner(GroupingLearner):
         vocab_size = max(len(vocabulary), 1)
         class_counts = np.bincount(rows, weights=counts,
                                    minlength=n_labels)
+        # Counted as (vocabulary x labels): ``_log_likelihood`` is the
+        # transposed view, so ``_score_columns``' right operand is
+        # C-ordered and scipy does not copy it per call.
         token_counts = np.bincount(
-            np.repeat(rows, lengths) * vocab_size + cols,
+            cols * n_labels + np.repeat(rows, lengths),
             weights=np.repeat(counts, lengths),
-            minlength=n_labels * vocab_size).reshape(n_labels, vocab_size)
+            minlength=vocab_size * n_labels).reshape(vocab_size, n_labels)
 
         # P(c): Laplace-smoothed so labels absent from training keep a
         # tiny prior instead of a hard zero.
         smoothed = class_counts + self.alpha
         self._log_prior = np.log(smoothed / smoothed.sum())
-        # P(w|c) = (n(w,c) + alpha) / (n(c) + alpha * |V|)
-        totals = token_counts.sum(axis=1, keepdims=True)
+        # P(w|c) = (n(w,c) + alpha) / (n(c) + alpha * |V|); the integer
+        # totals sum exactly in any order.
+        totals = token_counts.sum(axis=0)
         self._log_likelihood = np.log(
-            (token_counts + self.alpha) / (totals + self.alpha * vocab_size))
+            (token_counts + self.alpha)
+            / (totals + self.alpha * vocab_size)).T
 
     def predict_scores(self,
                        instances: Sequence[ElementInstance]) -> np.ndarray:
@@ -137,12 +167,8 @@ class NaiveBayesLearner(GroupingLearner):
             table = instances.table()
             keys, inverse = instances.distinct_keys()
             ids, lengths = table.concatenated(keys)
-            distinct, where = np.unique(ids, return_inverse=True)
-            get, tokens = self.vocabulary.get, table.tokens
-            cols = np.fromiter((get(tokens[g], -1)
-                                for g in distinct.tolist()),
-                               dtype=np.intp, count=len(distinct))
-            return self._score_columns(cols[where], lengths)[inverse]
+            return self._score_columns(
+                table.columns(ids, self.vocabulary), lengths)[inverse]
         # Score each distinct key once and broadcast: NB scores are
         # row-wise, so this is numerically identical to scoring all rows,
         # and duplicate-heavy columns collapse to a few distinct bags.
@@ -173,7 +199,8 @@ class NaiveBayesLearner(GroupingLearner):
         The row expansion, the OOV filter, and the duplicate-count/
         column-sort canonicalisation in ``tocsr`` run in C. Counts are
         small integers, so the duplicate summation is exact regardless
-        of order.
+        of order. ``_log_likelihood.T`` is C-ordered, so the product
+        reads the fitted array in place.
         """
         rows = np.repeat(np.arange(len(lengths), dtype=np.intp), lengths)
         known = cols >= 0

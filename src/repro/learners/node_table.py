@@ -196,6 +196,8 @@ class NodeTable:
         self._symbol_ids = symbol_ids
         #: Interned child-label maps and their node-name rows.
         self._maps: dict[tuple, int] = {(): 0}
+        #: Map ids by map object: ``id(labels) -> (labels, map id)``.
+        self._map_of: dict[int, tuple[dict, int]] = {}
         self._map_rows = [np.full(len(tags), _UNKNOWN, dtype=np.intp)]
         self._map_names = self._map_rows[0][None, :]
         self._shapes: np.ndarray | None = None
@@ -219,13 +221,23 @@ class NodeTable:
     def label_maps(self, instances: Sequence[ElementInstance]
                    ) -> np.ndarray:
         """Each instance's interned child-label-map id, read now: a
-        structure pass may have relabelled it since the last call."""
-        maps = self._maps
+        structure pass may have relabelled it since the last call.
+
+        A map object seen before costs one lookup by identity: maps are
+        replaced, never mutated (``fill_child_labels`` shares one dict
+        among the instances it gives equal maps). The entry holds the
+        map, so its id cannot be reused while the entry lives.
+        """
+        maps, map_of = self._maps, self._map_of
         ids = []
         for instance in instances:
             labels = instance.child_labels
             if not labels:
                 ids.append(0)
+                continue
+            seen = map_of.get(id(labels))
+            if seen is not None:
+                ids.append(seen[1])
                 continue
             key = tuple(sorted(labels.items()))
             found = maps.get(key)
@@ -235,6 +247,7 @@ class NodeTable:
                     (self._symbol(labels.get(tag, UNKNOWN_NODE))
                      for tag in self.tags),
                     dtype=np.intp, count=len(self.tags)))
+            map_of[id(labels)] = (labels, found)
             ids.append(found)
         if len(self._map_names) < len(self._map_rows):
             self._map_names = np.stack(self._map_rows)

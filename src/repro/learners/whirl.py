@@ -9,6 +9,13 @@ cosine similarities of the stored neighbours carrying that label:
 so several moderately similar neighbours of one label reinforce each
 other, and a single exact-name neighbour dominates. Scores are then
 normalised across labels.
+
+The index is fitted on token lists (:meth:`WhirlIndex.fit`, which drops
+repeated ``(document, label)`` pairs itself) or on documents already
+deduplicated and numbered by a training table (:meth:`WhirlIndex.fit_ids`).
+Queries come as token lists (:meth:`WhirlIndex.scores`) or as vocabulary
+columns (:meth:`WhirlIndex.scores_columns`); both share the top-k and
+vote steps.
 """
 
 from __future__ import annotations
@@ -73,13 +80,41 @@ class WhirlIndex:
                     kept_labels.append(label)
             documents, labels = kept_docs, kept_labels
 
+        self._install(TfidfVectorSpace(list(documents)),
+                      np.fromiter(map(space.index_of, labels),
+                                  dtype=np.intp, count=len(labels)),
+                      space)
+
+    def fit_ids(self, tokens: list[str], ids: np.ndarray,
+                lengths: np.ndarray, rows: np.ndarray,
+                space: LabelSpace) -> None:
+        """Index documents given as ids of ``tokens`` laid end to end,
+        their lengths and their label rows. The caller deduplicates:
+        every document given is stored."""
+        if not len(lengths):
+            raise ValueError("cannot fit WHIRL on zero documents")
+        self._install(TfidfVectorSpace.from_ids(tokens, ids, lengths),
+                      rows, space)
+
+    def _install(self, vectors: TfidfVectorSpace, rows: np.ndarray,
+                 space: LabelSpace) -> None:
         self._labels = space
-        self._space = TfidfVectorSpace(list(documents))
+        self._space = vectors
         # One-hot (n_docs, n_labels) matrix for vectorised vote grouping.
-        label_matrix = np.zeros((len(documents), len(space)))
-        for row, label in enumerate(labels):
-            label_matrix[row, space.index_of(label)] = 1.0
+        label_matrix = np.zeros((len(rows), len(space)))
+        label_matrix[np.arange(len(rows)), rows] = 1.0
         self._label_matrix = label_matrix
+
+    @property
+    def vocabulary(self) -> dict[str, int]:
+        """The fitted vocabulary: token -> column."""
+        return self._fitted()[0].vocabulary
+
+    def _fitted(self) -> tuple[TfidfVectorSpace, LabelSpace]:
+        if self._space is None or self._label_matrix is None \
+                or self._labels is None:
+            raise RuntimeError("WhirlIndex is not fitted")
+        return self._space, self._labels
 
     def scores(self, queries: Sequence[list[str]]) -> np.ndarray:
         """Normalised ``(n_queries, n_labels)`` WHIRL scores.
@@ -88,16 +123,27 @@ class WhirlIndex:
         depend on the other rows of the batch, so callers score each
         distinct document once and broadcast the rows back.
         """
-        if self._space is None or self._label_matrix is None \
-                or self._labels is None:
-            raise RuntimeError("WhirlIndex is not fitted")
+        vectors, labels = self._fitted()
         if not queries:
-            return np.zeros((0, len(self._labels)))
+            return np.zeros((0, len(labels)))
+        return self._vote(vectors.sparse_similarities(list(queries)))
+
+    def scores_columns(self, cols: np.ndarray,
+                       lengths: np.ndarray) -> np.ndarray:
+        """:meth:`scores` of queries given as their vocabulary columns
+        (-1 out of vocabulary) laid end to end, and their lengths."""
+        vectors, labels = self._fitted()
+        if not len(lengths):
+            return np.zeros((0, len(labels)))
+        return self._vote(vectors.transform_columns(cols, lengths)
+                          @ vectors.postings)
+
+    def _vote(self, sims: sparse.csr_matrix) -> np.ndarray:
+        """The normalised vote of query-by-document similarities."""
         # The similarity matrix is overwhelmingly zero (a short query
         # only touches a few stored documents), so every step operates
         # on the CSR nonzeros; zero entries contribute log(1-0) = 0 to
         # the grouped sums and need never be materialised.
-        sims = self._space.sparse_similarities(list(queries))
         np.clip(sims.data, 0.0, 1.0 - 1e-9, out=sims.data)
         if self.min_similarity > 0.0:
             sims.data[sims.data < self.min_similarity] = 0.0

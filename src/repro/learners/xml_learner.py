@@ -76,7 +76,7 @@ class XMLLearner(NaiveBayesLearner):
         return structure_tokens(instance, self.include_structure)
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         state.pop("_columns", None)
         return state
 

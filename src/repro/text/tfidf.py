@@ -10,6 +10,12 @@ query columns against tens of thousands of stored training examples stays
 a single sparse matrix product. The CSR matrices themselves are built
 here in numpy, from token ids, so their storage order is this module's
 choice rather than a side effect of scipy's sparse arithmetic.
+
+Documents arrive as token lists or as ids already numbered elsewhere
+(:meth:`TfidfVectorSpace.from_ids` fits on a training table's global
+ids, :meth:`TfidfVectorSpace.transform_columns` maps ids already turned
+into vocabulary columns). Both go through one ``_term_counts`` and one
+``_weigh``, so either entry point gives the same bits.
 """
 
 from __future__ import annotations
@@ -39,15 +45,42 @@ class TfidfVectorSpace:
         self.vocabulary: dict[str, int] = {
             token: column for column, token in
             enumerate(dict.fromkeys(chain.from_iterable(documents)))}
-        rows, cols, tf = self._term_counts(documents)
+        self._fit(*self._columns_of(documents))
+
+    @classmethod
+    def from_ids(cls, tokens: list[str], ids: np.ndarray,
+                 lengths: np.ndarray) -> "TfidfVectorSpace":
+        """The space fitted on documents given as token ids laid end to
+        end (``ids``, numbering ``tokens``) and their ``lengths``.
+
+        The same space as fitting the documents' token lists: the
+        vocabulary is the tokens in first-appearance order, and the
+        weights go through the same arithmetic.
+        """
+        if not len(lengths):
+            raise ValueError("cannot fit a vector space on an empty corpus")
+        space = cls.__new__(cls)
+        distinct, firsts = np.unique(ids, return_index=True)
+        order = distinct[np.argsort(firsts)]
+        column = np.empty(len(tokens), dtype=np.intp)
+        column[order] = np.arange(len(order))
+        space.vocabulary = dict(zip(map(tokens.__getitem__, order.tolist()),
+                                    range(len(order))))
+        space._fit(column[ids], lengths)
+        return space
+
+    def _fit(self, cols: np.ndarray, lengths: np.ndarray) -> None:
+        """Fit idf and the stored matrix on documents given as their
+        vocabulary columns laid end to end, and their lengths."""
+        rows, cols, tf = self._term_counts(cols, lengths)
         # One (row, col) key per distinct document/term pair, so the
         # column counts are document frequencies.
         doc_frequency = np.bincount(cols, minlength=self._n_columns)
         # Smoothed idf keeps every fitted term positive, so a term present
         # in all documents still contributes a little signal.
-        self.idf = np.log((1.0 + len(documents))
+        self.idf = np.log((1.0 + len(lengths))
                           / (1.0 + doc_frequency)) + 1.0
-        self.matrix = self._weigh(rows, cols, tf, len(documents))
+        self.matrix = self._weigh(rows, cols, tf, len(lengths))
         self._freeze()
 
     def __getstate__(self) -> dict:
@@ -94,22 +127,35 @@ class TfidfVectorSpace:
         nearest-neighbour matcher treats unseen words: they can't match
         anything stored, so they contribute nothing.
         """
-        return self._weigh(*self._term_counts(documents), len(documents))
+        return self.transform_columns(*self._columns_of(documents))
 
-    def _term_counts(self, documents: list[list[str]]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, tf)`` of every distinct in-vocabulary
-        ``(document, term)`` pair, sorted by row and then column."""
+    def transform_columns(self, cols: np.ndarray,
+                          lengths: np.ndarray) -> sparse.csr_matrix:
+        """:meth:`transform` of documents given as their vocabulary
+        columns (-1 out of vocabulary) laid end to end, and their
+        lengths."""
+        return self._weigh(*self._term_counts(cols, lengths), len(lengths))
+
+    def _columns_of(self, documents: list[list[str]]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The documents' vocabulary columns (-1 out of vocabulary) laid
+        end to end, and each document's length."""
         lengths = np.fromiter(map(len, documents), dtype=np.intp,
                               count=len(documents))
-        ids = np.fromiter(
+        cols = np.fromiter(
             map(self.vocabulary.get, chain.from_iterable(documents),
                 repeat(-1)),
             dtype=np.intp, count=int(lengths.sum()))
-        rows = np.repeat(np.arange(len(documents)), lengths)
-        known = ids >= 0
+        return cols, lengths
+
+    def _term_counts(self, cols: np.ndarray, lengths: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, tf)`` of every distinct in-vocabulary
+        ``(document, term)`` pair, sorted by row and then column."""
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        known = cols >= 0
         n_columns = self._n_columns
-        keys, tf = np.unique(rows[known] * n_columns + ids[known],
+        keys, tf = np.unique(rows[known] * n_columns + cols[known],
                              return_counts=True)
         rows, cols = np.divmod(keys, n_columns)
         return rows, cols, tf

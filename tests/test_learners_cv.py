@@ -17,8 +17,8 @@ from repro.core import featurize
 from repro.core.training import build_training_set
 from repro.datasets import DOMAIN_NAMES, load_domain
 from repro.evaluation import SystemConfig, build_system
-from repro.learners import (NaiveBayesLearner, NameMatcher, XMLLearner,
-                            cross_validate, cross_validate_many)
+from repro.learners import (ContentMatcher, NaiveBayesLearner, NameMatcher,
+                            XMLLearner, cross_validate, cross_validate_many)
 from repro.learners.meta import _fold_splits
 
 from .helpers import make_instance, space_of
@@ -35,7 +35,7 @@ def lowercase_words(instance):
 
 def learners():
     return [NaiveBayesLearner(), NaiveBayesLearner(tokenizer=lowercase_words),
-            XMLLearner(), NameMatcher()]
+            XMLLearner(), NameMatcher(), ContentMatcher()]
 
 
 def reference(learner, instances, labels, space, folds=FOLDS):

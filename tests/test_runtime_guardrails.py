@@ -328,9 +328,13 @@ class TestRssLimitCli:
         assert mapped == set(SourceSchema(schema).tags)
 
     def test_halved_grain_keeps_the_mapping_and_refines_the_plan(
-            self, cli_workspace, tmp_path, rss):
+            self, cli_workspace, tmp_path, rss, monkeypatch):
         """At 92% of the limit the map is planned at half grain: more
-        shards in the trace, the same mapping and report quality."""
+        shards in the trace, the same mapping and report quality. The
+        content matcher declares a fine grain here, so the workspace's
+        small batch is split at all."""
+        monkeypatch.setattr(ContentMatcher, "shard_rows", 256,
+                            raising=False)
         runs = {}
         for name, extra in (("plain", ()),
                             ("halved", ("--rss-limit", "1000"))):
